@@ -3,7 +3,7 @@
 Subpackages
 -----------
 hermat
-    Dense complex-Hermitian linear algebra (Jacobi eigensolver backend).
+    Dense complex-Hermitian linear algebra (LAPACK eigensolver through numpy).
 dnorm
     The m-distillation norm in three independent forms.
 sdpsolve
@@ -16,12 +16,11 @@ cli
     Command-line front end (``cohdist`` entry point).
 """
 
-from . import backend, cli, config, distill, dnorm, ensembles, errors, hermat, sdpsolve, stateio
+from . import cli, config, distill, dnorm, ensembles, errors, hermat, sdpsolve, stateio
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "backend",
     "cli",
     "config",
     "distill",

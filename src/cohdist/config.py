@@ -19,12 +19,6 @@ class Tolerances:
 
     # operation gates
     hermitian_op: float = 1e-9       # eigensolver rejects beyond this defect
-    sqrt_residual: float = 1e-9
-    fidelity_symmetry: float = 1e-9
-
-    # Jacobi eigensolver
-    jacobi_off_frobenius: float = 1e-13
-    jacobi_max_sweeps: int = 100
 
 
 @dataclass(frozen=True)

@@ -168,23 +168,23 @@ def one_shot_rate(rho, eps: float, declared_base_dim: int | None = None,
                   *, max_iter: int = 300) -> RateReport:
     """One-shot assisted distillation report at error tolerance ``eps``.
 
-    The relaxed rate comes from the diagonal-ball SDP; when the exactness
-    flag holds (d <= 3 or a declared tensor power of a base with dimension
-    <= 3) the closed-form fidelity search is authoritative and cross-checks
-    the SDP level.  Tensor-power structure is never detected, only declared.
+    When the exactness flag holds (d <= 3 or a declared tensor power of a
+    base with dimension <= 3) the level comes from the closed-form fidelity
+    search, which is exact there, and no diagonal-ball SDP is solved.
+    Otherwise the relaxed level comes from the diagonal-ball SDP.
+    Tensor-power structure is never detected, only declared.
     """
-    rho = require_density(rho, check_psd=False)
+    rho = require_density(rho)
+    if not (0.0 <= eps < 1.0):
+        raise ValueError(f"eps must lie in [0, 1), got {eps}")
     d = rho.shape[0]
     exact = d <= 3 or (declared_base_dim is not None and declared_base_dim <= 3)
 
-    theta = min_diag_over_ball(rho, eps, max_iter=max_iter)
-    m_star = min(_floor_guarded(1.0 / theta), d)
     if exact:
-        # the closed-form fidelity search computes the same level exactly;
-        # it is authoritative if solver noise ever flips a boundary case
-        m_fid = _max_m_by_fidelity(rho, eps)
-        if m_fid != m_star:
-            m_star = m_fid
+        m_star = _max_m_by_fidelity(rho, eps)
+    else:
+        theta = min_diag_over_ball(rho, eps, max_iter=max_iter)
+        m_star = min(_floor_guarded(1.0 / theta), d)
     relaxed_bits = math.log2(m_star)
 
     q = float(np.max(np.diag(rho).real))

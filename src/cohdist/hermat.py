@@ -1,9 +1,9 @@
 """Dense complex-Hermitian linear algebra primitives.
 
 All higher-level quantities in the package reduce to the handful of
-operations here: dephasing, Hermitian eigendecomposition (cyclic Jacobi,
-via the selected kernel backend), PSD square roots, Uhlmann fidelity,
-tensor powers, Shannon entropy and the diagonal-root vector.
+operations here: dephasing, Hermitian eigendecomposition (LAPACK through
+``numpy.linalg.eigh``), PSD square roots, Uhlmann fidelity, tensor powers,
+Shannon entropy and the diagonal-root vector.
 
 Matrices and vectors are plain ``numpy`` arrays (complex128).  Validators
 raise the typed errors from :mod:`cohdist.errors`; numerical clamping
@@ -12,7 +12,6 @@ windows come from :mod:`cohdist.config`.
 
 import numpy as np
 
-from . import backend
 from .config import DEFAULT_CAPS, DEFAULT_TOLS, Tolerances
 from .errors import (
     CapExceeded,
@@ -92,39 +91,30 @@ def dephase(rho) -> np.ndarray:
 
 
 def eig_hermitian(mat, *, tols: Tolerances = DEFAULT_TOLS):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
 
+    The matrix is symmetrized as ``0.5 * (a + a^dag)`` before the solve.
     Returns ``(w, v)`` with eigenvalues ``w`` ascending and unitary ``v``
     such that ``mat = v @ diag(w) @ v.conj().T``.  No ordering guarantee
     among numerically equal eigenvalues.
 
     Raises
     ------
+    NumericalFailure
+        if the matrix has a non-finite entry, or LAPACK fails to converge.
     NonHermitian
         if the entrywise symmetry defect exceeds ``tols.hermitian_op``.
     """
     a = _as_complex_matrix(mat)
+    if not np.all(np.isfinite(a)):
+        raise NumericalFailure("matrix has non-finite entries")
     defect = hermitian_defect(a)
     if defect > tols.hermitian_op:
         raise NonHermitian(f"Hermitian defect {defect:.3e} exceeds {tols.hermitian_op:.0e}")
-    n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0].real]), np.eye(1, dtype=np.complex128)
-
-    work = np.ascontiguousarray(0.5 * (a + a.conj().T))
-    vecs = np.eye(n, dtype=np.complex128)
-    scale = max(1.0, float(np.linalg.norm(work)))
-    sweeps, off = backend.jacobi_sweeps(
-        work, vecs, tols.jacobi_off_frobenius * scale, tols.jacobi_max_sweeps
-    )
-    if off > tols.jacobi_off_frobenius * scale:
-        raise NumericalFailure(
-            f"Jacobi sweeps did not converge in {tols.jacobi_max_sweeps} sweeps "
-            f"(off-diagonal norm {off:.3e})"
-        )
-    w = np.diag(work).real.copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], vecs[:, order]
+    try:
+        return np.linalg.eigh(0.5 * (a + a.conj().T))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"eigendecomposition did not converge: {exc}") from exc
 
 
 def sqrtm_psd(mat, *, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:

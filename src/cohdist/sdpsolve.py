@@ -14,7 +14,7 @@ The solver is an infeasible-start primal-dual path-following method with
 Nesterov-Todd scaling, started at the identity, stepping fraction 0.98 of
 the way to the cone boundary, with the centering parameter adapted in
 [0.1, 0.9] from an affine predictor.  Complex Hermitian blocks are handled
-natively; every eigendecomposition goes through the Jacobi kernel.
+natively; every eigendecomposition goes through ``hermat.eig_hermitian``.
 """
 
 from dataclasses import dataclass, field

@@ -9,17 +9,17 @@ Schema::
       "renormalize": false                               # optional
     }
 
-Parsing gates: Hermiticity 1e-9 entrywise, eigenvalues >= -1e-9, trace
-within 1e-8 of one (after the optional renormalization).  Accepted states
-are then symmetrized and trace-normalized exactly so the stricter internal
-invariants hold downstream.
+Parsing gates: finite entries, Hermiticity 1e-9 entrywise, eigenvalues
+>= -1e-9, trace within 1e-8 of one (after the optional renormalization).
+Accepted states are then symmetrized and trace-normalized exactly so the
+stricter internal invariants hold downstream.
 """
 
 import json
 
 import numpy as np
 
-from .errors import CohdistError, ParseError
+from .errors import ParseError
 from .hermat import eig_hermitian, hermitian_defect
 
 __all__ = ["dump_state", "load_state", "parse_state", "state_to_dict"]
@@ -42,6 +42,8 @@ def parse_state(obj) -> tuple[np.ndarray, dict | None]:
         raise ParseError(f"entries are not numeric: {exc}") from exc
     if arr.shape != (dim, dim, 2):
         raise ParseError(f"entries must be {dim}x{dim} [re, im] pairs, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ParseError("entries must be finite numbers")
     rho = arr[..., 0] + 1j * arr[..., 1]
 
     if obj.get("renormalize", False):
@@ -58,10 +60,7 @@ def parse_state(obj) -> tuple[np.ndarray, dict | None]:
         raise ParseError(f"trace {tr} differs from 1 by more than 1e-8")
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
-    try:
-        w, _ = eig_hermitian(rho)
-    except CohdistError as exc:
-        raise ParseError(f"state failed eigendecomposition: {exc}") from exc
+    w, _ = eig_hermitian(rho)
     if w[0] < -1e-9:
         raise ParseError(f"minimum eigenvalue {w[0]:.3e} below -1e-9")
 

@@ -167,6 +167,19 @@ class TestExitCodes:
         bad.write_text(json.dumps({"dim": 2, "entries": [[[2.0, 0], [0, 0]], [[0, 0], [-1.0, 0]]]}))
         assert main(["fidelity", str(bad)]) == 2
 
+    def test_non_finite_entries(self, tmp_path, capsys):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"dim": 2, "entries": [[[0.5, 0], [NaN, 0]], [[NaN, 0], [0.5, 0]]]}')
+        assert main(["decompose", str(bad)]) == 2
+        assert main(["fidelity", str(bad)]) == 2
+
+    def test_eigensolver_failure(self, qubit64, capsys, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        assert main(["fidelity", str(qubit64)]) == 4
+
     def test_cap_exceeded(self, qubit64, capsys):
         assert main(["rate", str(qubit64), "--copies", "20"]) == 3
 

@@ -133,6 +133,12 @@ class TestRates:
         assert not rep_undeclared.exact_flag
         assert rep_undeclared.relaxed_rate_bits == 2.0
 
+    def test_rejects_bad_eps(self):
+        rho = np.diag([0.6, 0.4]).astype(complex)
+        for eps in (-0.1, 1.0, 1.5, float("nan")):
+            with pytest.raises(ValueError):
+                one_shot_rate(rho, eps)
+
     def test_rates_are_logfloor_values(self, rng):
         for _ in range(5):
             d = int(rng.integers(2, 5))

@@ -179,12 +179,3 @@ class TestTolerancePlumbing:
         eig_hermitian(a)
         with pytest.raises(NonHermitian):
             eig_hermitian(a, tols=Tolerances(hermitian_op=1e-14))
-
-    def test_sweep_budget_is_configurable(self, rng):
-        from cohdist.config import Tolerances
-        from cohdist.errors import NumericalFailure
-        from cohdist.hermat import eig_hermitian
-
-        a = random_density(8, rng)
-        with pytest.raises(NumericalFailure):
-            eig_hermitian(a, tols=Tolerances(jacobi_max_sweeps=1))

@@ -137,7 +137,8 @@ def assisted_fidelity_sdp(rho, m, *, max_iter: int = 300) -> float:
     rho = require_density(rho)
     sol = solve(build_fidelity_over_Mm(rho, m), max_iter=max_iter)
     if sol.status != "optimal":
-        raise NumericalFailure(f"fidelity SDP ended with status {sol.status!r}")
+        raise NumericalFailure(
+            f"fidelity SDP ended with status {sol.status!r} ({sol.exit_reason})")
     root = min(max(sol.primal_value, 0.0), 1.0)
     return _snap_unit(root * root)
 
@@ -149,7 +150,8 @@ def min_diag_over_ball(rho, eps: float, *, max_iter: int = 300) -> float:
     rho = require_density(rho)
     sol = solve(build_min_diag_over_ball(rho, eps), max_iter=max_iter)
     if sol.status != "optimal":
-        raise NumericalFailure(f"diagonal-ball SDP ended with status {sol.status!r}")
+        raise NumericalFailure(
+            f"diagonal-ball SDP ended with status {sol.status!r} ({sol.exit_reason})")
     return min(max(sol.dual_value, 1e-12), 1.0)
 
 
@@ -228,10 +230,12 @@ def theta_upper(omega, *, atoms_cap: int | None = None, seed: int = 0,
     amplitude.  Exact in dimension <= 3, where it equals the largest
     diagonal entry; otherwise the best decomposition found upper-bounds it
     while the diagonal entry lower-bounds it."""
-    omega = require_density(omega)
+    # ensemble_search checks PSD from the eigendecomposition it needs anyway
+    omega = require_density(omega, check_psd=False)
     d = omega.shape[0]
     q = float(np.max(np.diag(omega).real))
     if d <= 3:
+        require_density(omega)
         return ThetaBound(value=q, exact=True, diag_lower=q)
     cap = atoms_cap if atoms_cap is not None else d + 1
     _, val = ensembles.ensemble_search(
@@ -247,16 +251,21 @@ def coherence_of_assistance(rho, *, atoms_cap: int | None = None, seed: int = 0,
     entropy.  Equals the diagonal entropy itself for d <= 3; for larger
     dimensions returns the best ensemble-search lower bound alongside that
     entropy as the upper bound."""
-    rho = require_density(rho)
+    # as in theta_upper, ensemble_search checks PSD itself (before the
+    # entropy, which would reject a negative diagonal first)
+    rho = require_density(rho, check_psd=False)
     d = rho.shape[0]
+    if d <= 3:
+        require_density(rho)
+    else:
+        cap = atoms_cap if atoms_cap is not None else d + 1
+        _, val = ensembles.ensemble_search(
+            rho, ensembles.MaxAvgDiagEntropy(), cap,
+            seed=seed, restarts=restarts, max_evals=max_evals,
+        )
     diag_bits = shannon_entropy(np.clip(np.diag(rho).real, 0.0, None)
                                 / float(np.sum(np.diag(rho).real)))
     if d <= 3:
         return AssistanceBound(value_bits=diag_bits, exact=True, diag_entropy_bits=diag_bits)
-    cap = atoms_cap if atoms_cap is not None else d + 1
-    _, val = ensembles.ensemble_search(
-        rho, ensembles.MaxAvgDiagEntropy(), cap,
-        seed=seed, restarts=restarts, max_evals=max_evals,
-    )
     return AssistanceBound(value_bits=min(val, diag_bits), exact=False,
                            diag_entropy_bits=diag_bits)

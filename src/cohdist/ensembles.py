@@ -17,12 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_TOLS
 from .dnorm import pure_distillation_fidelity
 from .errors import (
     DimMismatch,
     DimTooLarge,
     IncompatibleEnsemble,
     NotAPurification,
+    NotPSD,
     NumericalFailure,
 )
 from .hermat import eig_hermitian, require_density, shannon_entropy
@@ -367,7 +369,11 @@ class MaxAvgDiagEntropy:
 
 
 def _eigen_basis(rho):
+    """Eigen-ensemble of a Hermitian unit-trace ``rho``; raises ``NotPSD`` from
+    the same eigenvalues, so callers validate with ``check_psd=False``."""
     w, u = eig_hermitian(rho)
+    if w[0] < DEFAULT_TOLS.psd_eig_floor:
+        raise NotPSD(f"minimum eigenvalue {w[0]:.3e} below {DEFAULT_TOLS.psd_eig_floor:.0e}")
     keep = w > 1e-12
     lam = w[keep]
     phi = u[:, keep]
@@ -422,7 +428,7 @@ def ensemble_search(
     decomposition in dimensions 2 and 3, which the theory makes optimal
     for all three shipped objectives.
     """
-    rho = require_density(rho)
+    rho = require_density(rho, check_psd=False)
     d = rho.shape[0]
     basis, phi, lam = _eigen_basis(rho)
     rank = basis.shape[1]
@@ -496,7 +502,7 @@ def _pattern_search(cost, theta0, budget, step0=0.3, step_min=1e-7):
 
 def random_decomposition(rho, n_atoms: int, seed: int = 0) -> Ensemble:
     """Random exact pure-state decomposition with ``n_atoms`` atoms."""
-    rho = require_density(rho)
+    rho = require_density(rho, check_psd=False)
     basis, _, _ = _eigen_basis(rho)
     rank = basis.shape[1]
     if n_atoms < rank:

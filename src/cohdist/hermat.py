@@ -138,7 +138,9 @@ def fidelity(rho, sigma, *, tols: Tolerances = DEFAULT_TOLS) -> float:
     ``sqrt(rho) sigma sqrt(rho)``: its eigenvalues are the squared
     singular values of ``sqrt(rho) sqrt(sigma)``, so the trace norm is
     the sum of their square roots.  Tiny negative eigenvalues (above
-    ``tols.psd_eig_floor``) are clamped to zero.
+    ``tols.psd_eig_floor``) are clamped to zero, and so is rounding above 1
+    up to 1e-9; a larger excess (unnormalized input) raises
+    ``NumericalFailure``.
     """
     a = _as_complex_matrix(rho)
     b = _as_complex_matrix(sigma)
@@ -151,7 +153,9 @@ def fidelity(rho, sigma, *, tols: Tolerances = DEFAULT_TOLS) -> float:
     # the product; sqrt would otherwise amplify it to ~1e-7
     w[w < 1e-13 * max(float(w[-1]), 1e-30)] = 0.0
     val = float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
-    return min(max(val, 0.0), 1.0) if val <= 1.0 + 1e-9 else val
+    if val > 1.0 + 1e-9:
+        raise NumericalFailure(f"fidelity {val!r} exceeds 1 by more than rounding")
+    return min(max(val, 0.0), 1.0)
 
 
 def tensor_power(rho, n: int, *, cap: int | None = None) -> np.ndarray:

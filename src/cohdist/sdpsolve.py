@@ -14,7 +14,15 @@ The solver is an infeasible-start primal-dual path-following method with
 Nesterov-Todd scaling, started at the identity, stepping fraction 0.98 of
 the way to the cone boundary, with the centering parameter adapted in
 [0.1, 0.9] from an affine predictor.  Complex Hermitian blocks are handled
-natively; every eigendecomposition goes through ``hermat.eig_hermitian``.
+natively; the scaling points come from ``hermat.eig_hermitian``.
+
+The constraints form a stacked operator, built once per solve: per block
+l, ``rows_l`` lists the constraints touching it and ``A_l`` holds their
+coefficients as a ``(k_l, n_l^2)`` array.  Then ``A(X)[rows_l] +=
+Re(conj(A_l) @ vec X_l)``, ``A*(y)_l = y[rows_l] @ A_l``, and the Schur
+matrix ``sum_l Re(conj(A_l) @ vec(W_l A_l W_l)^T)`` is scattered into
+``rows_l x rows_l`` (the SDPT3/SDPA assembly).  It is Cholesky-factored
+once per iteration, and so is each iterate, for both step lengths.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_CAPS
-from .errors import BadM, CapExceeded, DimMismatch, IllPosed, NonHermitian
+from .errors import BadM, CapExceeded, DimMismatch, IllPosed, NonHermitian, NumericalFailure
 from .hermat import eig_hermitian, hermitian_defect, require_density
 
 __all__ = [
@@ -60,17 +68,21 @@ class SdpProblem:
                 raise DimMismatch(f"objective block {blk} has wrong shape")
             if hermitian_defect(obj) > 1e-9:
                 raise NonHermitian(f"objective block {blk} is not Hermitian")
-        for k, con in enumerate(self.constraints):
-            for blk, mat in con.items():
-                if mat.shape != (self.block_dims[blk],) * 2:
-                    raise DimMismatch(f"constraint {k} block {blk} has wrong shape")
-                if hermitian_defect(mat) > 1e-9:
-                    raise NonHermitian(f"constraint {k} block {blk} is not Hermitian")
+        for blk, ((rows, a), dim) in enumerate(zip(_stack(self), self.block_dims)):
+            a = a.reshape(-1, dim, dim)
+            bad = np.flatnonzero(np.abs(a - a.conj().transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-9)
+            if bad.size:
+                raise NonHermitian(f"constraint {rows[bad[0]]} block {blk} is not Hermitian")
 
 
 @dataclass
 class SdpSolution:
-    """Certified primal-dual answer, reported in the problem's sense."""
+    """Certified primal-dual answer, reported in the problem's sense.
+
+    ``exit_reason``: "converged", "certified_from_best_iterate" (an early
+    end whose best iterate meets the contract, so status "optimal"),
+    "stalled", "nonfinite_direction", "max_iter" (these three with status
+    "max_iter") or "infeasible"."""
 
     status: str                       # "optimal" | "max_iter" | "infeasible"
     primal_value: float
@@ -81,29 +93,64 @@ class SdpSolution:
     primal_residual: float = 0.0
     dual_residual: float = 0.0
     iterations: int = 0
+    exit_reason: str = "converged"
 
 
 def _herm(a):
     return 0.5 * (a + a.conj().T)
 
 
-def _inner(a, b) -> float:
-    return float(np.vdot(a, b).real)
+def _stack(problem):
+    """Per block l, ``(rows_l, A_l)``: the indices of the constraints that
+    touch block l and their coefficients as a ``(k_l, n_l^2)`` array."""
+    dims = problem.block_dims
+    rows, mats = [[] for _ in dims], [[] for _ in dims]
+    for k, con in enumerate(problem.constraints):
+        for blk, mat in con.items():
+            if not 0 <= blk < len(dims) or mat.shape != (dims[blk],) * 2:
+                raise DimMismatch(f"constraint {k} block {blk} has wrong shape")
+            rows[blk].append(k)
+            mats[blk].append(mat)
+    return [
+        (np.array(r, dtype=np.intp), np.array(m, dtype=np.complex128).reshape(len(r), d * d))
+        for r, m, d in zip(rows, mats, dims)
+    ]
 
 
-def _apply(constraints, blocks) -> np.ndarray:
-    return np.array(
-        [sum(_inner(mat, blocks[blk]) for blk, mat in con.items()) for con in constraints]
-    )
-
-
-def _adjoint(constraints, y, dims):
-    out = [np.zeros((d, d), dtype=np.complex128) for d in dims]
-    for yk, con in zip(y, constraints):
-        if yk != 0.0:
-            for blk, mat in con.items():
-                out[blk] += yk * mat
+def _apply(ops, blocks, k) -> np.ndarray:
+    out = np.zeros(k)
+    for (rows, a), x in zip(ops, blocks):
+        out[rows] += (a @ x.conj().ravel()).real
     return out
+
+
+def _adjoint(ops, y, dims):
+    return [(y[rows] @ a).reshape(d, d) for (rows, a), d in zip(ops, dims)]
+
+
+def _schur(ops, w, k) -> np.ndarray:
+    """M_ij = sum_l <A_il, W_l A_jl W_l>, assembled from the upper triangle."""
+    m = np.zeros((k, k))
+    for (rows, a), wl in zip(ops, w):
+        n = wl.shape[0]
+        t = wl @ a.reshape(-1, n, n) @ wl
+        m[np.ix_(rows, rows)] += (a.conj() @ t.reshape(-1, n * n).T).real
+    return np.triu(m) + np.triu(m, 1).T
+
+
+def _check_rank(ops, k):
+    if k == 0:
+        return
+    gram = np.zeros((k, k))
+    for rows, a in ops:
+        gram[np.ix_(rows, rows)] += (a.conj() @ a.T).real
+    w = np.linalg.eigvalsh(gram)
+    top = max(float(w[-1]), 0.0)
+    if top <= 0.0 or float(w[0]) < 1e-10 * top:
+        raise IllPosed(
+            f"equality constraints are rank-deficient (gram eigenvalues span "
+            f"[{float(w[0]):.3e}, {top:.3e}])"
+        )
 
 
 def _eig_floor(w) -> np.ndarray:
@@ -133,67 +180,43 @@ def _nt_scaling(x, z):
     return _herm(zmh @ qh @ zmh), _herm(zinv)
 
 
-def _max_step(s, ds) -> float:
-    """Largest alpha with s + alpha * ds PSD (s positive definite)."""
+def _inv_chol(m):
+    """Inverse Cholesky factor ``L^-1`` of a positive-definite ``m = L L^dag``,
+    with a small trace-relative jitter against rounding if needed."""
+    scale = max(float(np.trace(m).real) / max(m.shape[0], 1), 1e-12)
+    eye = np.eye(m.shape[0])
+    for jitter in (0.0, 1e-14, 1e-11, 1e-8):
+        try:
+            return np.linalg.inv(np.linalg.cholesky(m + jitter * scale * eye))
+        except np.linalg.LinAlgError:
+            continue
+    raise NumericalFailure("Cholesky factorization failed: matrix is not positive definite")
+
+
+def _max_step(s, li, ds) -> float:
+    """Largest alpha with s + alpha * ds PSD, from li = inverse Cholesky factor of s."""
     if s.shape[0] == 1:
         dv = ds[0, 0].real
         if dv >= -1e-300:
             return np.inf
         return max(s[0, 0].real, 0.0) / (-dv)
-    w, u = eig_hermitian(s)
-    w = _eig_floor(w)
-    isr = 1.0 / np.sqrt(w)
-    t = _herm((u.conj().T @ ds @ u) * np.outer(isr, isr))
-    wt, _ = eig_hermitian(t)
-    lam_min = float(wt[0])
+    try:
+        lam_min = float(np.linalg.eigvalsh(_herm(li @ ds @ li.conj().T))[0])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"step-length eigensolve did not converge: {exc}") from exc
     if lam_min >= -1e-14:
         return np.inf
     return 1.0 / (-lam_min)
 
 
-def _chol_factor(m):
-    scale = max(float(np.trace(m).real) / max(m.shape[0], 1), 1e-12)
-    eye = np.eye(m.shape[0])
-    for jitter in (0.0, 1e-14, 1e-11, 1e-8):
-        try:
-            return np.linalg.cholesky(m + jitter * scale * eye)
-        except np.linalg.LinAlgError:
-            continue
-    return None
-
-
-def _solve_spd(lfac, m, rhs):
-    if lfac is None:
-        return np.linalg.lstsq(m, rhs, rcond=None)[0]
-    y = np.linalg.solve(lfac, rhs)
-    x = np.linalg.solve(lfac.conj().T, y)
+def _solve_spd(linv, m, rhs):
+    x = linv.T @ (linv @ rhs)
     # one round of iterative refinement keeps the Schur solve crisp
-    r = rhs - m @ x
-    y = np.linalg.solve(lfac, r)
-    x = x + np.linalg.solve(lfac.conj().T, y)
-    return x
+    return x + linv.T @ (linv @ (rhs - m @ x))
 
 
-def _check_rank(constraints):
-    k = len(constraints)
-    if k == 0:
-        return
-    gram = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            val = 0.0
-            for blk, mat in constraints[i].items():
-                other = constraints[j].get(blk)
-                if other is not None:
-                    val += _inner(mat, other)
-            gram[i, j] = gram[j, i] = val
-    w = np.linalg.eigvalsh(gram) if k > 1 else np.array([gram[0, 0]])
-    top = max(float(w[-1]), 0.0)
-    if top <= 0.0 or float(w[0]) < 1e-10 * top:
-        raise IllPosed(
-            f"equality constraints are rank-deficient (gram eigenvalues span "
-            f"[{float(w[0]):.3e}, {top:.3e}])"
-        )
+def _finite(*arrays) -> bool:
+    return all(np.all(np.isfinite(a)) for a in arrays)
 
 
 def solve(problem: SdpProblem, *, max_iter: int = 300) -> SdpSolution:
@@ -201,25 +224,26 @@ def solve(problem: SdpProblem, *, max_iter: int = 300) -> SdpSolution:
 
     On ``status == "optimal"`` the solution satisfies: duality gap
     <= 1e-7 * (1 + |primal|), primal equality residual <= 1e-8 * (1 +
-    max|b|), and every primal block has minimum eigenvalue >= -1e-9.
-    ``status == "infeasible"`` carries a dual improving-ray certificate;
-    otherwise the result is ``"max_iter"``.
+    max|b|), dual residual <= 1e-8 * (1 + max|C|), and every primal block
+    has minimum eigenvalue >= -1e-9.  ``status == "infeasible"`` carries a
+    dual improving-ray certificate; otherwise the result is ``"max_iter"``.
+    ``exit_reason`` tells the ways a run ends apart (see ``SdpSolution``).
+
+    Raises ``NumericalFailure`` on non-finite data or a LAPACK failure.
     """
     dims = list(problem.block_dims)
     for d in dims:
         if d > DEFAULT_CAPS.sdp_block_dim:
             raise CapExceeded(f"block dim {d} exceeds cap {DEFAULT_CAPS.sdp_block_dim}")
     sgn = 1.0 if problem.sense == "max" else -1.0
-    cmats = [
-        sgn * problem.objective[blk]
-        if problem.objective[blk] is not None
-        else np.zeros((d, d), dtype=np.complex128)
-        for blk, d in enumerate(dims)
-    ]
-    cons = problem.constraints
+    cmats = [np.zeros((d, d), dtype=np.complex128) if c is None else sgn * c
+             for c, d in zip(problem.objective, dims)]
+    ops = _stack(problem)
     b = problem.rhs
     k = b.size
-    _check_rank(cons)
+    if not _finite(b, *cmats, *(a for _, a in ops)):
+        raise NumericalFailure("SDP data has non-finite entries")
+    _check_rank(ops, k)
 
     n_total = sum(dims)
     x = [np.eye(d, dtype=np.complex128) for d in dims]
@@ -230,22 +254,24 @@ def solve(problem: SdpProblem, *, max_iter: int = 300) -> SdpSolution:
     c_scale = 1.0 + max((float(np.max(np.abs(c))) if c.size else 0.0) for c in cmats)
     tau_step = 0.98
 
+    def step(blocks, factors, dirs):
+        return min(1.0, tau_step * min(map(_max_step, blocks, factors, dirs)))
+
     best = None
     mu_hist: list[float] = []
-    status = "max_iter"
+    status = reason = "max_iter"
     iterations = 0
 
     for it in range(max_iter):
         iterations = it
-        rp = b - _apply(cons, x)
-        adj = _adjoint(cons, y, dims)
-        rd = [cmats[l] - adj[l] + z[l] for l in range(len(dims))]
-        pval = sum(_inner(cmats[l], x[l]) for l in range(len(dims)))
+        rp = b - _apply(ops, x, k)
+        rd = [c - a + zl for c, a, zl in zip(cmats, _adjoint(ops, y, dims), z)]
+        pval = sum(np.vdot(c, xl).real for c, xl in zip(cmats, x))
         dval = float(b @ y)
         gap = abs(pval - dval)
         pinf = float(np.max(np.abs(rp))) if k else 0.0
         dinf = max(float(np.max(np.abs(r))) for r in rd)
-        mu = sum(_inner(x[l], z[l]) for l in range(len(dims))) / n_total
+        mu = sum(np.vdot(xl, zl).real for xl, zl in zip(x, z)) / n_total
 
         score = max(pinf / b_scale, dinf / c_scale, gap / (1.0 + abs(pval)))
         if best is None or score < best[0]:
@@ -256,99 +282,75 @@ def solve(problem: SdpProblem, *, max_iter: int = 300) -> SdpSolution:
             and dinf <= 1e-10 * c_scale
             and gap <= 1e-9 * (1.0 + abs(pval))
         ):
-            status = "optimal"
+            status, reason = "optimal", "converged"
             break
 
         # dual improving ray => primal infeasible (defensive path)
         ynorm = float(np.max(np.abs(y))) if k else 0.0
         if ynorm > 1e5:
             yhat = y / ynorm
-            ray = _adjoint(cons, yhat, dims)
-            lam_min = min(float(eig_hermitian(_herm(r))[0][0]) for r in ray)
+            lam_min = min(float(eig_hermitian(_herm(r))[0][0]) for r in _adjoint(ops, yhat, dims))
             if lam_min >= -1e-8 and float(b @ yhat) < -1e-8:
-                status = "infeasible"
+                status = reason = "infeasible"
                 break
 
         mu_hist.append(mu)
         if len(mu_hist) > 30 and mu > 0.9995 * mu_hist[-30]:
-            break  # stalled; fall through to the contract check
+            reason = "stalled"
+            break  # fall through to the contract check
 
-        scal = [_nt_scaling(x[l], z[l]) for l in range(len(dims))]
-        w = [s[0] for s in scal]
-        zinv = [s[1] for s in scal]
-
-        tmats = [
-            {blk: _herm(w[blk] @ mat @ w[blk]) for blk, mat in con.items()} for con in cons
-        ]
-        m_schur = np.zeros((k, k))
-        for i in range(k):
-            for j in range(k):
-                if j < i:
-                    m_schur[i, j] = m_schur[j, i]
-                    continue
-                val = 0.0
-                for blk, mat in cons[i].items():
-                    t = tmats[j].get(blk)
-                    if t is not None:
-                        val += _inner(mat, t)
-                m_schur[i, j] = val
-        lfac = _chol_factor(m_schur)
-
-        wrdw = [_herm(w[l] @ rd[l] @ w[l]) for l in range(len(dims))]
+        w, zinv = zip(*map(_nt_scaling, x, z))
+        m_schur = _schur(ops, w, k)
+        lfac = _inv_chol(m_schur)
+        fx, fz = ([_inv_chol(s) if s.shape[0] > 1 else None for s in v] for v in (x, z))
+        wrdw = [_herm(wl @ r @ wl) for wl, r in zip(w, rd)]
 
         def direction(rc):
-            rhs = np.array(
-                [
-                    sum(
-                        _inner(mat, rc[blk] + wrdw[blk]) for blk, mat in cons[i].items()
-                    )
-                    - rp[i]
-                    for i in range(k)
-                ]
-            )
+            rhs = _apply(ops, [r + t for r, t in zip(rc, wrdw)], k) - rp
             dy = _solve_spd(lfac, m_schur, rhs)
-            dadj = _adjoint(cons, dy, dims)
-            dz = [dadj[l] - rd[l] for l in range(len(dims))]
-            dx = [_herm(rc[l] - w[l] @ dz[l] @ w[l]) for l in range(len(dims))]
+            dz = [a - r for a, r in zip(_adjoint(ops, dy, dims), rd)]
+            dx = [_herm(r - wl @ d @ wl) for r, wl, d in zip(rc, w, dz)]
             return dy, dx, dz
 
         # affine predictor fixes the centering parameter
-        rc_aff = [-x[l] for l in range(len(dims))]
-        _, dx_a, dz_a = direction(rc_aff)
-        ap = min(1.0, tau_step * min(_max_step(x[l], dx_a[l]) for l in range(len(dims))))
-        ad = min(1.0, tau_step * min(_max_step(z[l], dz_a[l]) for l in range(len(dims))))
-        mu_aff = sum(
-            _inner(x[l] + ap * dx_a[l], z[l] + ad * dz_a[l]) for l in range(len(dims))
-        ) / n_total
+        dy, dx, dz = direction([-xl for xl in x])
+        if not _finite(dy, *dx):
+            reason = "nonfinite_direction"
+            break  # scaling broke down at the boundary; keep the best iterate
+        ap, ad = step(x, fx, dx), step(z, fz, dz)
+        mu_aff = sum(np.vdot(xl + ap * dxl, zl + ad * dzl).real
+                     for xl, dxl, zl, dzl in zip(x, dx, z, dz)) / n_total
         sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 0.1, 0.9))
 
-        rc = [sigma * mu * zinv[l] - x[l] for l in range(len(dims))]
-        dy, dx, dz = direction(rc)
-        if not (np.all(np.isfinite(dy)) and all(np.all(np.isfinite(d)) for d in dx)):
-            break  # scaling broke down at the boundary; keep the best iterate
+        dy, dx, dz = direction([sigma * mu * zi - xl for zi, xl in zip(zinv, x)])
+        if not _finite(dy, *dx):
+            reason = "nonfinite_direction"
+            break
+        ap, ad = step(x, fx, dx), step(z, fz, dz)
 
-        ap = min(1.0, tau_step * min(_max_step(x[l], dx[l]) for l in range(len(dims))))
-        ad = min(1.0, tau_step * min(_max_step(z[l], dz[l]) for l in range(len(dims))))
-
-        x = [_herm(x[l] + ap * dx[l]) for l in range(len(dims))]
-        z = [_herm(z[l] + ad * dz[l]) for l in range(len(dims))]
+        x = [_herm(xl + ap * dxl) for xl, dxl in zip(x, dx)]
+        z = [_herm(zl + ad * dzl) for zl, dzl in zip(z, dz)]
         y = y + ad * dy
     else:
         iterations = max_iter
 
     if status != "infeasible" and best is not None:
         _, pval, dval, xbest, ybest, gap, pinf, dinf = best
-        if status != "optimal":
-            # the contract is looser than the stopping target; a stalled run
-            # may still certify
-            if pinf <= 1e-8 * b_scale and gap <= 1e-7 * (1.0 + abs(pval)):
-                status = "optimal"
+        # the contract is looser than the stopping target; a run that ended
+        # early may still certify, on both sides of the bracket
+        if (
+            status != "optimal"
+            and pinf <= 1e-8 * b_scale
+            and dinf <= 1e-8 * c_scale
+            and gap <= 1e-7 * (1.0 + abs(pval))
+        ):
+            status, reason = "optimal", "certified_from_best_iterate"
         x, y = xbest, ybest
     else:
-        pval = sum(_inner(cmats[l], x[l]) for l in range(len(dims)))
+        pval = sum(np.vdot(c, xl).real for c, xl in zip(cmats, x))
         dval = float(b @ y)
         gap = abs(pval - dval)
-        pinf = float(np.max(np.abs(b - _apply(cons, x)))) if k else 0.0
+        pinf = float(np.max(np.abs(b - _apply(ops, x, k)))) if k else 0.0
         dinf = 0.0
 
     return SdpSolution(
@@ -361,6 +363,7 @@ def solve(problem: SdpProblem, *, max_iter: int = 300) -> SdpSolution:
         primal_residual=pinf,
         dual_residual=dinf,
         iterations=iterations,
+        exit_reason=reason,
     )
 
 
@@ -440,8 +443,6 @@ def build_fidelity_over_Mm(rho, m: float) -> SdpProblem:
             a[d + i, d + i] = 1.0
             items.append(({0: a}, 1.0 / m))
         block_dims = [big]
-        constraints = [c for c, _ in items]
-        rhs = [v for _, v in items]
     else:
         block_dims = [big] + [1] * d
         a = np.zeros((big, big), dtype=np.complex128)
@@ -452,16 +453,14 @@ def build_fidelity_over_Mm(rho, m: float) -> SdpProblem:
             a = np.zeros((big, big), dtype=np.complex128)
             a[d + i, d + i] = 1.0
             items.append(({0: a, 1 + i: np.ones((1, 1), dtype=np.complex128)}, 1.0 / m))
-        constraints = [c for c, _ in items]
-        rhs = [v for _, v in items]
 
     objective: list[np.ndarray | None] = [None] * len(block_dims)
     objective[0] = _fidelity_objective(d)
     return SdpProblem(
         block_dims=block_dims,
         objective=objective,
-        constraints=constraints,
-        rhs=np.array(rhs),
+        constraints=[c for c, _ in items],
+        rhs=np.array([v for _, v in items]),
         sense="max",
     )
 

@@ -17,7 +17,7 @@ from cohdist.distill import (
 )
 from cohdist.dnorm import mnorm
 from cohdist.ensembles import MaxAvgPureFidelity, ensemble_search
-from cohdist.errors import BadM
+from cohdist.errors import BadM, NotPSD, NumericalFailure
 from cohdist.hermat import (
     maximally_coherent,
     random_density,
@@ -106,6 +106,13 @@ class TestFidelitySdp:
                                           seed=trial, restarts=3, max_evals=800)
             assert f_search <= f_sdp + 1e-5
             assert f_sdp <= f_bound + 1e-6
+
+    def test_failure_names_exit_reason(self, rng):
+        rho = random_density(3, rng)
+        with pytest.raises(NumericalFailure, match=r"'max_iter' \(max_iter\)"):
+            assisted_fidelity_sdp(rho, 2, max_iter=2)
+        with pytest.raises(NumericalFailure, match=r"'max_iter' \(max_iter\)"):
+            min_diag_over_ball(rho, 0.05, max_iter=2)
 
 
 class TestRates:
@@ -229,3 +236,31 @@ class TestCoherenceOfAssistance:
         assert not ca.exact
         assert ca.value_bits <= ca.diag_entropy_bits + 1e-12
         assert ca.value_bits >= 0.0
+
+
+def _not_psd(d, negative_diagonal):
+    """Hermitian, unit trace, one negative eigenvalue."""
+    if negative_diagonal:
+        diag = np.full(d, 1.2 / (d - 1))
+        diag[-1] = -0.2
+        return np.diag(diag).astype(complex)
+    rho = np.eye(d, dtype=complex) / d
+    rho[0, 1] = rho[1, 0] = 0.4  # eigenvalue 1/d - 0.4 < 0
+    return rho
+
+
+class TestRoofInputValidation:
+    """The roof searches check PSD once, from the eigendecomposition the
+    search needs; non-PSD input must still raise NotPSD on every path."""
+
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("negative_diagonal", [False, True])
+    @pytest.mark.parametrize("call", [
+        lambda rho: coherence_of_assistance(rho, restarts=1, max_evals=64),
+        lambda rho: theta_upper(rho, restarts=1, max_evals=64),
+        lambda rho: ensemble_search(rho, MaxAvgPureFidelity(2), rho.shape[0] + 1,
+                                    restarts=1, max_evals=64),
+    ], ids=["coherence_of_assistance", "theta_upper", "ensemble_search"])
+    def test_not_psd_raises(self, call, d, negative_diagonal):
+        with pytest.raises(NotPSD):
+            call(_not_psd(d, negative_diagonal))

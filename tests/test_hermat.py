@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cohdist.errors import CapExceeded, DimMismatch, NotDistribution, NotPSD
+from cohdist.errors import CapExceeded, DimMismatch, NotDistribution, NotPSD, NumericalFailure
 from cohdist.hermat import (
     dephase,
     delta_vector,
@@ -94,6 +94,14 @@ class TestFidelity:
     def test_dim_mismatch(self, rng):
         with pytest.raises(DimMismatch):
             fidelity(random_density(2, rng), random_density(3, rng))
+
+    def test_excess_over_one_raises(self, rng):
+        # unnormalized input: the value 2 is no fidelity and no rounding error
+        rho = random_density(3, rng)
+        with pytest.raises(NumericalFailure):
+            fidelity(2.0 * rho, rho)
+        # rounding above 1 still clamps
+        assert fidelity((1.0 + 1e-10) * rho, rho) == 1.0
 
 
 class TestTensorPower:

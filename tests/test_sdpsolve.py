@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cohdist.dnorm import mnorm
-from cohdist.errors import BadM, CapExceeded, IllPosed
+from cohdist import sdpsolve
+from cohdist.errors import BadM, CapExceeded, DimMismatch, IllPosed, NonHermitian, NumericalFailure
 from cohdist.hermat import delta_vector, fidelity, maximally_coherent, random_density
 from cohdist.sdpsolve import (
     SdpProblem,
@@ -82,8 +83,6 @@ class TestSolver:
             solve(SdpProblem(block_dims=[300], objective=[None], constraints=[], rhs=np.array([])))
 
     def test_problem_rejects_non_hermitian_data(self):
-        from cohdist.errors import NonHermitian
-
         skew = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(NonHermitian):
             SdpProblem(block_dims=[2], objective=[skew],
@@ -91,6 +90,170 @@ class TestSolver:
         with pytest.raises(NonHermitian):
             SdpProblem(block_dims=[2], objective=[None],
                        constraints=[{0: skew}], rhs=np.array([1.0]))
+
+
+def _herm_rand(n, rng):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return g + g.conj().T
+
+
+def _multi_block_problem(rng, dims=(3, 1, 4, 1, 2), k=14):
+    """Random constraints over 1x1 and larger blocks: each touches the 4x4
+    block (which keeps them independent) and up to two others."""
+    cons = []
+    for _ in range(k):
+        others = rng.choice([0, 1, 3, 4], size=int(rng.integers(0, 3)), replace=False)
+        cons.append({int(b): _herm_rand(dims[b], rng) for b in [2, *others]})
+    return SdpProblem(block_dims=list(dims), objective=[None] * len(dims),
+                      constraints=cons, rhs=rng.standard_normal(k))
+
+
+def _inner(a, b):
+    return float(np.vdot(a, b).real)
+
+
+class TestStackedOperator:
+    """The stacked constraint operator against per-constraint loops."""
+
+    def test_apply_and_adjointness(self, rng):
+        for _ in range(5):
+            prob = _multi_block_problem(rng)
+            ops, k = sdpsolve._stack(prob), prob.rhs.size
+            xs = [_herm_rand(d, rng) for d in prob.block_dims]
+            y = rng.standard_normal(k)
+            ax = sdpsolve._apply(ops, xs, k)
+            expect = [sum(_inner(m, xs[b]) for b, m in con.items()) for con in prob.constraints]
+            assert np.allclose(ax, expect, rtol=1e-13, atol=1e-12)
+            aty = sdpsolve._adjoint(ops, y, prob.block_dims)
+            lhs = float(ax @ y)
+            rhs = sum(_inner(xl, al) for xl, al in zip(xs, aty))
+            assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))
+
+    def test_schur_matches_reference(self, rng):
+        for _ in range(5):
+            prob = _multi_block_problem(rng)
+            ops, k = sdpsolve._stack(prob), prob.rhs.size
+            ws = []
+            for d in prob.block_dims:
+                g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                ws.append(g @ g.conj().T + np.eye(d))
+            ref = np.zeros((k, k))
+            for i, ci in enumerate(prob.constraints):
+                for j, cj in enumerate(prob.constraints):
+                    ref[i, j] = sum(_inner(a, ws[b] @ cj[b] @ ws[b])
+                                    for b, a in ci.items() if b in cj)
+            got = sdpsolve._schur(ops, ws, k)
+            assert np.array_equal(got, got.T)
+            assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+
+    def test_dependent_multi_block_constraints_ill_posed(self, rng):
+        prob = _multi_block_problem(rng)
+        first, second = prob.constraints[0], prob.constraints[1]
+        combo = {b: first.get(b, 0) + 2.0 * second.get(b, 0) for b in {*first, *second}}
+        for extra in ({b: m.copy() for b, m in first.items()}, combo):
+            dup = SdpProblem(block_dims=prob.block_dims, objective=prob.objective,
+                             constraints=prob.constraints + [extra],
+                             rhs=np.append(prob.rhs, 1.0))
+            with pytest.raises(IllPosed):
+                solve(dup)
+
+    def test_validation_names_the_offending_constraint(self, rng):
+        prob = _multi_block_problem(rng)
+        cons = [dict(c) for c in prob.constraints]
+        cons[5][2] = cons[5][2] + np.triu(np.ones((4, 4)), 1)
+        with pytest.raises(NonHermitian, match="constraint 5 block 2 "):
+            SdpProblem(block_dims=prob.block_dims, objective=prob.objective,
+                       constraints=cons, rhs=prob.rhs)
+        cons[5][2] = np.eye(5, dtype=complex)
+        with pytest.raises(DimMismatch):
+            SdpProblem(block_dims=prob.block_dims, objective=prob.objective,
+                       constraints=cons, rhs=prob.rhs)
+
+    def test_multi_block_solve_certifies(self, rng):
+        # feasible at a positive-definite point, bounded by a total-trace constraint
+        base = _multi_block_problem(rng, k=10)
+        dims = base.block_dims
+        cons = base.constraints + [{b: np.eye(d, dtype=complex) for b, d in enumerate(dims)}]
+        prob = SdpProblem(block_dims=dims, objective=[_herm_rand(d, rng) for d in dims],
+                          constraints=cons, rhs=np.zeros(len(cons)))
+        point = [np.eye(d) + 0.1 * _herm_rand(d, rng) / d for d in dims]
+        prob.rhs = sdpsolve._apply(sdpsolve._stack(prob), point, len(cons))
+        sol = solve(prob)
+        assert sol.status == "optimal" and sol.exit_reason == "converged"
+        assert sol.gap <= 1e-7 * (1.0 + abs(sol.primal_value))
+        for blk in sol.primal_blocks:
+            assert np.min(np.linalg.eigvalsh(blk)) >= -1e-9
+
+
+def _trace_only(max_iter):
+    """max 0 s.t. tr X = 2: the identity start is primal feasible with gap 0,
+    so only the dual residual is wrong until the run moves."""
+    prob = SdpProblem(block_dims=[2], objective=[None],
+                      constraints=[{0: np.eye(2, dtype=complex)}], rhs=np.array([2.0]))
+    return solve(prob, max_iter=max_iter)
+
+
+class TestExitReasons:
+    def test_converged(self, rng):
+        sol = solve(build_fidelity(random_density(2, rng), random_density(2, rng)))
+        assert (sol.status, sol.exit_reason) == ("optimal", "converged")
+
+    def test_max_iter(self, rng):
+        sol = solve(build_fidelity(random_density(3, rng), random_density(3, rng)), max_iter=3)
+        assert (sol.status, sol.exit_reason, sol.iterations) == ("max_iter", "max_iter", 3)
+
+    def test_certified_from_best_iterate(self, rng):
+        # cut the run one iterate short: the last evaluated iterate meets the
+        # looser contract though not the stopping target
+        for _ in range(3):
+            prob = build_fidelity(random_density(3, rng), random_density(3, rng))
+            full = solve(prob)
+            sol = solve(prob, max_iter=full.iterations)
+            assert (sol.status, sol.exit_reason) == ("optimal", "certified_from_best_iterate")
+            assert sol.primal_residual <= 1e-8 * (1.0 + np.max(np.abs(prob.rhs)))
+            assert sol.dual_residual <= 1e-8 * (1.0 + 0.5)
+            assert sol.gap <= 1e-7 * (1.0 + abs(sol.primal_value))
+            assert abs(sol.primal_value - full.primal_value) <= 1e-7
+
+    def test_fallback_needs_the_dual_residual(self):
+        # the best iterate has zero primal residual and zero gap but dual
+        # residual 1: it must not be certified
+        sol = _trace_only(max_iter=1)
+        assert sol.dual_residual == 1.0
+        assert (sol.status, sol.exit_reason) == ("max_iter", "max_iter")
+        assert _trace_only(max_iter=300).exit_reason == "converged"
+
+    def test_stalled(self):
+        # weakly infeasible: X_11 = 0 and 2 Re X_12 = 2 admit no PSD X, and
+        # no improving ray proves it
+        e11 = np.diag([1.0, 0.0]).astype(complex)
+        e12 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        prob = SdpProblem(block_dims=[2], objective=[None], constraints=[{0: e11}, {0: e12}],
+                          rhs=np.array([0.0, 2.0]))
+        sol = solve(prob)
+        assert (sol.status, sol.exit_reason) == ("max_iter", "stalled")
+        assert sol.iterations < 300
+
+    def test_nonfinite_direction(self):
+        # unbounded: max tr X s.t. X_11 = X_22; the iterates overflow
+        prob = SdpProblem(block_dims=[2], objective=[np.eye(2, dtype=complex)],
+                          constraints=[{0: np.diag([1.0, -1.0]).astype(complex)}],
+                          rhs=np.array([0.0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = solve(prob)
+        assert (sol.status, sol.exit_reason) == ("max_iter", "nonfinite_direction")
+
+    def test_infeasible(self):
+        prob = SdpProblem(block_dims=[1], objective=[None], constraints=[{0: one()}],
+                          rhs=np.array([-1.0]))
+        sol = solve(prob)
+        assert (sol.status, sol.exit_reason) == ("infeasible", "infeasible")
+
+    def test_non_finite_data(self):
+        prob = SdpProblem(block_dims=[2], objective=[None],
+                          constraints=[{0: np.eye(2, dtype=complex)}], rhs=np.array([np.nan]))
+        with pytest.raises(NumericalFailure):
+            solve(prob)
 
 
 class TestFidelityOverMm:

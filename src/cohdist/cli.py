@@ -190,21 +190,6 @@ def _family_probs(family: str, p: float) -> np.ndarray:
     raise ParseError(f"unknown family {family!r}; expected one of {_FAMILIES}")
 
 
-def assisted_fidelity_from_probs(probs: np.ndarray, n: int, m: int) -> float:
-    """Assisted-fidelity curve point from the base diagonal probabilities.
-
-    Kronecker-powers the probabilities and takes square roots afterwards,
-    which reproduces the materialized tensor-power path bit for bit while
-    staying O(2^n) in memory instead of O(4^n).
-    """
-    pn = probs
-    for _ in range(n - 1):
-        pn = np.kron(pn, probs)
-    val = mnorm(np.sqrt(pn), m).value
-    f = val * val / m
-    return 1.0 if abs(f - 1.0) <= 1e-12 else min(max(f, 0.0), 1.0)
-
-
 def _parse_curve_specs(obj) -> list[dict]:
     if isinstance(obj, dict) and "curves" in obj:
         obj = obj["curves"]
@@ -250,7 +235,7 @@ def cmd_figure(args) -> int:
         for n in spec["copies"]:
             for p in spec["p_grid"]:
                 probs = _family_probs(spec["family"], p)
-                f = assisted_fidelity_from_probs(probs, n, spec["m"])
+                f = distill.assisted_fidelity_from_probs(probs, n, spec["m"])
                 rows.append((spec["family"], p, n, spec["m"], f))
     rows.sort(key=lambda r: (r[0], r[2], r[1]))
 
@@ -328,9 +313,9 @@ def _selftest_checks(seed: int):
         return worst, 1e-9
 
     def figure_spots():
-        f = assisted_fidelity_from_probs(np.array([0.9, 0.1]), 1, 2)
+        f = distill.assisted_fidelity_from_probs(np.array([0.9, 0.1]), 1, 2)
         worst = abs(f - 0.8)
-        f = assisted_fidelity_from_probs(np.array([0.5, 0.5]), 1, 2)
+        f = distill.assisted_fidelity_from_probs(np.array([0.5, 0.5]), 1, 2)
         worst = max(worst, abs(f - 1.0))
         return worst, 1e-9
 

@@ -9,10 +9,15 @@ directions without sharing any code path with the scan:
 * ``mnorm_primal_oracle`` minimizes ``l1(v - x) + sqrt(m) l2(x)`` by
   Douglas-Rachford splitting on the two proximable terms.
 
-For non-integer ``m`` the scan's indexing is undefined, so ``mnorm``
-evaluates the dual characterization directly and reports no split index.
+The scan works on the rows of a stack at once (sort along the last axis,
+suffix sums of squares, an argmin over the split index); ``mnorm`` is its
+one-row case, and ``pure_distillation_fidelity`` scores a whole stack of
+states with one call.  For non-integer ``m`` the scan's indexing is
+undefined, so ``mnorm`` evaluates the dual characterization directly and
+reports no split index.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,28 +49,46 @@ class MNormResult:
     sorted_vector: np.ndarray
 
 
+def _sorted_rows(mags: np.ndarray, m) -> np.ndarray:
+    """Magnitudes sorted in descending order along the last axis, zero-padded
+    to ceil(m) entries when m exceeds the row length."""
+    if mags.shape[-1] == 0:
+        raise BadM("empty vector")
+    target = int(np.ceil(m - _INTEGER_TOL))
+    if target > mags.shape[-1]:
+        pad = np.zeros(mags.shape[:-1] + (target - mags.shape[-1],))
+        mags = np.concatenate([mags, pad], axis=-1)
+    return np.sort(mags, axis=-1)[..., ::-1]
+
+
 def _prepared(v, m) -> np.ndarray:
     if not np.isfinite(m) or m < 1.0:
         raise BadM(f"m must be >= 1, got {m}")
-    mags = np.abs(np.asarray(v, dtype=np.complex128).ravel()).astype(float)
-    if mags.size == 0:
-        raise BadM("empty vector")
-    target = int(np.ceil(m - _INTEGER_TOL))
-    if target > mags.size:
-        mags = np.concatenate([mags, np.zeros(target - mags.size)])
-    return np.sort(mags)[::-1].copy()
+    return _sorted_rows(np.abs(np.asarray(v, dtype=np.complex128).ravel()), m)
 
 
-def _scan_integer(sorted_desc: np.ndarray, m: int) -> tuple[float, int]:
-    # suffix_sq[i] = sum of squares of entries i..end
-    sq = sorted_desc * sorted_desc
-    suffix_sq = np.concatenate([np.cumsum(sq[::-1])[::-1], [0.0]])
+def _scan_integer(sorted_desc: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split-index scan over the rows (last axis) of a descending stack.
+
+    For each split k in 1..m the candidate is head l1 of the first m - k
+    entries plus sqrt(k) times the l2 norm of the rest; k_star minimizes
+    tail_l2 / sqrt(k).  Returns the values and k_star, one per row.
+    """
+    rows = sorted_desc.reshape(-1, sorted_desc.shape[-1])
+    r = np.arange(rows.shape[0])
+    # suffix_sq[:, i] = sum of squares of entries i..end, summed from the end
+    sq = rows * rows
+    suffix_sq = np.cumsum(sq[:, ::-1], axis=1)[:, ::-1]
     ks = np.arange(1, m + 1)
-    tail_l2 = np.sqrt(np.clip(suffix_sq[m - ks], 0.0, None))
-    k_star = int(ks[np.argmin(tail_l2 / np.sqrt(ks))])
-    head_l1 = float(np.sum(sorted_desc[: m - k_star]))
-    value = head_l1 + float(np.sqrt(k_star)) * float(np.sqrt(max(suffix_sq[m - k_star], 0.0)))
-    return value, k_star
+    tail_l2 = np.sqrt(np.maximum(suffix_sq[:, m - ks], 0.0))
+    j = np.argmin(tail_l2 / np.sqrt(ks), axis=1)
+    k_star = ks[j]
+    # head_l1 = sum of the first m - k_star entries, summed in order (none at k_star = m)
+    head = np.cumsum(rows[:, :m], axis=1)
+    head_l1 = np.where(k_star < m, head[r, m - k_star - 1], 0.0)
+    value = head_l1 + np.sqrt(k_star) * tail_l2[r, j]
+    shape = sorted_desc.shape[:-1]
+    return value.reshape(shape), k_star.reshape(shape)
 
 
 def _waterfill_value(sorted_desc: np.ndarray, m: float) -> float:
@@ -112,7 +135,7 @@ def mnorm(v, m: float) -> MNormResult:
     m_round = round(m)
     if abs(m - m_round) <= _INTEGER_TOL * max(1.0, abs(m)):
         value, k_star = _scan_integer(sorted_desc, int(m_round))
-        return MNormResult(value=value, k_star=k_star, sorted_vector=sorted_desc)
+        return MNormResult(value=float(value), k_star=int(k_star), sorted_vector=sorted_desc)
     value = _waterfill_value(sorted_desc, float(m))
     return MNormResult(value=value, k_star=None, sorted_vector=sorted_desc)
 
@@ -123,10 +146,6 @@ def mnorm_dual_oracle(v, m: float) -> float:
     return _waterfill_value(sorted_desc, float(m))
 
 
-def _primal_objective(x, v, sqrt_m):
-    return float(np.sum(np.abs(v - x)) + sqrt_m * np.linalg.norm(x))
-
-
 def _douglas_rachford(v, sqrt_m, z0, iters, step):
     """DR splitting on f(x) = l1(v - x) + sqrt_m * l2(x) + indicator(x >= 0).
 
@@ -134,21 +153,26 @@ def _douglas_rachford(v, sqrt_m, z0, iters, step):
     its fixed point, which for this convex objective is the global minimum.
     """
     z = z0.copy()
-    best_x = np.zeros_like(v)
-    best = _primal_objective(best_x, v, sqrt_m)
+    zero = np.zeros_like(v)
+    best_x = zero
+    best = float(np.abs(v).sum())
     converged = False
+    shrink = step * sqrt_m
     for _ in range(iters):
-        zp = np.clip(z, 0.0, None)
-        nz = np.linalg.norm(zp)
-        x = np.zeros_like(v) if nz <= step * sqrt_m else (1.0 - step * sqrt_m / nz) * zp
+        # x = prox of sqrt_m * l2 + indicator(x >= 0) at z
+        zp = np.maximum(z, 0.0)
+        nz = math.sqrt(zp @ zp)
+        x = zero if nz <= shrink else (1.0 - shrink / nz) * zp
+        # y = prox of l1(v - .) at the reflection 2x - z: soft threshold around v
         u = v - (2.0 * x - z)
-        y = v - np.sign(u) * np.clip(np.abs(u) - step, 0.0, None)
-        z = z + y - x
-        fx = _primal_objective(x, v, sqrt_m)
+        y = v - np.copysign(np.maximum(np.abs(u) - step, 0.0), u)
+        r = y - x
+        z += r
+        fx = float(np.abs(v - x).sum()) + sqrt_m * math.sqrt(x @ x)
         if fx < best:
             best = fx
             best_x = x
-        if np.max(np.abs(y - x)) < 1e-15:
+        if np.abs(r).max() < 1e-15:
             converged = True
             break
     return best, best_x, converged
@@ -192,14 +216,18 @@ def mnorm_primal_oracle(v, m: float, *, restarts: int = 5, iters: int = 4000,
     return best
 
 
-def pure_distillation_fidelity(psi, m: int) -> float:
+def pure_distillation_fidelity(psi, m: int):
     """Best fidelity for distilling an m-level maximally coherent state
-    from the pure state ``psi``: (1/m) * mnorm(|psi|, m)^2, in [0, 1]."""
+    from the pure state ``psi``: (1/m) * mnorm(|psi|, m)^2, in [0, 1].
+
+    ``psi`` may also be a stack of states along the last axis; the result
+    is then one fidelity per state, from one row-batched scan.
+    """
     if m < 1 or abs(m - round(m)) > _INTEGER_TOL:
         raise BadM(f"m must be a positive integer, got {m}")
     m = int(round(m))
-    value = mnorm(psi, m).value
+    mags = np.abs(np.asarray(psi, dtype=np.complex128))
+    value, _ = _scan_integer(_sorted_rows(np.atleast_1d(mags), m), m)
     fid = value * value / m
-    if abs(fid - 1.0) <= 1e-12:
-        return 1.0
-    return min(max(fid, 0.0), 1.0)
+    fid = np.where(np.abs(fid - 1.0) <= 1e-12, 1.0, np.minimum(np.maximum(fid, 0.0), 1.0))
+    return float(fid) if mags.ndim <= 1 else fid

@@ -10,7 +10,10 @@ rank-one pieces with unimodular entries.
 ``ensemble_search`` explores general decompositions.  Atoms and weights
 are parametrized through an isometry applied to the eigen-ensemble, so
 every candidate reconstructs the state exactly by construction; a
-coordinate-wise pattern search then optimizes the chosen objective.
+coordinate-wise pattern search then optimizes the chosen objective.  The
+search works on stacks: each poll builds up to eight candidate ensembles
+with one batched QR, and the objectives score a whole stack of ensembles
+in one call, masking atoms below the weight floor instead of dropping them.
 """
 
 from dataclasses import dataclass
@@ -44,6 +47,7 @@ __all__ = [
 ]
 
 _WEIGHT_FLOOR = 1e-12
+_POLL_CHUNK = 8   # pattern-search candidates evaluated per stacked call
 _RANK_EIG_TOL = 1e-9
 
 
@@ -324,6 +328,12 @@ def same_diagonal_decomposition(rho, *, seed: int = 0, restarts: int = 10) -> En
 # general ensemble search
 
 
+# Objectives take ``weights`` of shape (..., k) and ``atoms`` of shape
+# (..., k, d), any leading batch axes, and return one value per ensemble.
+# Atoms at or below the weight floor are masked out, never dropped, so a
+# stack keeps its shape.
+
+
 @dataclass(frozen=True)
 class MaxAvgPureFidelity:
     """Maximize the weighted average pure-state distillation fidelity at m."""
@@ -331,12 +341,10 @@ class MaxAvgPureFidelity:
     m: int
     sense: str = "max"
 
-    def evaluate(self, weights, atoms) -> float:
-        total = 0.0
-        for w, a in zip(weights, atoms):
-            if w > _WEIGHT_FLOOR:
-                total += w * pure_distillation_fidelity(a, self.m)
-        return total
+    def evaluate(self, weights, atoms):
+        weights = np.asarray(weights, dtype=float)
+        scores = pure_distillation_fidelity(atoms, self.m)
+        return np.sum(np.where(weights > _WEIGHT_FLOOR, weights * scores, 0.0), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -345,12 +353,9 @@ class MinMaxInfNormSq:
 
     sense: str = "min"
 
-    def evaluate(self, weights, atoms) -> float:
-        worst = 0.0
-        for w, a in zip(weights, atoms):
-            if w > _WEIGHT_FLOOR:
-                worst = max(worst, float(np.max(np.abs(a) ** 2)))
-        return worst
+    def evaluate(self, weights, atoms):
+        peak = np.max(np.abs(atoms) ** 2, axis=-1)
+        return np.max(np.where(np.asarray(weights) > _WEIGHT_FLOOR, peak, 0.0), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -359,13 +364,13 @@ class MaxAvgDiagEntropy:
 
     sense: str = "max"
 
-    def evaluate(self, weights, atoms) -> float:
-        total = 0.0
-        for w, a in zip(weights, atoms):
-            if w > _WEIGHT_FLOOR:
-                p = np.abs(a) ** 2
-                total += w * shannon_entropy(p / p.sum())
-        return total
+    def evaluate(self, weights, atoms):
+        weights = np.asarray(weights, dtype=float)
+        live = weights > _WEIGHT_FLOOR
+        # masked atoms get a stand-in distribution so the gate sees only live ones
+        p = np.where(live[..., None], np.abs(atoms) ** 2, 1.0)
+        entropy = shannon_entropy(p / p.sum(axis=-1, keepdims=True))
+        return np.sum(np.where(live, weights * entropy, 0.0), axis=-1)
 
 
 def _eigen_basis(rho):
@@ -380,19 +385,24 @@ def _eigen_basis(rho):
     return phi * np.sqrt(lam), phi, lam  # basis columns sqrt(lam_j) phi_j
 
 
-def _ensemble_from_theta(theta, n_atoms, basis):
+def _ensemble_from_theta(thetas, n_atoms, basis):
+    """Ensembles from a (B, npar) stack of parameter vectors: (B, k) weights
+    and (B, k, d) atoms, atoms below the weight floor set to zero."""
     r = basis.shape[1]
-    m = (theta[: n_atoms * r] + 1j * theta[n_atoms * r :]).reshape(n_atoms, r)
+    half = n_atoms * r
+    m = (thetas[:, :half] + 1j * thetas[:, half:]).reshape(-1, n_atoms, r)
     q, rr = np.linalg.qr(m)
     # pin the column phases (diag of R real positive) so that an already
     # orthonormal M maps to itself; column phases change the ensemble
-    dr = np.diag(rr)
+    dr = np.diagonal(rr, axis1=-2, axis2=-1)
     phases = np.where(np.abs(dr) > 0, dr / np.where(np.abs(dr) > 0, np.abs(dr), 1.0), 1.0)
-    q = q * phases[None, :]
+    q = q * phases[:, None, :]
     unnorm = q @ basis.T  # rows are unnormalized atoms sqrt(w_i) psi_i
-    weights = np.sum(np.abs(unnorm) ** 2, axis=1)
+    weights = np.sum(np.abs(unnorm) ** 2, axis=-1)
     atoms = np.where(
-        weights[:, None] > _WEIGHT_FLOOR, unnorm / np.sqrt(np.maximum(weights, 1e-300))[:, None], 0.0
+        weights[..., None] > _WEIGHT_FLOOR,
+        unnorm / np.sqrt(np.maximum(weights, 1e-300))[..., None],
+        0.0,
     )
     return weights, atoms
 
@@ -427,6 +437,11 @@ def ensemble_search(
     ``warm_start="auto"`` seeds the search with the same-diagonal
     decomposition in dimensions 2 and 3, which the theory makes optimal
     for all three shipped objectives.
+
+    ``objective`` has a ``sense`` ("max" or "min") and an
+    ``evaluate(weights, atoms)`` that must accept leading batch axes:
+    weights of shape (..., k) and atoms of shape (..., k, d), returning
+    one value per ensemble.  The search scores its candidates in stacks.
     """
     rho = require_density(rho, check_psd=False)
     d = rho.shape[0]
@@ -437,8 +452,8 @@ def ensemble_search(
 
     sense = 1.0 if objective.sense == "min" else -1.0
 
-    def cost(theta):
-        weights, atoms = _ensemble_from_theta(theta, atoms_cap, basis)
+    def cost(thetas):
+        weights, atoms = _ensemble_from_theta(thetas, atoms_cap, basis)
         return sense * objective.evaluate(weights, atoms)
 
     starts: list[np.ndarray] = []
@@ -467,34 +482,47 @@ def ensemble_search(
         if c < best_cost:
             best_cost, best_theta = c, theta
 
-    weights, atoms = _ensemble_from_theta(best_theta, atoms_cap, basis)
-    keep = weights > _WEIGHT_FLOOR
-    ens = Ensemble(weights=weights[keep], atoms=atoms[keep])
+    weights, atoms = _ensemble_from_theta(best_theta[None, :], atoms_cap, basis)
+    keep = weights[0] > _WEIGHT_FLOOR
+    ens = Ensemble(weights=weights[0][keep], atoms=atoms[0][keep])
     return ens, sense * best_cost
 
 
 def _pattern_search(cost, theta0, budget, step0=0.3, step_min=1e-7):
+    """First-improvement coordinate search with step halving.
+
+    The poll order is (coordinate 0, +step), (0, -step), (1, +step), ...;
+    the first candidate better than the current point by 1e-15 is taken
+    and the poll resumes at the next coordinate, and a sweep with no move
+    halves the step.  ``cost`` maps a (B, n) stack to B values, and the
+    poll evaluates up to ``_POLL_CHUNK`` candidates per call.  Only the
+    candidates up to and including the accepted one are charged to
+    ``budget``, so moves, halvings and the budget match a one-at-a-time poll.
+    """
     theta = theta0.astype(float).copy()
-    best = cost(theta)
+    best = cost(theta[None, :])[0]
     evals = 1
     step = step0
     n = theta.size
     while evals < budget and step > step_min:
         improved = False
-        for idx in range(n):
-            if evals >= budget:
-                break
-            for sgn in (1.0, -1.0):
-                cand = theta.copy()
-                cand[idx] += sgn * step
-                c = cost(cand)
-                evals += 1
-                if c < best - 1e-15:
-                    theta, best = cand, c
-                    improved = True
-                    break
-                if evals >= budget:
-                    break
+        pos = 0  # position in the sweep's poll order, 2 * coordinate + sign
+        while pos < 2 * n and evals < budget:
+            order = np.arange(pos, min(pos + _POLL_CHUNK, 2 * n, pos + budget - evals))
+            idx = order // 2
+            cands = np.repeat(theta[None, :], order.size, axis=0)
+            cands[np.arange(order.size), idx] += np.where(order % 2 == 0, step, -step)
+            costs = cost(cands)
+            better = np.flatnonzero(costs < best - 1e-15)
+            if better.size:
+                j = int(better[0])
+                theta, best = cands[j], costs[j]
+                improved = True
+                evals += j + 1
+                pos = 2 * (int(idx[j]) + 1)
+            else:
+                evals += order.size
+                pos += order.size
         if not improved:
             step *= 0.5
     return theta, best
@@ -508,10 +536,10 @@ def random_decomposition(rho, n_atoms: int, seed: int = 0) -> Ensemble:
     if n_atoms < rank:
         raise ValueError(f"n_atoms {n_atoms} below rank {rank}")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    theta = rng.standard_normal(2 * n_atoms * rank)
+    theta = rng.standard_normal((1, 2 * n_atoms * rank))
     weights, atoms = _ensemble_from_theta(theta, n_atoms, basis)
-    keep = weights > _WEIGHT_FLOOR
-    return Ensemble(weights=weights[keep], atoms=atoms[keep])
+    keep = weights[0] > _WEIGHT_FLOOR
+    return Ensemble(weights=weights[0][keep], atoms=atoms[0][keep])
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +615,7 @@ def simulate_protocol(rho, target: Ensemble, m: int, shots: int, seed: int):
         raise IncompatibleEnsemble("ensemble does not reconstruct the state")
     if shots < 1:
         raise ValueError("shots must be positive")
-    scores = np.array([pure_distillation_fidelity(a, m) for a in target.atoms])
+    scores = pure_distillation_fidelity(target.atoms, m)
     weights = target.weights / target.weights.sum()
     rng = np.random.Generator(np.random.Philox(key=seed))
     counts = rng.multinomial(shots, weights)

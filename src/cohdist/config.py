@@ -1,8 +1,12 @@
-"""Central tolerance and cap configuration.
+"""Tolerance and cap defaults.
 
-Every numerical gate in the package reads its defaults from a single
-``Tolerances`` record so that tests can tighten (or relax) them in one
-place instead of chasing magic numbers through the modules.
+``Tolerances`` holds the input-validation gates of ``hermat`` (Hermitian,
+PSD, trace, unit-norm and distribution checks, and the eigensolver's
+Hermitian-defect gate), which callers can override per call, and the PSD
+floor that ``ensembles`` applies to the eigenvalues it computes.  The other
+modules keep their solver and snapping tolerances as local constants.
+``Caps`` holds the largest materialized tensor-power dimension (the CLI's
+default ``--cap``) and the largest PSD block the SDP solver accepts.
 """
 
 from dataclasses import dataclass

@@ -3,10 +3,12 @@
 Everything here quantifies how well a maximally coherent state of a target
 dimension ``m`` can be extracted from a state with the help of a party
 holding a purification: the closed-form fidelity bound (exact in dimension
-2 and 3, and for declared tensor powers of such states), its SDP
-counterpart over diagonal-capped states, the one-shot / zero-error rates
-they induce, the convex-roof quantity governing the exact rate, and the
-coherence of assistance.
+2 and 3, and for declared tensor powers of such states), which equals its
+SDP counterpart over diagonal-capped states in every dimension, the
+one-shot / zero-error rates it induces, the convex-roof quantity governing
+the exact rate, and the coherence of assistance.  The SDP forms
+(``assisted_fidelity_sdp``, ``min_diag_over_ball``) are kept as an
+independent oracle for the closed form; no other function here solves one.
 
 Rates are reported in bits and quantized through ``logfloor``: the
 achievable target dimension is an integer, so every rate has the form
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ensembles
-from .config import DEFAULT_CAPS
 from .dnorm import mnorm
 from .errors import BadM, NumericalFailure
 from .hermat import delta_vector, require_density, shannon_entropy
@@ -58,16 +59,15 @@ def _floor_guarded(x: float) -> int:
 class RateReport:
     """One-shot quantities for a state at a given error tolerance.
 
-    ``one_shot_rate_bits`` equals ``relaxed_rate_bits``; it is the exact
-    one-shot rate when ``exact_flag`` holds (dimension <= 3, or a declared
-    tensor power of such a base) and an upper bound otherwise.
+    ``one_shot_rate_bits`` is log2 of the closed-form level ``m_requested``:
+    the exact one-shot rate when ``exact_flag`` holds (dimension <= 3, or a
+    declared tensor power of such a base) and the diagonal-ball
+    relaxation's upper bound otherwise.
     """
 
     m_requested: int
     fidelity_bound: float
-    fidelity_sdp: float
     one_shot_rate_bits: float
-    relaxed_rate_bits: float
     zero_error_bits: float
     exact_flag: bool
 
@@ -124,6 +124,17 @@ def assisted_fidelity_bound(rho, m: int) -> float:
     Upper-bounds the best average fidelity of assisted distillation into an
     m-level maximally coherent state, with equality for dimension <= 3 and
     for tensor powers of such states.
+
+    In every dimension it equals the SDP over diagonal-capped states
+    (``assisted_fidelity_sdp``).  Write rho = V V^dag: the block matrix
+    [[rho, X], [X^dag, omega]] is PSD iff X = V C with omega >= C^dag C, and
+    Re tr X = sum_j Re(v_j . c_j) <= sum_j sqrt(rho_jj) |c_j| (Cauchy-Schwarz,
+    tight for c_j along v_j), while the caps and the trace bind only the
+    |c_j|.  So the root fidelity is max{a.t : 0 <= t <= 1/sqrt(m), |t|_2 <= 1}
+    with a = sqrt(diag rho), the dual form of mnorm(a, m) / sqrt(m).  Without
+    the cap on t, the same argument gives the diagonal-ball SDP
+    (``min_diag_over_ball``): 1/theta is the largest real m with
+    (1/m) mnorm(a, m)^2 >= 1 - eps.
     """
     m = _check_m(m)
     rho = require_density(rho, check_psd=False)
@@ -172,56 +183,41 @@ def min_diag_over_ball(rho, eps: float, *, max_iter: int = 300) -> float:
 
 
 def _max_m_by_fidelity(rho, eps: float) -> int:
-    d = rho.shape[0]
+    # rho is validated by the caller; scanning its diagonal, not the matrix,
+    # keeps each level O(d log d) (the same values as assisted_fidelity_bound)
+    probs = np.clip(np.diag(rho).real, 0.0, None)
     best = 1
-    for m in range(1, d + 1):
-        if assisted_fidelity_bound(rho, m) >= 1.0 - eps - _FLOOR_GUARD:
+    for m in range(1, probs.size + 1):
+        if assisted_fidelity_from_probs(probs, 1, m) >= 1.0 - eps - _FLOOR_GUARD:
             best = m
         else:
             break
     return best
 
 
-def one_shot_rate(rho, eps: float, declared_base_dim: int | None = None,
-                  *, max_iter: int = 300) -> RateReport:
+def one_shot_rate(rho, eps: float, declared_base_dim: int | None = None) -> RateReport:
     """One-shot assisted distillation report at error tolerance ``eps``.
 
-    When the exactness flag holds (d <= 3 or a declared tensor power of a
-    base with dimension <= 3) the level comes from the closed-form fidelity
-    search, which is exact there, and no diagonal-ball SDP is solved.
-    Otherwise the relaxed level comes from the diagonal-ball SDP.
-    Tensor-power structure is never detected, only declared.
+    The level m* is the largest integer m with closed-form fidelity
+    ``assisted_fidelity_bound(rho, m) >= 1 - eps``.  That fidelity is
+    non-increasing in real m, so m* is also floor(1/theta) of the
+    diagonal-ball SDP (see ``assisted_fidelity_bound``); no SDP is solved.
+    The level is exact when the exactness flag holds (d <= 3 or a declared
+    tensor power of a base with dimension <= 3) and an upper bound
+    otherwise.  Tensor-power structure is never detected, only declared.
     """
     rho = require_density(rho)
     if not (0.0 <= eps < 1.0):
         raise ValueError(f"eps must lie in [0, 1), got {eps}")
     d = rho.shape[0]
-    exact = d <= 3 or (declared_base_dim is not None and declared_base_dim <= 3)
-
-    if exact:
-        m_star = _max_m_by_fidelity(rho, eps)
-    else:
-        theta = min_diag_over_ball(rho, eps, max_iter=max_iter)
-        m_star = min(_floor_guarded(1.0 / theta), d)
-    relaxed_bits = math.log2(m_star)
-
+    m_star = _max_m_by_fidelity(rho, eps)
     q = float(np.max(np.diag(rho).real))
-    zero_bits = math.log2(_floor_guarded(1.0 / q))
-
-    fid_bound = assisted_fidelity_bound(rho, m_star)
-    if 2 * d <= DEFAULT_CAPS.sdp_block_dim:
-        fid_sdp = assisted_fidelity_sdp(rho, m_star, max_iter=max_iter)
-    else:
-        fid_sdp = float("nan")
-
     return RateReport(
         m_requested=m_star,
-        fidelity_bound=fid_bound,
-        fidelity_sdp=fid_sdp,
-        one_shot_rate_bits=relaxed_bits,
-        relaxed_rate_bits=relaxed_bits,
-        zero_error_bits=zero_bits,
-        exact_flag=exact,
+        fidelity_bound=assisted_fidelity_bound(rho, m_star),
+        one_shot_rate_bits=math.log2(m_star),
+        zero_error_bits=math.log2(_floor_guarded(1.0 / q)),
+        exact_flag=d <= 3 or (declared_base_dim is not None and declared_base_dim <= 3),
     )
 
 

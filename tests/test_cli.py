@@ -85,6 +85,47 @@ class TestRateCommand:
         assert abs(payload["asymptotic_zero_error_bits_per_base_copy"] - 0.736966) < 1e-6
 
 
+FIDELITY_KEYS = {"state", "dim", "copies", "expanded_dim", "m", "fidelity_bound",
+                 "fidelity_sdp", "exact"}
+RATE_KEYS = {"state", "dim", "copies", "eps", "m_star", "fidelity_bound", "fidelity_sdp",
+             "one_shot_rate_bits", "relaxed_rate_bits", "zero_error_bits",
+             "asymptotic_zero_error_bits_per_copy",
+             "asymptotic_zero_error_bits_per_base_copy", "exact"}
+
+
+class TestNoSdpSolve:
+    """fidelity and rate report closed forms; the SDP solver is only an oracle."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_solver(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("SDP solve on a production path")
+
+        monkeypatch.setattr("cohdist.sdpsolve.solve", fail)
+        monkeypatch.setattr("cohdist.distill.solve", fail)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_fidelity_and_rate(self, d, tmp_path, capsys):
+        rho = random_density(d, np.random.default_rng(d))
+        path = tmp_path / f"d{d}.json"
+        dump_state(rho, path)
+        for m in range(2, d + 1):
+            assert main(["fidelity", str(path), "--m", str(m), "--json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert set(payload) == FIDELITY_KEYS
+            assert payload["fidelity_sdp"] == assisted_fidelity_bound(rho, m)
+        for eps in ("0", "0.05"):
+            assert main(["rate", str(path), "--eps", eps, "--json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert set(payload) == RATE_KEYS
+            assert payload["fidelity_sdp"] == payload["fidelity_bound"]
+            assert payload["relaxed_rate_bits"] == payload["one_shot_rate_bits"]
+
+    def test_rate_on_eight_qubit_copies(self, qubit64, capsys):
+        assert main(["rate", str(qubit64), "--eps", "0.05", "--copies", "8", "--json"]) == 0
+        assert set(json.loads(capsys.readouterr().out)) == RATE_KEYS
+
+
 class TestDecomposeCommand:
     def test_qubit(self, qubit34, capsys):
         assert main(["decompose", str(qubit34), "--json"]) == 0
@@ -138,6 +179,17 @@ class TestFigureCommand:
         f = assisted_fidelity_from_probs(np.array([0.99, 0.01]), 20, 2)
         q = 0.99 ** 20
         assert abs(f - (0.5 + np.sqrt(q * (1 - q)))) <= 1e-9
+
+    @pytest.mark.parametrize("copies, env_cap, code", [(21, None, 3), (13, "64", 3), (20, None, 0)])
+    def test_copies_cap(self, copies, env_cap, code, tmp_path, capsys, monkeypatch):
+        # the probability route holds 2^n entries, at most cap^2
+        if env_cap is None:
+            monkeypatch.delenv("COHDIST_CAP", raising=False)
+        else:
+            monkeypatch.setenv("COHDIST_CAP", env_cap)
+        spec = tmp_path / "many.json"
+        spec.write_text(json.dumps({"family": "diag", "p_grid": [0.9], "copies": [copies]}))
+        assert main(["figure", str(spec), "--out", str(tmp_path / "many.csv")]) == code
 
     def test_rejects_bad_family(self, tmp_path, capsys):
         spec = tmp_path / "bad.json"

@@ -138,7 +138,7 @@ class TestRates:
         assert rep.exact_flag
         rep_undeclared = one_shot_rate(rho, 0.0)
         assert not rep_undeclared.exact_flag
-        assert rep_undeclared.relaxed_rate_bits == 2.0
+        assert rep_undeclared.one_shot_rate_bits == 2.0
 
     def test_rejects_bad_eps(self):
         rho = np.diag([0.6, 0.4]).astype(complex)
@@ -152,13 +152,12 @@ class TestRates:
             rho = random_density(d, rng)
             eps = float(rng.uniform(0.0, 0.2))
             rep = one_shot_rate(rho, eps)
-            for bits in (rep.one_shot_rate_bits, rep.relaxed_rate_bits, rep.zero_error_bits):
+            for bits in (rep.one_shot_rate_bits, rep.zero_error_bits):
                 assert abs(2.0 ** bits - round(2.0 ** bits)) < 1e-9
-            assert rep.one_shot_rate_bits <= rep.relaxed_rate_bits
 
     def test_monotone_in_eps(self, rng):
         rho = random_density(3, rng)
-        rates = [one_shot_rate(rho, eps).relaxed_rate_bits for eps in (0.0, 0.03, 0.06, 0.1)]
+        rates = [one_shot_rate(rho, eps).one_shot_rate_bits for eps in (0.0, 0.03, 0.06, 0.1)]
         assert all(b >= a - 1e-12 for a, b in zip(rates, rates[1:]))
 
     def test_zero_error_examples(self):
@@ -171,6 +170,21 @@ class TestRates:
         assert abs(z.asymptotic_bits_per_copy - 0.7369655941662062) < 1e-9
         z = zero_error_rate(np.diag([0.5, 0.25, 0.25]).astype(complex))
         assert (z.one_shot_bits, z.asymptotic_bits_per_copy, z.exact) == (1.0, 1.0, True)
+
+    def test_level_matches_diagonal_ball_oracle(self, rng):
+        # the closed-form level equals floor(1/theta) of the diagonal-ball
+        # SDP, at eps = 0 and at an eps halfway between two adjacent levels
+        for d in range(4, 9):
+            for rank in range(1, d + 1):
+                rho = random_density(d, rng, rank=rank)
+                fid = [assisted_fidelity_bound(rho, m) for m in range(1, d + 1)] + [0.0]
+                between = [0.5 * (max(1.0 - fid[m - 1], 0.0) + min(1.0 - fid[m], 0.999))
+                           for m in range(1, d + 1)
+                           if fid[m - 1] - fid[m] > 1e-4 and 1.0 - fid[m] > 1e-4]
+                for eps in (0.0, between[int(rng.integers(len(between)))]):
+                    theta = min_diag_over_ball(rho, eps)
+                    oracle = min(math.floor(1.0 / theta + 1e-9), d)
+                    assert one_shot_rate(rho, eps).m_requested == oracle, (d, rank, eps)
 
     def test_ball_minimum_anchor(self, rng):
         rho = random_density(3, rng)

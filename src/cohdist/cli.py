@@ -158,7 +158,7 @@ def cmd_rate(args) -> int:
 
 def cmd_decompose(args) -> int:
     rho, declared = load_state(args.state)
-    ens = ensembles.same_diagonal_decomposition(rho, seed=args.seed)
+    ens = ensembles.same_diagonal_decomposition(rho)
     recon = ens.reconstruction_residual(rho)
     diag = np.diag(rho).real
     diag_res = max(float(np.max(np.abs(np.abs(a) ** 2 - diag))) for a in ens.atoms)
@@ -307,7 +307,7 @@ def _selftest_checks(seed: int):
         for i in range(6):
             d = 2 if i % 2 == 0 else 3
             rho = random_density(d, rng)
-            ens = ensembles.same_diagonal_decomposition(rho, seed=seed + i)
+            ens = ensembles.same_diagonal_decomposition(rho)
             worst = max(worst, ens.reconstruction_residual(rho))
         return worst, 1e-8
 
@@ -387,13 +387,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="same-diagonal pure-state decomposition (d <= 3)")
     add_common(p)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("figure", help="assisted-fidelity curves to CSV")
     p.add_argument("spec", help="path to a curve-spec JSON file")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--seed", type=int, default=0, help="accepted for interface parity")
     p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser("selftest", help="run a quick numerical battery")

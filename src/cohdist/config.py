@@ -1,9 +1,9 @@
 """Tolerance and cap defaults.
 
 ``Tolerances`` holds the input-validation gates of ``hermat`` (Hermitian,
-PSD, trace, unit-norm and distribution checks, and the eigensolver's
-Hermitian-defect gate), which callers can override per call, and the PSD
-floor that ``ensembles`` applies to the eigenvalues it computes.  The other
+PSD, trace and distribution checks, and the eigensolver's Hermitian-defect
+gate), which every call reads from ``DEFAULT_TOLS``, and the PSD floor that
+``ensembles`` applies to the eigenvalues it computes.  The other
 modules keep their solver and snapping tolerances as local constants.
 ``Caps`` holds the largest materialized tensor-power dimension (the CLI's
 default ``--cap``) and the largest PSD block the SDP solver accepts.
@@ -18,7 +18,6 @@ class Tolerances:
     hermitian_entry: float = 1e-12   # |a_ij - conj(a_ji)| for validated matrices
     psd_eig_floor: float = -1e-10    # eigenvalues above this are clamped to 0
     trace_one: float = 1e-10
-    unit_norm: float = 1e-10
     distribution: float = 1e-9
 
     # operation gates

@@ -3,9 +3,13 @@ steering measurements from a purification, and Monte Carlo protocol runs.
 
 The constructive heart is ``same_diagonal_decomposition``: for dimensions
 2 and 3 every state admits a pure-state ensemble whose atoms all share the
-state's diagonal.  Dimension 2 is a closed form; dimension 3 rescales the
-state to a correlation matrix (unit diagonal) and repeatedly splits off
-rank-one pieces with unimodular entries.
+state's diagonal.  Dimension 2 is a closed form.  Dimension 3 rescales the
+state to a correlation matrix (unit diagonal) and builds the ensemble
+exactly and deterministically, with at most 3 atoms: a complex correlation
+matrix of rank r can be extreme only if r^2 <= n (Li and Tam, SIAM J.
+Matrix Anal. Appl. 15, 1994), so walking inside a face of the elliptope
+ends at rank-one unimodular points, and these are peeled off one rank at a
+time.
 
 ``ensemble_search`` explores general decompositions.  Atoms and weights
 are parametrized through an isometry applied to the eigen-ensemble, so
@@ -103,147 +107,62 @@ class SteeringMeasurement:
 # same-diagonal decompositions (d <= 3)
 
 
-def _pinv_hermitian(x, tol=_RANK_EIG_TOL):
-    w, u = eig_hermitian(x)
-    inv = np.where(w > tol, 1.0 / np.where(w > tol, w, 1.0), 0.0)
-    return _herm((u * inv) @ u.conj().T)
+def _face_points(basis, w):
+    """Unimodular vectors v whose v v^dag lie in the elliptope face through
+    the correlation matrix ``basis @ M @ basis^dag``, M = diag(w), with
+    orthonormal columns and positive ``w``.
+
+    A Hermitian A with diag(basis A basis^dag) = 0 exists while r^2 exceeds
+    the row count n, so M lies between the PSD-boundary points M + t A,
+    t = -1 / (an extreme eigenvalue of M^-1/2 A M^-1/2), one on each side and
+    each of lower rank; the walk recurses on both down to rank one.
+    """
+    r = w.size
+    if r == 1:
+        return [basis[:, 0] * np.sqrt(w[0])]
+    # diag(basis A basis^dag) as a linear map of the real r x r matrix g with
+    # A = sym(g) + i antisym(g); its last right singular vector is in the kernel
+    p = np.einsum("ki,kj->kij", basis, basis.conj())
+    lin = ((1 + 1j) * p + (1 - 1j) * p.transpose(0, 2, 1)).real.reshape(-1, r * r)
+    g = np.linalg.svd(lin)[2][-1].reshape(r, r)
+    a = 0.5 * (g + g.T) + 0.5j * (g - g.T)
+    s = 1.0 / np.sqrt(w)
+    beta = eig_hermitian(a * np.outer(s, s))[0]
+    points = []
+    for t in (-1.0 / beta[0], -1.0 / beta[-1]):
+        wt, u = eig_hermitian(np.diag(w) + t * a)
+        keep = wt > _RANK_EIG_TOL
+        keep[0] = False  # the boundary point is singular by construction
+        points += _face_points(basis @ u[:, keep], wt[keep])
+    return points
 
 
-def _quad(mat, v) -> float:
-    return float(np.real(np.vdot(v, mat @ v)))
+def _correlation_atoms(x):
+    """Split a unit-diagonal PSD matrix into at most rank-many weighted
+    unimodular rank-one pieces.
 
-
-def _golden_min(f, lo, hi, iters=40):
-    g = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - g * (b - a)
-    d = a + g * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - g * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + g * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def _extract_full_rank3(x, jitter=0.0, grid=64):
-    """Best unimodular (1, e^{ia}, e^{ib}) by grid scan + golden polish."""
-    xinv = _pinv_hermitian(x)
-    angles = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False) + jitter
-    ea = np.exp(1j * angles)
-    t0 = float(np.real(np.trace(xinv)))
-    qa = 2.0 * np.real(xinv[0, 1] * ea)
-    qb = 2.0 * np.real(xinv[0, 2] * ea)
-    cross = 2.0 * np.real(xinv[1, 2] * np.exp(1j * (angles[None, :] - angles[:, None])))
-    q = t0 + qa[:, None] + qb[None, :] + cross
-    i, j = np.unravel_index(np.argmin(q), q.shape)
-    a, b = angles[i], angles[j]
-
-    step = 2.0 * np.pi / grid
-
-    def qf(aa, bb):
-        return _quad(xinv, np.array([1.0, np.exp(1j * aa), np.exp(1j * bb)]))
-
-    for _ in range(3):
-        a = _golden_min(lambda t: qf(t, b), a - step, a + step)
-        b = _golden_min(lambda t: qf(a, t), b - step, b + step)
-    v = np.array([1.0, np.exp(1j * a), np.exp(1j * b)])
-    return v, 1.0 / qf(a, b)
-
-
-def _extract_rank2(x):
-    """Unimodular vector in the range of a rank-2 unit-diagonal 3x3 PSD matrix.
-
-    Range membership means orthogonality to the kernel vector n:
-    conj(n0) + conj(n1) e^{ia} + conj(n2) e^{ib} = 0, a triangle condition
-    on the moduli of n with an explicit phase solution (two mirror
-    branches; one-parameter families when a component of n vanishes).
+    In range coordinates (x = basis @ M @ basis^dag, M = diag(w)), each step
+    peels off the face point v v^dag with the smallest extractable weight
+    1 / (c^dag M^-1 c), c = basis^dag v.  The remainder has one rank less and
+    is never a tiny piece rescaled back up to unit diagonal.
     """
     w, u = eig_hermitian(x)
-    n = u[:, 0]
-    c = n.conj()
-    a0, b0, c0 = abs(c[0]), abs(c[1]), abs(c[2])
-    xp = _pinv_hermitian(x)
-    cands = []
-    phases = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False))
-    if a0 < 1e-12:
-        if abs(b0 - c0) > 1e-8:
-            return None
-        for p in phases:
-            b = -c[1] * p / c[2]
-            cands.append(np.array([1.0, p, b / abs(b)]))
-    elif b0 < 1e-12:
-        if abs(a0 - c0) > 1e-8:
-            return None
-        b = -c[0] / c[2]
-        b /= abs(b)
-        for p in phases:
-            cands.append(np.array([1.0, p, b]))
-    elif c0 < 1e-12:
-        if abs(a0 - b0) > 1e-8:
-            return None
-        a = -c[0] / c[1]
-        a /= abs(a)
-        for p in phases:
-            cands.append(np.array([1.0, a, p]))
-    else:
-        target = -c[0]
-        theta = np.angle(target)
-        cosg = np.clip((a0 * a0 + b0 * b0 - c0 * c0) / (2.0 * a0 * b0), -1.0, 1.0)
-        gamma = np.arccos(cosg)
-        for sgn in (1.0, -1.0):
-            c1a = b0 * np.exp(1j * (theta + sgn * gamma))
-            a = c1a / c[1]
-            c2b = target - c1a
-            if abs(c2b) < 1e-15:
-                return None
-            b = c2b / c[2]
-            cands.append(np.array([1.0, a / abs(a), b / abs(b)]))
-    best = None
-    for v in cands:
-        if abs(np.vdot(n, v)) > 1e-6:
-            continue
-        q = _quad(xp, v)
-        if q <= 1e-12:
-            continue
-        lam = 1.0 / q
-        if best is None or lam > best[1]:
-            best = (v, lam)
-    return best
-
-
-def _decompose_correlation(x, jitter=0.0):
-    """Split a unit-diagonal PSD 3x3 matrix into unimodular rank-one pieces."""
+    keep = w > _RANK_EIG_TOL
+    basis, w = u[:, keep], w[keep]
     atoms = []
     remaining = 1.0
-    x = x.copy()
-    for _ in range(9):
-        w, u = eig_hermitian(x)
-        rank = int(np.sum(w > _RANK_EIG_TOL))
-        if rank <= 1:
-            lam = max(float(w[-1]), 0.0)
-            atoms.append((remaining, u[:, -1] * np.sqrt(lam)))
-            return atoms
-        if rank == 3:
-            v, lam = _extract_full_rank3(x, jitter=jitter)
-        else:
-            got = _extract_rank2(x)
-            if got is None:
-                return None
-            v, lam = got
-        lam = min(float(lam), 1.0)
-        if lam >= 1.0 - 1e-12:
-            atoms.append((remaining, v))
-            return atoms
-        atoms.append((remaining * lam, v))
-        x = _herm((x - lam * np.outer(v, v.conj())) / (1.0 - lam))
+    while w.size > 1:
+        points = np.array(_face_points(basis, w))
+        c = points @ basis.conj()
+        q = np.sum(np.abs(c) ** 2 / w, axis=1)
+        i = int(np.argmax(q))
+        lam = 1.0 / q[i]
+        atoms.append((remaining * lam, points[i]))
+        w, u = eig_hermitian((np.diag(w) - lam * np.outer(c[i], c[i].conj())) / (1.0 - lam))
+        basis, w = basis @ u[:, 1:], w[1:]
         remaining *= 1.0 - lam
-    return None
+    atoms.append((remaining, basis[:, 0] * np.sqrt(w[0])))
+    return atoms
 
 
 def _qubit_same_diagonal(x):
@@ -257,18 +176,24 @@ def _qubit_same_diagonal(x):
     return [((1.0 + mag) / 2.0, plus * np.sqrt(2.0)), ((1.0 - mag) / 2.0, minus * np.sqrt(2.0))]
 
 
-def same_diagonal_decomposition(rho, *, seed: int = 0, restarts: int = 10) -> Ensemble:
+def same_diagonal_decomposition(rho) -> Ensemble:
     """Pure-state decomposition whose every atom has the diagonal of ``rho``.
 
-    Supports dimensions 2 and 3 (guaranteed to exist there); zero diagonal
-    entries are handled by restricting to the support and embedding back.
+    Supports dimensions 2 and 3, where such a decomposition always exists.
+    Zero diagonal entries are handled by restricting to the support and
+    embedding back.  Dimension 2 is a closed form.  Dimension 3 is an exact,
+    deterministic construction on the correlation matrix (the state
+    rescaled to unit diagonal): a complex correlation matrix of rank r can
+    be extreme only if r^2 <= n, so in n <= 3 every face of the elliptope
+    walks down to rank-one unimodular points, which are peeled off one rank
+    at a time.  The result has at most d atoms.
 
     Raises
     ------
     DimTooLarge
         for dimension 4 and up.
     NumericalFailure
-        if the residual targets are not met after ``restarts`` attempts.
+        if the reconstruction or an atom's diagonal misses the 1e-8 target.
     """
     rho = require_density(rho)
     d = rho.shape[0]
@@ -277,27 +202,10 @@ def same_diagonal_decomposition(rho, *, seed: int = 0, restarts: int = 10) -> En
 
     diag = np.clip(np.diag(rho).real, 0.0, None)
     support = np.flatnonzero(diag > 1e-14)
-    ds = support.size
-    rho_s = rho[np.ix_(support, support)]
     droot = np.sqrt(diag[support])
-
-    if ds == 1:
-        atoms_s = [(1.0, np.array([1.0 + 0.0j]))]
-    else:
-        x = _herm(rho_s / np.outer(droot, droot))
-        np.fill_diagonal(x, 1.0)
-        if ds == 2:
-            atoms_s = _qubit_same_diagonal(x)
-        else:
-            rng = np.random.Generator(np.random.Philox(key=seed))
-            atoms_s = None
-            for attempt in range(max(1, restarts)):
-                jitter = 0.0 if attempt == 0 else float(rng.uniform(0.0, 2.0 * np.pi / 64.0))
-                atoms_s = _decompose_correlation(x, jitter=jitter)
-                if atoms_s is not None:
-                    break
-            if atoms_s is None:
-                raise NumericalFailure("correlation-matrix extraction failed after restarts")
+    x = _herm(rho[np.ix_(support, support)] / np.outer(droot, droot))
+    np.fill_diagonal(x, 1.0)
+    atoms_s = _qubit_same_diagonal(x) if support.size == 2 else _correlation_atoms(x)
 
     weights = []
     atoms = []
@@ -423,7 +331,6 @@ def ensemble_search(
     seed: int = 0,
     restarts: int = 20,
     max_evals: int = 10_000,
-    warm_start: Ensemble | str | None = "auto",
 ) -> tuple[Ensemble, float]:
     """Locally optimal pure-state decomposition for the given objective.
 
@@ -434,9 +341,9 @@ def ensemble_search(
     one-sided bound on the corresponding convex-roof quantity: a lower
     bound for "max" objectives, an upper bound for "min" ones.
 
-    ``warm_start="auto"`` seeds the search with the same-diagonal
-    decomposition in dimensions 2 and 3, which the theory makes optimal
-    for all three shipped objectives.
+    In dimensions 2 and 3 the first start is the same-diagonal
+    decomposition, which the theory makes optimal for all three shipped
+    objectives.
 
     ``objective`` has a ``sense`` ("max" or "min") and an
     ``evaluate(weights, atoms)`` that must accept leading batch axes:
@@ -457,17 +364,15 @@ def ensemble_search(
         return sense * objective.evaluate(weights, atoms)
 
     starts: list[np.ndarray] = []
-    if warm_start == "auto":
-        warm_start = None
-        if d <= 3:
-            try:
-                warm_start = same_diagonal_decomposition(rho)
-            except NumericalFailure:
-                warm_start = None
-    if isinstance(warm_start, Ensemble):
-        if warm_start.atoms.shape[0] > atoms_cap:
-            raise ValueError("warm start has more atoms than atoms_cap")
-        starts.append(_theta_from_ensemble(warm_start, phi, lam, atoms_cap))
+    if d <= 3:
+        try:
+            warm = same_diagonal_decomposition(rho)
+        except NumericalFailure:
+            pass
+        else:
+            if warm.atoms.shape[0] > atoms_cap:
+                raise ValueError("warm start has more atoms than atoms_cap")
+            starts.append(_theta_from_ensemble(warm, phi, lam, atoms_cap))
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     npar = 2 * atoms_cap * rank

@@ -12,7 +12,7 @@ windows come from :mod:`cohdist.config`.
 
 import numpy as np
 
-from .config import DEFAULT_CAPS, DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_CAPS, DEFAULT_TOLS
 from .errors import (
     CapExceeded,
     DimMismatch,
@@ -32,7 +32,6 @@ __all__ = [
     "random_density",
     "random_statevector",
     "require_density",
-    "require_statevector",
     "shannon_entropy",
     "sqrtm_psd",
     "tensor_power",
@@ -52,13 +51,13 @@ def hermitian_defect(a) -> float:
     return float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
 
 
-def require_density(rho, *, check_psd: bool = True,
-                    tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def require_density(rho, *, check_psd: bool = True) -> np.ndarray:
     """Validate a density matrix and return it as complex128.
 
     Checks Hermiticity entrywise, unit trace, and (optionally, since it
     costs an eigendecomposition) positive semidefiniteness.
     """
+    tols = DEFAULT_TOLS
     mat = _as_complex_matrix(rho)
     defect = hermitian_defect(mat)
     if defect > tols.hermitian_entry:
@@ -67,21 +66,10 @@ def require_density(rho, *, check_psd: bool = True,
     if abs(tr - 1.0) > tols.trace_one:
         raise NotDistribution(f"trace {tr} is not 1 within {tols.trace_one:.0e}")
     if check_psd:
-        w, _ = eig_hermitian(mat, tols=tols)
+        w, _ = eig_hermitian(mat)
         if w[0] < tols.psd_eig_floor:
             raise NotPSD(f"minimum eigenvalue {w[0]:.3e} below {tols.psd_eig_floor:.0e}")
     return mat
-
-
-def require_statevector(psi, *, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Validate a normalized state vector and return it as complex128."""
-    vec = np.asarray(psi, dtype=np.complex128).ravel()
-    if vec.size == 0:
-        raise DimMismatch("empty state vector")
-    nrm = np.linalg.norm(vec)
-    if abs(nrm - 1.0) > tols.unit_norm:
-        raise NotDistribution(f"norm {nrm} is not 1 within {tols.unit_norm:.0e}")
-    return vec
 
 
 def dephase(rho) -> np.ndarray:
@@ -90,7 +78,7 @@ def dephase(rho) -> np.ndarray:
     return np.diag(np.diag(mat).real).astype(np.complex128)
 
 
-def eig_hermitian(mat, *, tols: Tolerances = DEFAULT_TOLS):
+def eig_hermitian(mat):
     """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
 
     The matrix is symmetrized as ``0.5 * (a + a^dag)`` before the solve.
@@ -103,42 +91,43 @@ def eig_hermitian(mat, *, tols: Tolerances = DEFAULT_TOLS):
     NumericalFailure
         if the matrix has a non-finite entry, or LAPACK fails to converge.
     NonHermitian
-        if the entrywise symmetry defect exceeds ``tols.hermitian_op``.
+        if the entrywise symmetry defect exceeds ``DEFAULT_TOLS.hermitian_op``.
     """
     a = _as_complex_matrix(mat)
     if not np.all(np.isfinite(a)):
         raise NumericalFailure("matrix has non-finite entries")
     defect = hermitian_defect(a)
-    if defect > tols.hermitian_op:
-        raise NonHermitian(f"Hermitian defect {defect:.3e} exceeds {tols.hermitian_op:.0e}")
+    if defect > DEFAULT_TOLS.hermitian_op:
+        raise NonHermitian(f"Hermitian defect {defect:.3e} exceeds {DEFAULT_TOLS.hermitian_op:.0e}")
     try:
         return np.linalg.eigh(0.5 * (a + a.conj().T))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition did not converge: {exc}") from exc
 
 
-def sqrtm_psd(mat, *, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def sqrtm_psd(mat) -> np.ndarray:
     """Hermitian PSD square root.
 
-    Eigenvalues inside ``[tols.psd_eig_floor, 0)`` are clamped to zero;
-    anything more negative raises ``NotPSD``.
+    Eigenvalues inside ``[DEFAULT_TOLS.psd_eig_floor, 0)`` are clamped to
+    zero; anything more negative raises ``NotPSD``.
     """
-    w, v = eig_hermitian(mat, tols=tols)
-    if w[0] < tols.psd_eig_floor:
-        raise NotPSD(f"minimum eigenvalue {w[0]:.3e} below {tols.psd_eig_floor:.0e}")
+    floor = DEFAULT_TOLS.psd_eig_floor
+    w, v = eig_hermitian(mat)
+    if w[0] < floor:
+        raise NotPSD(f"minimum eigenvalue {w[0]:.3e} below {floor:.0e}")
     root = np.sqrt(np.clip(w, 0.0, None))
     s = (v * root) @ v.conj().T
     return 0.5 * (s + s.conj().T)
 
 
-def fidelity(rho, sigma, *, tols: Tolerances = DEFAULT_TOLS) -> float:
+def fidelity(rho, sigma) -> float:
     """Squared Uhlmann fidelity ``||sqrt(rho) sqrt(sigma)||_1^2``.
 
     The trace norm is evaluated through the Hermitian product
     ``sqrt(rho) sigma sqrt(rho)``: its eigenvalues are the squared
     singular values of ``sqrt(rho) sqrt(sigma)``, so the trace norm is
     the sum of their square roots.  Tiny negative eigenvalues (above
-    ``tols.psd_eig_floor``) are clamped to zero, and so is rounding above 1
+    ``DEFAULT_TOLS.psd_eig_floor``) are clamped to zero, and so is rounding above 1
     up to 1e-9; a larger excess (unnormalized input) raises
     ``NumericalFailure``.
     """
@@ -146,9 +135,9 @@ def fidelity(rho, sigma, *, tols: Tolerances = DEFAULT_TOLS) -> float:
     b = _as_complex_matrix(sigma)
     if a.shape != b.shape:
         raise DimMismatch(f"dimension mismatch: {a.shape} vs {b.shape}")
-    ra = sqrtm_psd(a, tols=tols)
+    ra = sqrtm_psd(a)
     prod = ra @ b @ ra
-    w, _ = eig_hermitian(0.5 * (prod + prod.conj().T), tols=tols)
+    w, _ = eig_hermitian(0.5 * (prod + prod.conj().T))
     # rounding noise below 1e-13 of the top eigenvalue is an exact zero of
     # the product; sqrt would otherwise amplify it to ~1e-7
     w[w < 1e-13 * max(float(w[-1]), 1e-30)] = 0.0
@@ -174,16 +163,17 @@ def tensor_power(rho, n: int, *, cap: int | None = None) -> np.ndarray:
     return out
 
 
-def shannon_entropy(diagonal, *, tols: Tolerances = DEFAULT_TOLS):
+def shannon_entropy(diagonal):
     """Base-2 Shannon entropy of a probability vector; 0 log 0 = 0.
 
     A stack of vectors along the last axis gives one entropy per row, and
     every row must pass the distribution check.
     """
+    tol = DEFAULT_TOLS.distribution
     p = np.atleast_1d(np.asarray(diagonal, dtype=float))
-    if (p.shape[-1] == 0 or np.any(np.min(p, axis=-1) < -tols.distribution)
-            or np.any(np.abs(p.sum(axis=-1) - 1.0) > tols.distribution)):
-        raise NotDistribution(f"not a probability vector within {tols.distribution:.0e}")
+    if (p.shape[-1] == 0 or np.any(np.min(p, axis=-1) < -tol)
+            or np.any(np.abs(p.sum(axis=-1) - 1.0) > tol)):
+        raise NotDistribution(f"not a probability vector within {tol:.0e}")
     pos = p > 0.0
     h = -np.sum(np.where(pos, p * np.log2(np.where(pos, p, 1.0)), 0.0), axis=-1)
     return float(h) if p.ndim == 1 else h

@@ -123,7 +123,7 @@ def test_decomposition_correctness():
         for trial in range(200):
             d = 2 if trial % 2 == 0 else 3
             rho = random_density(d, rng)
-            ens = same_diagonal_decomposition(rho, seed=trial)
+            ens = same_diagonal_decomposition(rho)
             assert ens.reconstruction_residual(rho) <= 1e-8
             diag = np.diag(rho).real
             for atom in ens.atoms:

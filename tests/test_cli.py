@@ -140,6 +140,17 @@ class TestDecomposeCommand:
         dump_state(rho, path)
         assert main(["decompose", str(path)]) == 3
 
+    def test_near_rank_two_qutrit(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        rho = (1 - 1e-6) * random_density(3, rng, rank=2) + 1e-6 * random_density(3, rng)
+        path = tmp_path / "near2.json"
+        dump_state(rho, path)
+        assert main(["decompose", str(path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["weights"]) <= 3
+        assert payload["reconstruction_residual"] <= 1e-8
+        assert payload["diagonal_residual"] <= 1e-8
+
 
 class TestFigureCommand:
     def test_csv_contents(self, curves_spec, tmp_path, capsys):

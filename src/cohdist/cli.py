@@ -7,13 +7,16 @@ curves over (family, p, n) grids.
 
 Exit codes: 0 success, 2 input error, 3 capacity, 4 numerical failure.
 Human tables print 6 significant digits; CSV and JSON carry full doubles.
-The dimension cap for expanded states is ``--cap`` if given, else the
-``COHDIST_CAP`` environment variable, else 1024.  ``figure`` holds at most
-cap^2 probabilities, the entry count of the largest matrix the cap allows.
+The cap on the expanded dimension d^n of ``--copies`` n is ``--cap`` if
+given, else the ``COHDIST_CAP`` environment variable, else 1024.
+``figure`` holds at most cap^2 probabilities, the entry count of the
+largest matrix the cap allows.
 
 ``fidelity`` and ``rate`` report closed-form values only; their
 ``fidelity_sdp`` fields carry the closed form, which equals the SDP value in
-every dimension (see ``distill.assisted_fidelity_bound``).
+every dimension (see ``distill.assisted_fidelity_bound``).  Like ``figure``,
+they read n copies through the Kronecker power of the base state's
+diagonal and never form the d^n x d^n matrix.
 """
 
 import argparse
@@ -40,7 +43,7 @@ from .errors import (
     NumericalFailure,
     ParseError,
 )
-from .hermat import random_density, tensor_power
+from .hermat import random_density
 from .stateio import dump_state, load_state
 
 __all__ = ["main"]
@@ -77,30 +80,29 @@ def _emit(args, payload: dict, text: str) -> None:
         sys.stdout.write(out)
 
 
-def _load_expanded(args, cap: int):
+def _load_base(args, cap: int):
     rho, declared = load_state(args.state)
     d = rho.shape[0]
-    copies = args.copies
-    if d ** copies > cap:
-        raise CapExceeded(f"dim {d}^{copies} = {d ** copies} exceeds cap {cap}")
-    expanded = tensor_power(rho, copies, cap=cap) if copies > 1 else rho
+    expanded_dim = d ** args.copies
+    if expanded_dim > cap:
+        raise CapExceeded(f"dim {d}^{args.copies} = {expanded_dim} exceeds cap {cap}")
     base_dim = declared["dim_sigma"] if declared else d
     if args.dump_state:
         dump_state(rho, args.dump_state, declared)
-    return rho, expanded, base_dim
+    return rho, expanded_dim, base_dim
 
 
 def cmd_fidelity(args) -> int:
     cap = _resolve_cap(args)
-    rho, expanded, base_dim = _load_expanded(args, cap)
+    rho, expanded_dim, base_dim = _load_base(args, cap)
     exact = base_dim <= 3
-    bound = distill.assisted_fidelity_bound(expanded, args.m)
+    bound = distill.assisted_fidelity_bound(rho, args.m, copies=args.copies)
 
     payload = {
         "state": str(args.state),
         "dim": int(rho.shape[0]),
         "copies": int(args.copies),
-        "expanded_dim": int(expanded.shape[0]),
+        "expanded_dim": int(expanded_dim),
         "m": int(args.m),
         "fidelity_bound": bound,
         "fidelity_sdp": bound,
@@ -108,7 +110,7 @@ def cmd_fidelity(args) -> int:
     }
     lines = [
         f"state {args.state}  dim {rho.shape[0]}  copies {args.copies}"
-        f"  expanded dim {expanded.shape[0]}",
+        f"  expanded dim {expanded_dim}",
         f"m = {args.m}",
         f"F_assisted_bound = {_fmt(bound)}  ({'exact' if exact else 'upper bound'})",
         f"F_assisted_sdp   = {_fmt(bound)}",
@@ -119,10 +121,9 @@ def cmd_fidelity(args) -> int:
 
 def cmd_rate(args) -> int:
     cap = _resolve_cap(args)
-    rho, expanded, base_dim = _load_expanded(args, cap)
-    declared = base_dim if base_dim <= 3 else None
-    report = distill.one_shot_rate(expanded, args.eps, declared_base_dim=declared)
-    zero = distill.zero_error_rate(expanded, declared_base_dim=declared)
+    rho, expanded_dim, base_dim = _load_base(args, cap)
+    report = distill.one_shot_rate(rho, args.eps, base_dim, args.copies)
+    zero = distill.zero_error_rate(rho, base_dim, args.copies)
     per_base = zero.asymptotic_bits_per_copy / args.copies
 
     payload = {
@@ -143,7 +144,7 @@ def cmd_rate(args) -> int:
     tag = "exact" if report.exact_flag else "upper bound"
     lines = [
         f"state {args.state}  dim {rho.shape[0]}  copies {args.copies}"
-        f"  expanded dim {expanded.shape[0]}  eps = {_fmt(args.eps)}",
+        f"  expanded dim {expanded_dim}  eps = {_fmt(args.eps)}",
         f"m* = {report.m_requested}",
         f"fidelity_bound at m* = {_fmt(report.fidelity_bound)}",
         f"one_shot_rate_bits = {_fmt(report.one_shot_rate_bits)}  ({tag})",
@@ -315,8 +316,8 @@ def _selftest_checks(seed: int):
         z = distill.zero_error_rate(np.diag([0.6, 0.4]).astype(complex))
         worst = abs(z.one_shot_bits - 0.0)
         worst = max(worst, abs(z.asymptotic_bits_per_copy + np.log2(0.6)))
-        r3 = tensor_power(np.diag([0.6, 0.4]).astype(complex), 3)
-        worst = max(worst, abs(distill.zero_error_rate(r3).one_shot_bits - 2.0))
+        z3 = distill.zero_error_rate(np.diag([0.6, 0.4]).astype(complex), copies=3)
+        worst = max(worst, abs(z3.one_shot_bits - 2.0))
         return worst, 1e-9
 
     def figure_spots():

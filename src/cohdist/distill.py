@@ -3,12 +3,16 @@
 Everything here quantifies how well a maximally coherent state of a target
 dimension ``m`` can be extracted from a state with the help of a party
 holding a purification: the closed-form fidelity bound (exact in dimension
-2 and 3, and for declared tensor powers of such states), which equals its
-SDP counterpart over diagonal-capped states in every dimension, the
+2 and 3, and for tensor powers of such states), which equals its SDP
+counterpart over diagonal-capped states in every dimension, the
 one-shot / zero-error rates it induces, the convex-roof quantity governing
 the exact rate, and the coherence of assistance.  The SDP forms
 (``assisted_fidelity_sdp``, ``min_diag_over_ball``) are kept as an
 independent oracle for the closed form; no other function here solves one.
+
+The closed forms read a state only through its diagonal, and n copies
+only through the n-fold Kronecker power of that diagonal.  They take the
+base state and a ``copies`` count and never form the d^n x d^n matrix.
 
 Rates are reported in bits and quantized through ``logfloor``: the
 achievable target dimension is an integer, so every rate has the form
@@ -18,13 +22,14 @@ on exactly-integer reciprocals from losing a whole level.
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from . import ensembles
 from .dnorm import mnorm
 from .errors import BadM, NumericalFailure
-from .hermat import delta_vector, require_density, shannon_entropy
+from .hermat import require_density, shannon_entropy
 from .sdpsolve import build_fidelity_over_Mm, build_min_diag_over_ball, solve
 
 __all__ = [
@@ -60,9 +65,9 @@ class RateReport:
     """One-shot quantities for a state at a given error tolerance.
 
     ``one_shot_rate_bits`` is log2 of the closed-form level ``m_requested``:
-    the exact one-shot rate when ``exact_flag`` holds (dimension <= 3, or a
-    declared tensor power of such a base) and the diagonal-ball
-    relaxation's upper bound otherwise.
+    the exact one-shot rate when ``exact_flag`` holds (copies of a state of
+    dimension <= 3, or a declared tensor power of such a base) and the
+    diagonal-ball relaxation's upper bound otherwise.
     """
 
     m_requested: int
@@ -118,12 +123,24 @@ def _snap_unit(f: float) -> float:
     return min(max(f, 0.0), 1.0)
 
 
-def assisted_fidelity_bound(rho, m: int) -> float:
-    """Closed-form assisted-fidelity value (1/m) * mnorm(delta(rho), m)^2.
+def _kron_power(probs, copies: int) -> np.ndarray:
+    # the diagonal of a copies-fold tensor power is the Kronecker power of the
+    # base diagonal; clipping it afterwards matches clipping the power's own
+    if copies < 1 or int(copies) != copies:
+        raise ValueError(f"copies must be a positive integer, got {copies}")
+    return np.clip(reduce(np.kron, [probs] * int(copies)), 0.0, None)
+
+
+def assisted_fidelity_bound(rho, m: int, copies: int = 1) -> float:
+    """Closed-form assisted-fidelity value (1/m) * mnorm(delta, m)^2, where
+    delta holds the square roots of the diagonal of rho's ``copies``-fold
+    tensor power.
 
     Upper-bounds the best average fidelity of assisted distillation into an
     m-level maximally coherent state, with equality for dimension <= 3 and
-    for tensor powers of such states.
+    for tensor powers of such states.  Only the diagonal is read, so the
+    power is never formed: this is ``assisted_fidelity_from_probs`` on the
+    validated diagonal of rho.
 
     In every dimension it equals the SDP over diagonal-capped states
     (``assisted_fidelity_sdp``).  Write rho = V V^dag: the block matrix
@@ -138,22 +155,20 @@ def assisted_fidelity_bound(rho, m: int) -> float:
     """
     m = _check_m(m)
     rho = require_density(rho, check_psd=False)
-    val = mnorm(delta_vector(rho), m).value
-    return _snap_unit(val * val / m)
+    return assisted_fidelity_from_probs(np.diag(rho).real, copies, m)
 
 
 def assisted_fidelity_from_probs(probs, n: int, m: int) -> float:
     """``assisted_fidelity_bound`` of the n-fold tensor power of a state with
     diagonal ``probs``, computed from the probabilities alone.
 
-    Kronecker-powers the probabilities and takes square roots afterwards,
-    which reproduces the materialized tensor-power path bit for bit while
-    staying O(d^n) in memory instead of O(d^(2n)).
+    Every closed-form fidelity in the package goes through here.  The
+    probabilities are Kronecker-powered, clipped at zero and only then
+    square-rooted, which reproduces the materialized tensor-power path bit
+    for bit while staying O(d^n) in memory instead of O(d^(2n)).  Neither
+    ``probs`` nor ``m`` is validated.
     """
-    pn = probs
-    for _ in range(n - 1):
-        pn = np.kron(pn, probs)
-    val = mnorm(np.sqrt(pn), m).value
+    val = mnorm(np.sqrt(_kron_power(probs, n)), m).value
     return _snap_unit(val * val / m)
 
 
@@ -182,10 +197,8 @@ def min_diag_over_ball(rho, eps: float, *, max_iter: int = 300) -> float:
     return min(max(sol.dual_value, 1e-12), 1.0)
 
 
-def _max_m_by_fidelity(rho, eps: float) -> int:
-    # rho is validated by the caller; scanning its diagonal, not the matrix,
-    # keeps each level O(d log d) (the same values as assisted_fidelity_bound)
-    probs = np.clip(np.diag(rho).real, 0.0, None)
+def _max_m_by_fidelity(probs, eps: float) -> int:
+    # probs is a clipped diagonal; each level costs one O(N log N) scan
     best = 1
     for m in range(1, probs.size + 1):
         if assisted_fidelity_from_probs(probs, 1, m) >= 1.0 - eps - _FLOOR_GUARD:
@@ -195,44 +208,52 @@ def _max_m_by_fidelity(rho, eps: float) -> int:
     return best
 
 
-def one_shot_rate(rho, eps: float, declared_base_dim: int | None = None) -> RateReport:
-    """One-shot assisted distillation report at error tolerance ``eps``.
+def one_shot_rate(rho, eps: float, declared_base_dim: int | None = None,
+                  copies: int = 1) -> RateReport:
+    """One-shot assisted distillation report for ``copies`` copies of
+    ``rho`` at error tolerance ``eps``.
 
     The level m* is the largest integer m with closed-form fidelity
-    ``assisted_fidelity_bound(rho, m) >= 1 - eps``.  That fidelity is
-    non-increasing in real m, so m* is also floor(1/theta) of the
+    ``assisted_fidelity_bound(rho, m, copies) >= 1 - eps``.  That fidelity
+    is non-increasing in real m, so m* is also floor(1/theta) of the
     diagonal-ball SDP (see ``assisted_fidelity_bound``); no SDP is solved.
-    The level is exact when the exactness flag holds (d <= 3 or a declared
-    tensor power of a base with dimension <= 3) and an upper bound
-    otherwise.  Tensor-power structure is never detected, only declared.
+    The level is exact when ``zero_error_rate``'s flag holds and an upper
+    bound otherwise; the zero-error bits are that function's too.
+    Tensor-power structure is never detected, only declared, by ``copies``
+    or by ``declared_base_dim``.
+
+    Only the diagonal of the tensor power is formed, and ``rho`` itself is
+    PSD-checked: a tensor power's smallest eigenvalue is a product of the
+    base's, so that check is at least as strict as one on the power.
     """
     rho = require_density(rho)
     if not (0.0 <= eps < 1.0):
         raise ValueError(f"eps must lie in [0, 1), got {eps}")
-    d = rho.shape[0]
-    m_star = _max_m_by_fidelity(rho, eps)
-    q = float(np.max(np.diag(rho).real))
+    zero = zero_error_rate(rho, declared_base_dim, copies)
+    probs = _kron_power(np.diag(rho).real, copies)
+    m_star = _max_m_by_fidelity(probs, eps)
     return RateReport(
         m_requested=m_star,
-        fidelity_bound=assisted_fidelity_bound(rho, m_star),
+        fidelity_bound=assisted_fidelity_from_probs(probs, 1, m_star),
         one_shot_rate_bits=math.log2(m_star),
-        zero_error_bits=math.log2(_floor_guarded(1.0 / q)),
-        exact_flag=d <= 3 or (declared_base_dim is not None and declared_base_dim <= 3),
+        zero_error_bits=zero.one_shot_bits,
+        exact_flag=zero.exact,
     )
 
 
-def zero_error_rate(rho, declared_base_dim: int | None = None) -> ZeroErrorRate:
-    """Zero-error rates from the largest diagonal entry q: one-shot
-    log2(floor(1/q)) bits and asymptotically -log2(q) bits per copy.
-    Exact for d <= 3 (or declared powers of such); upper bounds otherwise."""
+def zero_error_rate(rho, declared_base_dim: int | None = None,
+                    copies: int = 1) -> ZeroErrorRate:
+    """Zero-error rates of ``copies`` copies of ``rho`` from the largest
+    diagonal entry q of their tensor power: one-shot log2(floor(1/q)) bits
+    and asymptotically -log2(q) bits per copy of that power.  Exact when
+    ``rho`` has dimension <= 3 or is a declared power of such a base
+    (``declared_base_dim``); upper bounds otherwise."""
     rho = require_density(rho, check_psd=False)
-    d = rho.shape[0]
-    q = float(np.max(np.diag(rho).real))
-    exact = d <= 3 or (declared_base_dim is not None and declared_base_dim <= 3)
+    q = float(np.max(_kron_power(np.diag(rho).real, copies)))
     return ZeroErrorRate(
         one_shot_bits=math.log2(_floor_guarded(1.0 / q)),
         asymptotic_bits_per_copy=-math.log2(q),
-        exact=exact,
+        exact=rho.shape[0] <= 3 or (declared_base_dim is not None and declared_base_dim <= 3),
     )
 
 

@@ -180,13 +180,13 @@ def same_diagonal_decomposition(rho) -> Ensemble:
     """Pure-state decomposition whose every atom has the diagonal of ``rho``.
 
     Supports dimensions 2 and 3, where such a decomposition always exists.
-    Zero diagonal entries are handled by restricting to the support and
-    embedding back.  Dimension 2 is a closed form.  Dimension 3 is an exact,
-    deterministic construction on the correlation matrix (the state
-    rescaled to unit diagonal): a complex correlation matrix of rank r can
-    be extreme only if r^2 <= n, so in n <= 3 every face of the elliptope
-    walks down to rank-one unimodular points, which are peeled off one rank
-    at a time.  The result has at most d atoms.
+    Diagonal entries at or below 1e-18 are handled by restricting to the
+    support and embedding back.  Dimension 2 is a closed form.  Dimension 3
+    is an exact, deterministic construction on the correlation matrix (the
+    state rescaled to unit diagonal): a complex correlation matrix of rank r
+    can be extreme only if r^2 <= n, so in n <= 3 every face of the
+    elliptope walks down to rank-one unimodular points, which are peeled off
+    one rank at a time.  The result has at most d atoms.
 
     Raises
     ------
@@ -201,7 +201,9 @@ def same_diagonal_decomposition(rho) -> Ensemble:
         raise DimTooLarge(f"same-diagonal decompositions are constructed only for d <= 3, got {d}")
 
     diag = np.clip(np.diag(rho).real, 0.0, None)
-    support = np.flatnonzero(diag > 1e-14)
+    # for PSD rho an off-diagonal beside a dropped entry is at most
+    # sqrt(1e-18 * rho_jj) <= 1e-9, within the 1e-8 residual targets
+    support = np.flatnonzero(diag > 1e-18)
     droot = np.sqrt(diag[support])
     x = _herm(rho[np.ix_(support, support)] / np.outer(droot, droot))
     np.fill_diagonal(x, 1.0)

@@ -46,16 +46,23 @@ def _as_complex_matrix(a) -> np.ndarray:
 
 
 def hermitian_defect(a) -> float:
-    """Largest entrywise deviation |a_ij - conj(a_ji)|."""
+    """Largest entrywise deviation |a_ij - conj(a_ji)|.
+
+    A non-finite entry raises ``NumericalFailure``, since a NaN defect
+    would pass every ``defect > tol`` gate.
+    """
     mat = _as_complex_matrix(a)
+    if not np.all(np.isfinite(mat)):
+        raise NumericalFailure("matrix has non-finite entries")
     return float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
 
 
 def require_density(rho, *, check_psd: bool = True) -> np.ndarray:
     """Validate a density matrix and return it as complex128.
 
-    Checks Hermiticity entrywise, unit trace, and (optionally, since it
-    costs an eigendecomposition) positive semidefiniteness.
+    Checks finiteness and Hermiticity entrywise (``hermitian_defect``), unit
+    trace, and (optionally, since it costs an eigendecomposition) positive
+    semidefiniteness.  A non-finite entry raises ``NumericalFailure``.
     """
     tols = DEFAULT_TOLS
     mat = _as_complex_matrix(rho)
@@ -94,8 +101,6 @@ def eig_hermitian(mat):
         if the entrywise symmetry defect exceeds ``DEFAULT_TOLS.hermitian_op``.
     """
     a = _as_complex_matrix(mat)
-    if not np.all(np.isfinite(a)):
-        raise NumericalFailure("matrix has non-finite entries")
     defect = hermitian_defect(a)
     if defect > DEFAULT_TOLS.hermitian_op:
         raise NonHermitian(f"Hermitian defect {defect:.3e} exceeds {DEFAULT_TOLS.hermitian_op:.0e}")

@@ -9,16 +9,20 @@ Schema::
       "renormalize": false                               # optional
     }
 
-Parsing gates: finite entries, Hermiticity 1e-9 entrywise, eigenvalues
->= -1e-9, trace within 1e-8 of one (after the optional renormalization).
-Accepted states are then symmetrized and trace-normalized exactly so the
-stricter internal invariants hold downstream.
+Parsing gates: finite entries, Hermiticity 1e-9 entrywise, trace within
+1e-8 of one (after the optional renormalization).  Accepted states are then
+symmetrized and trace-normalized exactly, so the stricter internal
+Hermiticity and trace invariants hold downstream.  Normalization cannot
+repair a negative eigenvalue, so the PSD gate on the normalized state is
+the internal one, ``DEFAULT_TOLS.psd_eig_floor`` (-1e-10), and no command
+rejects as non-PSD a file that loaded.
 """
 
 import json
 
 import numpy as np
 
+from .config import DEFAULT_TOLS
 from .errors import ParseError
 from .hermat import eig_hermitian, hermitian_defect
 
@@ -61,8 +65,8 @@ def parse_state(obj) -> tuple[np.ndarray, dict | None]:
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
     w, _ = eig_hermitian(rho)
-    if w[0] < -1e-9:
-        raise ParseError(f"minimum eigenvalue {w[0]:.3e} below -1e-9")
+    if w[0] < DEFAULT_TOLS.psd_eig_floor:
+        raise ParseError(f"minimum eigenvalue {w[0]:.3e} below {DEFAULT_TOLS.psd_eig_floor:.0e}")
 
     declared = obj.get("declared_base")
     if declared is not None:

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from cohdist.cli import main
-from cohdist.distill import assisted_fidelity_bound, assisted_fidelity_from_probs
+from cohdist.distill import (
+    assisted_fidelity_bound,
+    assisted_fidelity_from_probs,
+    one_shot_rate,
+    zero_error_rate,
+)
 from cohdist.hermat import maximally_coherent, random_density, tensor_power
 from cohdist.stateio import dump_state, load_state
 
@@ -126,6 +131,52 @@ class TestNoSdpSolve:
         assert set(json.loads(capsys.readouterr().out)) == RATE_KEYS
 
 
+class TestCopies:
+    """fidelity and rate read n copies from the base diagonal; the matrix
+    route on the materialized tensor power is the reference."""
+
+    @pytest.mark.parametrize("d, rank", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
+    def test_matches_matrix_route_bitwise(self, d, rank, tmp_path, capsys):
+        path = tmp_path / "base.json"
+        dump_state(random_density(d, np.random.default_rng(10 * d + rank), rank=rank), path)
+        base, _ = load_state(path)
+        max_copies = {2: 10, 3: 6}[d]  # the largest d^n within the default cap 1024
+        for n in range(1, max_copies + 1):
+            big = tensor_power(base, n)
+            for m in (2, 3):
+                argv = ["fidelity", str(path), "--m", str(m), "--copies", str(n), "--json"]
+                assert main(argv) == 0
+                payload = json.loads(capsys.readouterr().out)
+                assert payload["expanded_dim"] == d ** n
+                assert payload["fidelity_bound"] == assisted_fidelity_bound(big, m)
+            for eps in (0.0, 0.05):
+                argv = ["rate", str(path), "--eps", str(eps), "--copies", str(n), "--json"]
+                assert main(argv) == 0
+                payload = json.loads(capsys.readouterr().out)
+                report = one_shot_rate(big, eps, declared_base_dim=d)
+                zero = zero_error_rate(big, declared_base_dim=d)
+                assert payload["m_star"] == report.m_requested
+                assert payload["fidelity_bound"] == report.fidelity_bound
+                assert payload["one_shot_rate_bits"] == report.one_shot_rate_bits
+                assert payload["zero_error_bits"] == report.zero_error_bits
+                assert (payload["asymptotic_zero_error_bits_per_copy"]
+                        == zero.asymptotic_bits_per_copy)
+                assert payload["exact"] == report.exact_flag
+
+    def test_no_matrix_beyond_the_base(self, qubit64, capsys, monkeypatch):
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        assert main(["rate", str(qubit64), "--eps", "0.05", "--copies", "10"]) == 0
+        assert main(["fidelity", str(qubit64), "--copies", "10"]) == 0
+        assert shapes and max(shape[0] for shape in shapes) <= 2
+
+
 class TestDecomposeCommand:
     def test_qubit(self, qubit34, capsys):
         assert main(["decompose", str(qubit34), "--json"]) == 0
@@ -242,6 +293,20 @@ class TestExitCodes:
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
         assert main(["fidelity", str(qubit64)]) == 4
+
+    def test_nonpositive_copies(self, qubit64, capsys):
+        for cmd in ("fidelity", "rate"):
+            assert main([cmd, str(qubit64), "--copies", "0"]) == 2
+            assert main([cmd, str(qubit64), "--copies", "-1"]) == 2
+
+    @pytest.mark.parametrize("min_eig, code", [(-5e-10, 2), (-5e-11, 0)])
+    def test_one_psd_floor_for_every_command(self, min_eig, code, tmp_path, capsys):
+        # eigenvalues 0.5 +- c: a file is accepted by all commands or by none
+        c = 0.5 - min_eig
+        path = tmp_path / "edge.json"
+        dump_state(np.array([[0.5, c], [c, 0.5]], dtype=complex), path)
+        for cmd in ("fidelity", "rate", "decompose"):
+            assert main([cmd, str(path)]) == code, cmd
 
     def test_cap_exceeded(self, qubit64, capsys):
         assert main(["rate", str(qubit64), "--copies", "20"]) == 3

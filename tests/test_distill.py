@@ -252,6 +252,58 @@ class TestCoherenceOfAssistance:
         assert ca.value_bits >= 0.0
 
 
+class TestCopies:
+    """``copies`` reads the tensor power through the Kronecker power of the
+    base diagonal; the materialized ``tensor_power`` is the reference."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_tensor_power_bitwise(self, d, rng):
+        for rank in range(1, d + 1):
+            rho = random_density(d, rng, rank=rank)
+            for n in (1, 2, 3):
+                big = tensor_power(rho, n)
+                for m in (2, 3):
+                    assert (assisted_fidelity_bound(rho, m, copies=n)
+                            == assisted_fidelity_bound(big, m))
+                for eps in (0.0, 0.05):
+                    assert (one_shot_rate(rho, eps, copies=n)
+                            == one_shot_rate(big, eps, declared_base_dim=d))
+                assert zero_error_rate(rho, copies=n) == zero_error_rate(big, declared_base_dim=d)
+
+    def test_exactness_follows_the_base(self, rng):
+        assert one_shot_rate(random_density(2, rng), 0.0, copies=4).exact_flag
+        assert not zero_error_rate(random_density(4, rng), copies=2).exact
+        assert zero_error_rate(random_density(4, rng), declared_base_dim=2, copies=2).exact
+
+    def test_base_is_psd_checked(self):
+        with pytest.raises(NotPSD):
+            one_shot_rate(_not_psd(3, False), 0.0, copies=2)
+
+    @pytest.mark.parametrize("copies", [0, -1, 1.5])
+    def test_rejects_bad_copies(self, copies):
+        rho = np.diag([0.6, 0.4]).astype(complex)
+        for call in (lambda: assisted_fidelity_bound(rho, 2, copies=copies),
+                     lambda: one_shot_rate(rho, 0.0, copies=copies),
+                     lambda: zero_error_rate(rho, copies=copies)):
+            with pytest.raises(ValueError):
+                call()
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: assisted_fidelity_bound([[0.5, _NAN], [_NAN, 0.5]], 2),
+    lambda: zero_error_rate(np.array([[0.5, _NAN], [_NAN, 0.5]])),
+    lambda: assisted_fidelity_bound(np.diag([_NAN, 1.0]), 2),
+    lambda: zero_error_rate(np.diag([_NAN, 1.0])),
+], ids=["bound-offdiagonal", "zero-error-offdiagonal", "bound-diagonal", "zero-error-diagonal"])
+def test_non_finite_input_raises(call):
+    # NaN fails every tolerance comparison, so only an explicit check stops it
+    with pytest.raises(NumericalFailure, match="non-finite"):
+        call()
+
+
 def _not_psd(d, negative_diagonal):
     """Hermitian, unit trace, one negative eigenvalue."""
     if negative_diagonal:

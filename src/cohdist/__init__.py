@@ -16,13 +16,12 @@ cli
     Command-line front end (``cohdist`` entry point).
 """
 
-from . import cli, config, distill, dnorm, ensembles, errors, hermat, sdpsolve, stateio
+from . import cli, distill, dnorm, ensembles, errors, hermat, sdpsolve, stateio
 
 __version__ = "0.1.0"
 
 __all__ = [
     "cli",
-    "config",
     "distill",
     "dnorm",
     "ensembles",

@@ -27,7 +27,6 @@ import sys
 import numpy as np
 
 from . import distill, ensembles
-from .config import DEFAULT_CAPS
 from .dnorm import mnorm, mnorm_dual_oracle, mnorm_primal_oracle
 from .errors import (
     BadM,
@@ -43,7 +42,7 @@ from .errors import (
     NumericalFailure,
     ParseError,
 )
-from .hermat import random_density
+from .hermat import TENSOR_DIM_CAP, random_density
 from .stateio import dump_state, load_state
 
 __all__ = ["main"]
@@ -68,7 +67,7 @@ def _resolve_cap(args) -> int:
             return int(env)
         except ValueError as exc:
             raise ParseError(f"COHDIST_CAP={env!r} is not an integer") from exc
-    return DEFAULT_CAPS.tensor_dim
+    return TENSOR_DIM_CAP
 
 
 def _emit(args, payload: dict, text: str) -> None:

@@ -27,8 +27,8 @@ from functools import reduce
 import numpy as np
 
 from . import ensembles
-from .dnorm import mnorm
-from .errors import BadM, NumericalFailure
+from .dnorm import pure_distillation_fidelity
+from .errors import NumericalFailure
 from .hermat import require_density, shannon_entropy
 from .sdpsolve import build_fidelity_over_Mm, build_min_diag_over_ball, solve
 
@@ -111,12 +111,6 @@ class AssistanceBound:
     diag_entropy_bits: float
 
 
-def _check_m(m) -> int:
-    if m < 1 or abs(m - round(m)) > 1e-9:
-        raise BadM(f"m must be a positive integer, got {m}")
-    return int(round(m))
-
-
 def _snap_unit(f: float) -> float:
     if abs(f - 1.0) <= 1e-12:
         return 1.0
@@ -153,7 +147,6 @@ def assisted_fidelity_bound(rho, m: int, copies: int = 1) -> float:
     (``min_diag_over_ball``): 1/theta is the largest real m with
     (1/m) mnorm(a, m)^2 >= 1 - eps.
     """
-    m = _check_m(m)
     rho = require_density(rho, check_psd=False)
     return assisted_fidelity_from_probs(np.diag(rho).real, copies, m)
 
@@ -165,11 +158,11 @@ def assisted_fidelity_from_probs(probs, n: int, m: int) -> float:
     Every closed-form fidelity in the package goes through here.  The
     probabilities are Kronecker-powered, clipped at zero and only then
     square-rooted, which reproduces the materialized tensor-power path bit
-    for bit while staying O(d^n) in memory instead of O(d^(2n)).  Neither
-    ``probs`` nor ``m`` is validated.
+    for bit while staying O(d^n) in memory instead of O(d^(2n)).  ``probs``
+    is not validated; an ``m`` that is not a positive integer raises
+    ``BadM`` (``pure_distillation_fidelity``).
     """
-    val = mnorm(np.sqrt(_kron_power(probs, n)), m).value
-    return _snap_unit(val * val / m)
+    return pure_distillation_fidelity(np.sqrt(_kron_power(probs, n)), m)
 
 
 def assisted_fidelity_sdp(rho, m, *, max_iter: int = 300) -> float:
@@ -198,14 +191,16 @@ def min_diag_over_ball(rho, eps: float, *, max_iter: int = 300) -> float:
 
 
 def _max_m_by_fidelity(probs, eps: float) -> int:
-    # probs is a clipped diagonal; each level costs one O(N log N) scan
-    best = 1
-    for m in range(1, probs.size + 1):
-        if assisted_fidelity_from_probs(probs, 1, m) >= 1.0 - eps - _FLOOR_GUARD:
-            best = m
+    # probs is a clipped diagonal; F(1) = 1 always passes and F does not
+    # increase with m, so bisect on lo passing, hi failing (or past the end)
+    lo, hi = 1, probs.size + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if assisted_fidelity_from_probs(probs, 1, mid) >= 1.0 - eps - _FLOOR_GUARD:
+            lo = mid
         else:
-            break
-    return best
+            hi = mid
+    return lo
 
 
 def one_shot_rate(rho, eps: float, declared_base_dim: int | None = None,
@@ -257,48 +252,45 @@ def zero_error_rate(rho, declared_base_dim: int | None = None,
     )
 
 
-def theta_upper(omega, *, atoms_cap: int | None = None, seed: int = 0,
-                restarts: int = 8, max_evals: int = 4000) -> ThetaBound:
+def _roof_search(rho, objective, seed: int, restarts: int, max_evals: int):
+    """Validate ``rho`` once and return it with the ensemble-search value of
+    ``objective`` over decompositions into d + 1 atoms, or with None for
+    d <= 3, where the roof quantity has a closed form.  Dimension d >= 4 is
+    validated by ``ensemble_search``, whose eigendecomposition also checks
+    PSD (before any diagonal entropy sees a negative entry)."""
+    mat = np.asarray(rho, dtype=np.complex128)
+    if mat.ndim != 2 or mat.shape[0] <= 3:
+        return require_density(mat), None
+    _, val = ensembles.ensemble_search(mat, objective, mat.shape[0] + 1, seed=seed,
+                                       restarts=restarts, max_evals=max_evals)
+    return mat, val
+
+
+def theta_upper(omega, *, seed: int = 0, restarts: int = 8,
+                max_evals: int = 4000) -> ThetaBound:
     """Convex-roof minimum (over decompositions) of the largest squared
     amplitude.  Exact in dimension <= 3, where it equals the largest
-    diagonal entry; otherwise the best decomposition found upper-bounds it
-    while the diagonal entry lower-bounds it."""
-    # ensemble_search checks PSD from the eigendecomposition it needs anyway
-    omega = require_density(omega, check_psd=False)
-    d = omega.shape[0]
+    diagonal entry; otherwise the best decomposition into d + 1 atoms found
+    by ``ensemble_search`` upper-bounds it while the diagonal entry
+    lower-bounds it."""
+    omega, val = _roof_search(omega, ensembles.MinMaxInfNormSq(), seed, restarts, max_evals)
     q = float(np.max(np.diag(omega).real))
-    if d <= 3:
-        require_density(omega)
+    if val is None:
         return ThetaBound(value=q, exact=True, diag_lower=q)
-    cap = atoms_cap if atoms_cap is not None else d + 1
-    _, val = ensembles.ensemble_search(
-        omega, ensembles.MinMaxInfNormSq(), cap,
-        seed=seed, restarts=restarts, max_evals=max_evals,
-    )
     return ThetaBound(value=max(val, q), exact=False, diag_lower=q)
 
 
-def coherence_of_assistance(rho, *, atoms_cap: int | None = None, seed: int = 0,
-                            restarts: int = 8, max_evals: int = 4000) -> AssistanceBound:
+def coherence_of_assistance(rho, *, seed: int = 0, restarts: int = 8,
+                            max_evals: int = 4000) -> AssistanceBound:
     """Coherence of assistance: the convex-roof maximum of the diagonal
     entropy.  Equals the diagonal entropy itself for d <= 3; for larger
-    dimensions returns the best ensemble-search lower bound alongside that
-    entropy as the upper bound."""
-    # as in theta_upper, ensemble_search checks PSD itself (before the
-    # entropy, which would reject a negative diagonal first)
-    rho = require_density(rho, check_psd=False)
-    d = rho.shape[0]
-    if d <= 3:
-        require_density(rho)
-    else:
-        cap = atoms_cap if atoms_cap is not None else d + 1
-        _, val = ensembles.ensemble_search(
-            rho, ensembles.MaxAvgDiagEntropy(), cap,
-            seed=seed, restarts=restarts, max_evals=max_evals,
-        )
+    dimensions returns the best ensemble-search lower bound over
+    decompositions into d + 1 atoms alongside that entropy as the upper
+    bound."""
+    rho, val = _roof_search(rho, ensembles.MaxAvgDiagEntropy(), seed, restarts, max_evals)
     diag_bits = shannon_entropy(np.clip(np.diag(rho).real, 0.0, None)
                                 / float(np.sum(np.diag(rho).real)))
-    if d <= 3:
+    if val is None:
         return AssistanceBound(value_bits=diag_bits, exact=True, diag_entropy_bits=diag_bits)
     return AssistanceBound(value_bits=min(val, diag_bits), exact=False,
                            diag_entropy_bits=diag_bits)

@@ -226,8 +226,10 @@ def pure_distillation_fidelity(psi, m: int):
     if m < 1 or abs(m - round(m)) > _INTEGER_TOL:
         raise BadM(f"m must be a positive integer, got {m}")
     m = int(round(m))
-    mags = np.abs(np.asarray(psi, dtype=np.complex128))
-    value, _ = _scan_integer(_sorted_rows(np.atleast_1d(mags), m), m)
+    # the magnitudes go straight into the sort, so no copy of them stays
+    # alive through the scan
+    sorted_desc = _sorted_rows(np.atleast_1d(np.abs(np.asarray(psi, dtype=np.complex128))), m)
+    value, _ = _scan_integer(sorted_desc, m)
     fid = value * value / m
     fid = np.where(np.abs(fid - 1.0) <= 1e-12, 1.0, np.minimum(np.maximum(fid, 0.0), 1.0))
-    return float(fid) if mags.ndim <= 1 else fid
+    return float(fid) if np.ndim(psi) <= 1 else fid

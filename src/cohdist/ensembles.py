@@ -24,17 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
 from .dnorm import pure_distillation_fidelity
 from .errors import (
     DimMismatch,
     DimTooLarge,
     IncompatibleEnsemble,
     NotAPurification,
-    NotPSD,
     NumericalFailure,
 )
-from .hermat import eig_hermitian, require_density, shannon_entropy
+from .hermat import eig_hermitian, eig_psd, require_density, shannon_entropy
 
 __all__ = [
     "Ensemble",
@@ -285,10 +283,9 @@ class MaxAvgDiagEntropy:
 
 def _eigen_basis(rho):
     """Eigen-ensemble of a Hermitian unit-trace ``rho``; raises ``NotPSD`` from
-    the same eigenvalues, so callers validate with ``check_psd=False``."""
-    w, u = eig_hermitian(rho)
-    if w[0] < DEFAULT_TOLS.psd_eig_floor:
-        raise NotPSD(f"minimum eigenvalue {w[0]:.3e} below {DEFAULT_TOLS.psd_eig_floor:.0e}")
+    the same eigenvalues (``eig_psd``), so callers validate with
+    ``check_psd=False``."""
+    w, u = eig_psd(rho)
     keep = w > 1e-12
     lam = w[keep]
     phi = u[:, keep]
@@ -454,15 +451,12 @@ def random_decomposition(rho, n_atoms: int, seed: int = 0) -> Ensemble:
 
 
 def purify(rho) -> np.ndarray:
-    """Canonical purification: assisting system first, same dimension."""
-    rho = require_density(rho)
-    w, u = eig_hermitian(rho)
-    w = np.clip(w, 0.0, None)
-    d = rho.shape[0]
-    vec = np.zeros(d * d, dtype=np.complex128)
-    for j in range(d):
-        if w[j] > 0.0:
-            vec[j * d : (j + 1) * d] += np.sqrt(w[j]) * u[:, j]
+    """Canonical purification: assisting system first, same dimension.
+
+    Entry ``j * d + b`` is ``sqrt(w_j) u_bj`` for the eigenpairs of ``rho``.
+    """
+    w, u = eig_psd(require_density(rho, check_psd=False))
+    vec = (u * np.sqrt(np.clip(w, 0.0, None))).T.ravel()
     return vec / np.linalg.norm(vec)
 
 

@@ -6,13 +6,17 @@ operations here: dephasing, Hermitian eigendecomposition (LAPACK through
 Shannon entropy and the diagonal-root vector.
 
 Matrices and vectors are plain ``numpy`` arrays (complex128).  Validators
-raise the typed errors from :mod:`cohdist.errors`; numerical clamping
-windows come from :mod:`cohdist.config`.
+raise the typed errors from :mod:`cohdist.errors`.  The validation gates
+live here and nowhere else: a validated matrix is Hermitian to 1e-12
+entrywise with trace 1 to 1e-10, the eigensolver rejects a Hermitian
+defect above 1e-9, a probability vector sums to 1 to 1e-9, and the PSD
+floor is -1e-10: ``eig_psd`` is the one check of it, and eigenvalues in
+``[-1e-10, 0)`` count as zero.  ``TENSOR_DIM_CAP`` (1024) is the default
+cap on a materialized tensor-power dimension.
 """
 
 import numpy as np
 
-from .config import DEFAULT_CAPS, DEFAULT_TOLS
 from .errors import (
     CapExceeded,
     DimMismatch,
@@ -23,9 +27,11 @@ from .errors import (
 )
 
 __all__ = [
+    "TENSOR_DIM_CAP",
     "dephase",
     "delta_vector",
     "eig_hermitian",
+    "eig_psd",
     "fidelity",
     "hermitian_defect",
     "maximally_coherent",
@@ -36,6 +42,14 @@ __all__ = [
     "sqrtm_psd",
     "tensor_power",
 ]
+
+_HERMITIAN_ENTRY = 1e-12   # |a_ij - conj(a_ji)| for validated matrices
+_HERMITIAN_OP = 1e-9       # eigensolver rejects beyond this defect
+_PSD_EIG_FLOOR = -1e-10    # eigenvalues above this are clamped to 0
+_TRACE_ONE = 1e-10
+_DISTRIBUTION = 1e-9
+
+TENSOR_DIM_CAP = 1024      # largest materialized tensor-power dimension
 
 
 def _as_complex_matrix(a) -> np.ndarray:
@@ -62,20 +76,18 @@ def require_density(rho, *, check_psd: bool = True) -> np.ndarray:
 
     Checks finiteness and Hermiticity entrywise (``hermitian_defect``), unit
     trace, and (optionally, since it costs an eigendecomposition) positive
-    semidefiniteness.  A non-finite entry raises ``NumericalFailure``.
+    semidefiniteness through ``eig_psd``.  A non-finite entry raises
+    ``NumericalFailure``.
     """
-    tols = DEFAULT_TOLS
     mat = _as_complex_matrix(rho)
     defect = hermitian_defect(mat)
-    if defect > tols.hermitian_entry:
-        raise NonHermitian(f"Hermitian defect {defect:.3e} exceeds {tols.hermitian_entry:.0e}")
+    if defect > _HERMITIAN_ENTRY:
+        raise NonHermitian(f"Hermitian defect {defect:.3e} exceeds {_HERMITIAN_ENTRY:.0e}")
     tr = np.trace(mat)
-    if abs(tr - 1.0) > tols.trace_one:
-        raise NotDistribution(f"trace {tr} is not 1 within {tols.trace_one:.0e}")
+    if abs(tr - 1.0) > _TRACE_ONE:
+        raise NotDistribution(f"trace {tr} is not 1 within {_TRACE_ONE:.0e}")
     if check_psd:
-        w, _ = eig_hermitian(mat)
-        if w[0] < tols.psd_eig_floor:
-            raise NotPSD(f"minimum eigenvalue {w[0]:.3e} below {tols.psd_eig_floor:.0e}")
+        eig_psd(mat)
     return mat
 
 
@@ -98,28 +110,36 @@ def eig_hermitian(mat):
     NumericalFailure
         if the matrix has a non-finite entry, or LAPACK fails to converge.
     NonHermitian
-        if the entrywise symmetry defect exceeds ``DEFAULT_TOLS.hermitian_op``.
+        if the entrywise symmetry defect exceeds 1e-9.
     """
     a = _as_complex_matrix(mat)
     defect = hermitian_defect(a)
-    if defect > DEFAULT_TOLS.hermitian_op:
-        raise NonHermitian(f"Hermitian defect {defect:.3e} exceeds {DEFAULT_TOLS.hermitian_op:.0e}")
+    if defect > _HERMITIAN_OP:
+        raise NonHermitian(f"Hermitian defect {defect:.3e} exceeds {_HERMITIAN_OP:.0e}")
     try:
         return np.linalg.eigh(0.5 * (a + a.conj().T))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition did not converge: {exc}") from exc
 
 
+def eig_psd(mat):
+    """``eig_hermitian`` followed by the PSD gate, the package's one check of
+    the floor: raises ``NotPSD`` if the smallest eigenvalue is below -1e-10.
+    Eigenvalues in ``[-1e-10, 0)`` are returned as computed; callers clamp
+    them to zero."""
+    w, v = eig_hermitian(mat)
+    if w[0] < _PSD_EIG_FLOOR:
+        raise NotPSD(f"minimum eigenvalue {w[0]:.3e} below {_PSD_EIG_FLOOR:.0e}")
+    return w, v
+
+
 def sqrtm_psd(mat) -> np.ndarray:
     """Hermitian PSD square root.
 
-    Eigenvalues inside ``[DEFAULT_TOLS.psd_eig_floor, 0)`` are clamped to
-    zero; anything more negative raises ``NotPSD``.
+    Eigenvalues inside ``[-1e-10, 0)`` are clamped to zero; anything more
+    negative raises ``NotPSD`` (``eig_psd``).
     """
-    floor = DEFAULT_TOLS.psd_eig_floor
-    w, v = eig_hermitian(mat)
-    if w[0] < floor:
-        raise NotPSD(f"minimum eigenvalue {w[0]:.3e} below {floor:.0e}")
+    w, v = eig_psd(mat)
     root = np.sqrt(np.clip(w, 0.0, None))
     s = (v * root) @ v.conj().T
     return 0.5 * (s + s.conj().T)
@@ -131,8 +151,8 @@ def fidelity(rho, sigma) -> float:
     The trace norm is evaluated through the Hermitian product
     ``sqrt(rho) sigma sqrt(rho)``: its eigenvalues are the squared
     singular values of ``sqrt(rho) sqrt(sigma)``, so the trace norm is
-    the sum of their square roots.  Tiny negative eigenvalues (above
-    ``DEFAULT_TOLS.psd_eig_floor``) are clamped to zero, and so is rounding above 1
+    the sum of their square roots.  Tiny negative eigenvalues (above the
+    PSD floor -1e-10) are clamped to zero, and so is rounding above 1
     up to 1e-9; a larger excess (unnormalized input) raises
     ``NumericalFailure``.
     """
@@ -153,11 +173,12 @@ def fidelity(rho, sigma) -> float:
 
 
 def tensor_power(rho, n: int, *, cap: int | None = None) -> np.ndarray:
-    """n-fold Kronecker power of a matrix, capped at ``cap`` total dimension."""
+    """n-fold Kronecker power of a matrix, capped at ``cap`` total dimension
+    (default ``TENSOR_DIM_CAP``)."""
     mat = _as_complex_matrix(rho)
     if n < 1 or int(n) != n:
         raise ValueError(f"copies must be a positive integer, got {n}")
-    limit = DEFAULT_CAPS.tensor_dim if cap is None else cap
+    limit = TENSOR_DIM_CAP if cap is None else cap
     if mat.shape[0] ** n > limit:
         raise CapExceeded(
             f"dim {mat.shape[0]}^{n} = {mat.shape[0] ** n} exceeds cap {limit}"
@@ -174,7 +195,7 @@ def shannon_entropy(diagonal):
     A stack of vectors along the last axis gives one entropy per row, and
     every row must pass the distribution check.
     """
-    tol = DEFAULT_TOLS.distribution
+    tol = _DISTRIBUTION
     p = np.atleast_1d(np.asarray(diagonal, dtype=float))
     if (p.shape[-1] == 0 or np.any(np.min(p, axis=-1) < -tol)
             or np.any(np.abs(p.sum(axis=-1) - 1.0) > tol)):

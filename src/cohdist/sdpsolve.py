@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_CAPS
 from .errors import BadM, CapExceeded, DimMismatch, IllPosed, NonHermitian, NumericalFailure
 from .hermat import eig_hermitian, hermitian_defect, require_density
 
@@ -41,6 +40,8 @@ __all__ = [
     "build_min_diag_over_ball",
     "solve",
 ]
+
+_BLOCK_DIM_CAP = 256   # largest PSD block the solver accepts
 
 
 @dataclass
@@ -233,8 +234,8 @@ def solve(problem: SdpProblem, *, max_iter: int = 300) -> SdpSolution:
     """
     dims = list(problem.block_dims)
     for d in dims:
-        if d > DEFAULT_CAPS.sdp_block_dim:
-            raise CapExceeded(f"block dim {d} exceeds cap {DEFAULT_CAPS.sdp_block_dim}")
+        if d > _BLOCK_DIM_CAP:
+            raise CapExceeded(f"block dim {d} exceeds cap {_BLOCK_DIM_CAP}")
     sgn = 1.0 if problem.sense == "max" else -1.0
     cmats = [np.zeros((d, d), dtype=np.complex128) if c is None else sgn * c
              for c, d in zip(problem.objective, dims)]

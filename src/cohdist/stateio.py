@@ -14,17 +14,17 @@ Parsing gates: finite entries, Hermiticity 1e-9 entrywise, trace within
 symmetrized and trace-normalized exactly, so the stricter internal
 Hermiticity and trace invariants hold downstream.  Normalization cannot
 repair a negative eigenvalue, so the PSD gate on the normalized state is
-the internal one, ``DEFAULT_TOLS.psd_eig_floor`` (-1e-10), and no command
-rejects as non-PSD a file that loaded.
+the internal one, ``hermat.eig_psd`` (floor -1e-10), reported as a
+``ParseError`` with the same message, and no command rejects as non-PSD a
+file that loaded.
 """
 
 import json
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
-from .errors import ParseError
-from .hermat import eig_hermitian, hermitian_defect
+from .errors import NotPSD, ParseError
+from .hermat import eig_psd, hermitian_defect
 
 __all__ = ["dump_state", "load_state", "parse_state", "state_to_dict"]
 
@@ -64,9 +64,10 @@ def parse_state(obj) -> tuple[np.ndarray, dict | None]:
         raise ParseError(f"trace {tr} differs from 1 by more than 1e-8")
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
-    w, _ = eig_hermitian(rho)
-    if w[0] < DEFAULT_TOLS.psd_eig_floor:
-        raise ParseError(f"minimum eigenvalue {w[0]:.3e} below {DEFAULT_TOLS.psd_eig_floor:.0e}")
+    try:
+        eig_psd(rho)
+    except NotPSD as exc:
+        raise ParseError(str(exc)) from exc
 
     declared = obj.get("declared_base")
     if declared is not None:

@@ -15,16 +15,26 @@ from cohdist.distill import (
     theta_upper,
     zero_error_rate,
 )
+from cohdist import dnorm
 from cohdist.dnorm import mnorm
-from cohdist.ensembles import MaxAvgPureFidelity, ensemble_search
-from cohdist.errors import BadM, NotPSD, NumericalFailure
+from cohdist.ensembles import (
+    MaxAvgPureFidelity,
+    ensemble_search,
+    purify,
+    random_decomposition,
+    same_diagonal_decomposition,
+)
+from cohdist.errors import BadM, NotPSD, NumericalFailure, ParseError
 from cohdist.hermat import (
     maximally_coherent,
     random_density,
     random_statevector,
+    require_density,
     shannon_entropy,
+    sqrtm_psd,
     tensor_power,
 )
+from cohdist.stateio import parse_state, state_to_dict
 
 
 def m2_closed_form(q):
@@ -186,6 +196,32 @@ class TestRates:
                     oracle = min(math.floor(1.0 / theta + 1e-9), d)
                     assert one_shot_rate(rho, eps).m_requested == oracle, (d, rank, eps)
 
+    def test_level_search_is_logarithmic(self, monkeypatch):
+        # m* = 854 of 1024 levels; a level-by-level scan makes 856 scans
+        calls = []
+        scan = dnorm._scan_integer
+        monkeypatch.setattr(dnorm, "_scan_integer", lambda *a: calls.append(1) or scan(*a))
+        rep = one_shot_rate(np.diag([0.6, 0.4]).astype(complex), 0.05, copies=10)
+        assert rep.m_requested == 854
+        assert len(calls) <= 12
+
+    def test_level_matches_linear_scan(self, rng):
+        def linear(rho, eps, copies):
+            best = 1
+            for m in range(1, rho.shape[0] ** copies + 1):
+                if assisted_fidelity_bound(rho, m, copies=copies) < 1.0 - eps - 1e-9:
+                    break
+                best = m
+            return best
+
+        for d, max_copies in ((2, 5), (3, 3), (4, 2)):
+            for rank in range(1, d + 1):
+                rho = random_density(d, rng, rank=rank)
+                for copies in range(1, max_copies + 1):
+                    for eps in (0.0, 0.01, 0.05, 0.2, 0.5):
+                        assert (one_shot_rate(rho, eps, copies=copies).m_requested
+                                == linear(rho, eps, copies)), (d, rank, copies, eps)
+
     def test_ball_minimum_anchor(self, rng):
         rho = random_density(3, rng)
         got = min_diag_over_ball(rho, 0.0)
@@ -315,9 +351,27 @@ def _not_psd(d, negative_diagonal):
     return rho
 
 
+def _min_eigenvalue(d, lam):
+    """Unit-trace state with smallest eigenvalue ``lam``, in a fixed random
+    basis."""
+    rng = np.random.Generator(np.random.Philox(key=d))
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    w = np.arange(1.0, d + 1.0)
+    w[0] = 0.0
+    w *= (1.0 - lam) / w.sum()
+    w[0] = lam
+    rho = (q * w) @ q.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+_SEARCH = {"restarts": 1, "max_evals": 64}
+
+
 class TestRoofInputValidation:
     """The roof searches check PSD once, from the eigendecomposition the
-    search needs; non-PSD input must still raise NotPSD on every path."""
+    search needs; non-PSD input must still raise NotPSD on every path.
+    Every entry point shares the -1e-10 PSD floor: a smallest eigenvalue of
+    -5e-10 is rejected, one of -5e-11 is accepted."""
 
     @pytest.mark.parametrize("d", [3, 4])
     @pytest.mark.parametrize("negative_diagonal", [False, True])
@@ -330,3 +384,30 @@ class TestRoofInputValidation:
     def test_not_psd_raises(self, call, d, negative_diagonal):
         with pytest.raises(NotPSD):
             call(_not_psd(d, negative_diagonal))
+
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("call", [
+        require_density,
+        sqrtm_psd,
+        purify,
+        lambda rho: random_decomposition(rho, rho.shape[0] + 1),
+        lambda rho: ensemble_search(rho, MaxAvgPureFidelity(2), rho.shape[0] + 1, **_SEARCH),
+        lambda rho: theta_upper(rho, **_SEARCH),
+        lambda rho: coherence_of_assistance(rho, **_SEARCH),
+    ], ids=["require_density", "sqrtm_psd", "purify", "random_decomposition",
+            "ensemble_search", "theta_upper", "coherence_of_assistance"])
+    def test_floor_boundary(self, call, d):
+        with pytest.raises(NotPSD, match="below -1e-10"):
+            call(_min_eigenvalue(d, -5e-10))
+        call(_min_eigenvalue(d, -5e-11))
+
+    def test_floor_boundary_same_diagonal(self):
+        with pytest.raises(NotPSD, match="below -1e-10"):
+            same_diagonal_decomposition(_min_eigenvalue(3, -5e-10))
+        same_diagonal_decomposition(_min_eigenvalue(3, -5e-11))
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_floor_boundary_parse_state(self, d):
+        with pytest.raises(ParseError, match="below -1e-10"):
+            parse_state(state_to_dict(_min_eigenvalue(d, -5e-10)))
+        parse_state(state_to_dict(_min_eigenvalue(d, -5e-11)))

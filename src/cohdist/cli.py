@@ -9,25 +9,28 @@ Exit codes: 0 success, 2 input error, 3 capacity, 4 numerical failure.
 Human tables print 6 significant digits; CSV and JSON carry full doubles.
 The cap on the expanded dimension d^n of ``--copies`` n is ``--cap`` if
 given, else the ``COHDIST_CAP`` environment variable, else 1024.
-``figure`` holds at most cap^2 probabilities, the entry count of the
-largest matrix the cap allows.
+``figure`` accepts at most cap^2 probabilities per curve, the entry count
+of the largest matrix the cap allows, although above 1024 entries it
+reads them by type classes rather than holding them.
 
 ``fidelity`` and ``rate`` report closed-form values only; their
 ``fidelity_sdp`` fields carry the closed form, which equals the SDP value in
 every dimension (see ``distill.assisted_fidelity_bound``).  Like ``figure``,
-they read n copies through the Kronecker power of the base state's
-diagonal and never form the d^n x d^n matrix.
+they read n copies through the power of the base state's diagonal
+(``distill.assisted_fidelity_from_probs``) and never form the d^n x d^n
+matrix.
 """
 
 import argparse
 import json
 import os
 import sys
+from functools import reduce
 
 import numpy as np
 
 from . import distill, ensembles
-from .dnorm import mnorm, mnorm_dual_oracle, mnorm_primal_oracle
+from .dnorm import mnorm, mnorm_dual_oracle, mnorm_primal_oracle, pure_distillation_fidelity
 from .errors import (
     BadM,
     CapExceeded,
@@ -122,8 +125,8 @@ def cmd_rate(args) -> int:
     cap = _resolve_cap(args)
     rho, expanded_dim, base_dim = _load_base(args, cap)
     report = distill.one_shot_rate(rho, args.eps, base_dim, args.copies)
-    zero = distill.zero_error_rate(rho, base_dim, args.copies)
-    per_base = zero.asymptotic_bits_per_copy / args.copies
+    asymptotic = report.asymptotic_zero_error_bits_per_copy
+    per_base = asymptotic / args.copies
 
     payload = {
         "state": str(args.state),
@@ -136,7 +139,7 @@ def cmd_rate(args) -> int:
         "one_shot_rate_bits": report.one_shot_rate_bits,
         "relaxed_rate_bits": report.one_shot_rate_bits,
         "zero_error_bits": report.zero_error_bits,
-        "asymptotic_zero_error_bits_per_copy": zero.asymptotic_bits_per_copy,
+        "asymptotic_zero_error_bits_per_copy": asymptotic,
         "asymptotic_zero_error_bits_per_base_copy": per_base,
         "exact": report.exact_flag,
     }
@@ -149,7 +152,7 @@ def cmd_rate(args) -> int:
         f"one_shot_rate_bits = {_fmt(report.one_shot_rate_bits)}  ({tag})",
         f"relaxed_rate_bits  = {_fmt(report.one_shot_rate_bits)}",
         f"zero_error_bits    = {_fmt(report.zero_error_bits)}  ({tag})",
-        f"asymptotic zero-error = {_fmt(zero.asymptotic_bits_per_copy)} bits/copy"
+        f"asymptotic zero-error = {_fmt(asymptotic)} bits/copy"
         + (f"  ({_fmt(per_base)} per base copy)" if args.copies > 1 else ""),
     ]
     _emit(args, payload, "\n".join(lines) + "\n")
@@ -326,6 +329,20 @@ def _selftest_checks(seed: int):
         worst = max(worst, abs(f - 1.0))
         return worst, 1e-9
 
+    def type_classes():
+        # above the tensor cap the fidelity comes from the types of the
+        # power; the Kronecker power of the diagonal is the reference.  A
+        # largest entry q with q^n > 1/2 keeps every m short of fidelity 1
+        worst = 0.0
+        for d, n in ((2, 11), (3, 7)):
+            q = float(rng.uniform(0.94, 0.99))
+            probs = np.concatenate([[q], (1.0 - q) * rng.dirichlet(np.ones(d - 1))])
+            power = np.clip(reduce(np.kron, [probs] * n), 0.0, None)
+            for m in (2, 3, 5):
+                worst = max(worst, abs(distill.assisted_fidelity_from_probs(probs, n, m)
+                                       - pure_distillation_fidelity(np.sqrt(power), m)))
+        return worst, 1e-12
+
     return [
         ("norm special cases", norm_special_cases),
         ("three-way norm agreement", three_way),
@@ -334,6 +351,7 @@ def _selftest_checks(seed: int):
         ("same-diagonal residuals", decomposition_residuals),
         ("zero-error anchors", zero_error_anchors),
         ("figure spot values", figure_spots),
+        ("type classes = Kronecker", type_classes),
     ]
 
 

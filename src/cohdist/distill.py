@@ -11,8 +11,17 @@ the exact rate, and the coherence of assistance.  The SDP forms
 independent oracle for the closed form; no other function here solves one.
 
 The closed forms read a state only through its diagonal, and n copies
-only through the n-fold Kronecker power of that diagonal.  They take the
-base state and a ``copies`` count and never form the d^n x d^n matrix.
+only through the n-fold power of that diagonal.  They take the base state
+and a ``copies`` count and never form the d^n x d^n matrix.  Up to
+``hermat.TENSOR_DIM_CAP`` entries the power is the Kronecker product of the
+diagonal, which reproduces the materialized matrix path bit for bit.
+Above it, the fidelity reads the power by its types: the C(n+d-1, d-1)
+distinct products prod_i p_i^k_i with their multinomial multiplicities,
+scanned in log space by ``dnorm.class_distillation_fidelity``.  That costs
+O(classes + m) instead of O(d^n), so n in the thousands is cheap, and
+agrees with the Kronecker route within 1e-12; its sums run over classes,
+not entries, so it does not share that route's rounding drift over 2^19
+entries (3e-12 at 19 qubit copies).
 
 Rates are reported in bits and quantized through ``logfloor``: the
 achievable target dimension is an integer, so every rate has the form
@@ -27,9 +36,9 @@ from functools import reduce
 import numpy as np
 
 from . import ensembles
-from .dnorm import pure_distillation_fidelity
+from .dnorm import class_distillation_fidelity, pure_distillation_fidelity
 from .errors import NumericalFailure
-from .hermat import require_density, shannon_entropy
+from .hermat import TENSOR_DIM_CAP, require_density, shannon_entropy
 from .sdpsolve import build_fidelity_over_Mm, build_min_diag_over_ball, solve
 
 __all__ = [
@@ -67,7 +76,8 @@ class RateReport:
     ``one_shot_rate_bits`` is log2 of the closed-form level ``m_requested``:
     the exact one-shot rate when ``exact_flag`` holds (copies of a state of
     dimension <= 3, or a declared tensor power of such a base) and the
-    diagonal-ball relaxation's upper bound otherwise.
+    diagonal-ball relaxation's upper bound otherwise.  The zero-error fields
+    are those of ``zero_error_rate`` on the same copies.
     """
 
     m_requested: int
@@ -75,6 +85,7 @@ class RateReport:
     one_shot_rate_bits: float
     zero_error_bits: float
     exact_flag: bool
+    asymptotic_zero_error_bits_per_copy: float
 
 
 @dataclass(frozen=True)
@@ -117,12 +128,45 @@ def _snap_unit(f: float) -> float:
     return min(max(f, 0.0), 1.0)
 
 
+def _check_copies(copies) -> int:
+    if copies < 1 or int(copies) != copies:
+        raise ValueError(f"copies must be a positive integer, got {copies}")
+    return int(copies)
+
+
 def _kron_power(probs, copies: int) -> np.ndarray:
     # the diagonal of a copies-fold tensor power is the Kronecker power of the
     # base diagonal; clipping it afterwards matches clipping the power's own
-    if copies < 1 or int(copies) != copies:
-        raise ValueError(f"copies must be a positive integer, got {copies}")
-    return np.clip(reduce(np.kron, [probs] * int(copies)), 0.0, None)
+    return np.clip(reduce(np.kron, [probs] * _check_copies(copies)), 0.0, None)
+
+
+def _types(n: int, d: int) -> np.ndarray:
+    """Every way of splitting n copies among d outcomes, one count vector
+    (k_1, ..., k_d) with sum n per row: the C(n+d-1, d-1) types."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(d - 1):
+        reps = n + 1 - rows.sum(axis=1)
+        starts = np.cumsum(reps) - reps
+        rows = np.column_stack([np.repeat(rows, reps, axis=0),
+                                np.arange(reps.sum()) - np.repeat(starts, reps)])
+    return np.column_stack([rows, n - rows.sum(axis=1)])
+
+
+def _type_classes(probs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Log magnitudes, descending, and log multiplicities of the distinct
+    nonzero entries of sqrt(clip(probs^(kron n))).  A product is clipped to
+    zero when it has a zero factor or an odd number of negative ones; an
+    even number of negative factors leaves it positive, as in the Kronecker
+    route, which clips after powering."""
+    k = _types(n, probs.size)
+    log_fact = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+    keep = ~((k[:, probs == 0] > 0).any(axis=1) | (k[:, probs < 0].sum(axis=1) % 2 == 1))
+    k = k[keep]
+    nonzero = probs != 0
+    log_mags = 0.5 * (k[:, nonzero] @ np.log(np.abs(probs[nonzero])))
+    log_counts = log_fact[n] - log_fact[k].sum(axis=1)
+    order = np.argsort(-log_mags, kind="stable")
+    return log_mags[order], log_counts[order]
 
 
 def assisted_fidelity_bound(rho, m: int, copies: int = 1) -> float:
@@ -155,13 +199,20 @@ def assisted_fidelity_from_probs(probs, n: int, m: int) -> float:
     """``assisted_fidelity_bound`` of the n-fold tensor power of a state with
     diagonal ``probs``, computed from the probabilities alone.
 
-    Every closed-form fidelity in the package goes through here.  The
-    probabilities are Kronecker-powered, clipped at zero and only then
-    square-rooted, which reproduces the materialized tensor-power path bit
-    for bit while staying O(d^n) in memory instead of O(d^(2n)).  ``probs``
-    is not validated; an ``m`` that is not a positive integer raises
-    ``BadM`` (``pure_distillation_fidelity``).
+    Every closed-form fidelity in the package goes through here.  Up to
+    d^n = ``TENSOR_DIM_CAP`` entries (and at n = 1) the probabilities are
+    Kronecker-powered, clipped at zero and only then square-rooted, which
+    reproduces the materialized tensor-power path bit for bit in O(d^n)
+    memory.  Above that size the power is read by its types
+    (``_type_classes``) and scanned in O(C(n+d-1, d-1) + m), within 1e-12
+    of the Kronecker route.  ``probs`` is not validated; an ``m`` that is
+    not a positive integer raises ``BadM`` and a ``n`` that is not a
+    positive integer raises ``ValueError``.
     """
+    n = _check_copies(n)
+    probs = np.asarray(probs, dtype=float)
+    if n > 1 and probs.size ** n > TENSOR_DIM_CAP:
+        return class_distillation_fidelity(*_type_classes(probs, n), m)
     return pure_distillation_fidelity(np.sqrt(_kron_power(probs, n)), m)
 
 
@@ -213,7 +264,8 @@ def one_shot_rate(rho, eps: float, declared_base_dim: int | None = None,
     is non-increasing in real m, so m* is also floor(1/theta) of the
     diagonal-ball SDP (see ``assisted_fidelity_bound``); no SDP is solved.
     The level is exact when ``zero_error_rate``'s flag holds and an upper
-    bound otherwise; the zero-error bits are that function's too.
+    bound otherwise; the zero-error fields are that function's too, from
+    the same validation and the same power of the diagonal.
     Tensor-power structure is never detected, only declared, by ``copies``
     or by ``declared_base_dim``.
 
@@ -224,8 +276,8 @@ def one_shot_rate(rho, eps: float, declared_base_dim: int | None = None,
     rho = require_density(rho)
     if not (0.0 <= eps < 1.0):
         raise ValueError(f"eps must lie in [0, 1), got {eps}")
-    zero = zero_error_rate(rho, declared_base_dim, copies)
     probs = _kron_power(np.diag(rho).real, copies)
+    zero = _zero_error(probs, rho.shape[0], declared_base_dim)
     m_star = _max_m_by_fidelity(probs, eps)
     return RateReport(
         m_requested=m_star,
@@ -233,6 +285,16 @@ def one_shot_rate(rho, eps: float, declared_base_dim: int | None = None,
         one_shot_rate_bits=math.log2(m_star),
         zero_error_bits=zero.one_shot_bits,
         exact_flag=zero.exact,
+        asymptotic_zero_error_bits_per_copy=zero.asymptotic_bits_per_copy,
+    )
+
+
+def _zero_error(probs, dim: int, declared_base_dim: int | None) -> ZeroErrorRate:
+    q = float(np.max(probs))
+    return ZeroErrorRate(
+        one_shot_bits=math.log2(_floor_guarded(1.0 / q)),
+        asymptotic_bits_per_copy=-math.log2(q),
+        exact=dim <= 3 or (declared_base_dim is not None and declared_base_dim <= 3),
     )
 
 
@@ -244,12 +306,7 @@ def zero_error_rate(rho, declared_base_dim: int | None = None,
     ``rho`` has dimension <= 3 or is a declared power of such a base
     (``declared_base_dim``); upper bounds otherwise."""
     rho = require_density(rho, check_psd=False)
-    q = float(np.max(_kron_power(np.diag(rho).real, copies)))
-    return ZeroErrorRate(
-        one_shot_bits=math.log2(_floor_guarded(1.0 / q)),
-        asymptotic_bits_per_copy=-math.log2(q),
-        exact=rho.shape[0] <= 3 or (declared_base_dim is not None and declared_base_dim <= 3),
-    )
+    return _zero_error(_kron_power(np.diag(rho).real, copies), rho.shape[0], declared_base_dim)
 
 
 def _roof_search(rho, objective, seed: int, restarts: int, max_evals: int):

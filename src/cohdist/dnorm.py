@@ -12,9 +12,11 @@ directions without sharing any code path with the scan:
 The scan works on the rows of a stack at once (sort along the last axis,
 suffix sums of squares, an argmin over the split index); ``mnorm`` is its
 one-row case, and ``pure_distillation_fidelity`` scores a whole stack of
-states with one call.  For non-integer ``m`` the scan's indexing is
-undefined, so ``mnorm`` evaluates the dual characterization directly and
-reports no split index.
+states with one call.  ``class_distillation_fidelity`` runs the same scan
+on a vector given as classes of equal entries (magnitude and multiplicity,
+both in log space), in O(classes + m) whatever the vector's length.  For
+non-integer ``m`` the scan's indexing is undefined, so ``mnorm`` evaluates
+the dual characterization directly and reports no split index.
 """
 
 import math
@@ -26,6 +28,7 @@ from .errors import BadM, ConvergenceFailure
 
 __all__ = [
     "MNormResult",
+    "class_distillation_fidelity",
     "mnorm",
     "mnorm_dual_oracle",
     "mnorm_primal_oracle",
@@ -216,6 +219,17 @@ def mnorm_primal_oracle(v, m: float, *, restarts: int = 5, iters: int = 4000,
     return best
 
 
+def _integer_m(m) -> int:
+    if m < 1 or abs(m - round(m)) > _INTEGER_TOL:
+        raise BadM(f"m must be a positive integer, got {m}")
+    return int(round(m))
+
+
+def _snapped_fidelity(value, m: int):
+    fid = value * value / m
+    return np.where(np.abs(fid - 1.0) <= 1e-12, 1.0, np.minimum(np.maximum(fid, 0.0), 1.0))
+
+
 def pure_distillation_fidelity(psi, m: int):
     """Best fidelity for distilling an m-level maximally coherent state
     from the pure state ``psi``: (1/m) * mnorm(|psi|, m)^2, in [0, 1].
@@ -223,13 +237,56 @@ def pure_distillation_fidelity(psi, m: int):
     ``psi`` may also be a stack of states along the last axis; the result
     is then one fidelity per state, from one row-batched scan.
     """
-    if m < 1 or abs(m - round(m)) > _INTEGER_TOL:
-        raise BadM(f"m must be a positive integer, got {m}")
-    m = int(round(m))
+    m = _integer_m(m)
     # the magnitudes go straight into the sort, so no copy of them stays
     # alive through the scan
     sorted_desc = _sorted_rows(np.atleast_1d(np.abs(np.asarray(psi, dtype=np.complex128))), m)
     value, _ = _scan_integer(sorted_desc, m)
-    fid = value * value / m
-    fid = np.where(np.abs(fid - 1.0) <= 1e-12, 1.0, np.minimum(np.maximum(fid, 0.0), 1.0))
+    fid = _snapped_fidelity(value, m)
     return float(fid) if np.ndim(psi) <= 1 else fid
+
+
+def class_distillation_fidelity(log_mags, log_counts, m: int) -> float:
+    """``pure_distillation_fidelity`` of a vector given by classes of equal
+    entries: class j holds exp(log_counts[j]) entries of magnitude
+    exp(log_mags[j]), with ``log_mags`` descending; the vector is
+    zero-padded to m entries.
+
+    The scan of ``_scan_integer`` needs only the first m sorted entries and
+    the sum of squares from each of them to the end.  The class of each of
+    those positions gives the head l1 sums; the squares are summed in log
+    space, class by class from the smallest up, so counts and magnitudes
+    far outside the float range (n in the thousands for a tensor power's
+    diagonal) neither overflow nor underflow.  O(classes + m).
+    """
+    m = _integer_m(m)
+    mags = np.asarray(log_mags, dtype=float)
+    logc = np.asarray(log_counts, dtype=float)
+    if mags.size == 0:
+        return 0.0
+    # log of the squared mass in each class, and in all the classes after it
+    mass = logc + 2.0 * mags
+    after = np.append(np.logaddexp.accumulate(mass[::-1])[::-1][1:], -np.inf)
+    # only the first m positions are scanned, so counts above m are capped;
+    # counts up to m are integers, recovered exactly from their logs
+    capped = np.exp(np.minimum(logc, math.log(m) + 1.0))
+    big = capped > m
+    counts = np.where(big, m, np.rint(capped)).astype(np.int64)
+    ends = np.cumsum(counts)
+    pos = np.arange(m)
+    cls = np.searchsorted(ends, pos, side="right")
+    inside = cls < mags.size   # positions past every class are zero padding
+    cls[~inside] = mags.size - 1
+    offset = pos - (ends[cls] - counts[cls])
+    # log of the number of entries of the position's class from it onwards
+    log_left = np.log(np.maximum(counts[cls] - offset, 1))
+    b = big[cls]
+    lc = logc[cls][b]
+    log_left[b] = lc + np.log1p(-offset[b] * np.exp(-lc))
+    log_suffix = np.where(inside, np.logaddexp(2.0 * mags[cls] + log_left, after[cls]), -np.inf)
+    ks = np.arange(1, m + 1)
+    k_star = int(np.argmin(0.5 * (log_suffix[m - ks] - np.log(ks)))) + 1
+    head = slice(0, m - k_star)
+    head_l1 = float(np.sum(np.exp(mags[cls[head]]), where=inside[head]))
+    value = head_l1 + math.sqrt(k_star) * math.exp(0.5 * log_suffix[m - k_star])
+    return float(_snapped_fidelity(value, m))

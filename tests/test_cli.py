@@ -82,6 +82,19 @@ class TestRateCommand:
         assert payload["one_shot_rate_bits"] == 0.0
         assert abs(payload["asymptotic_zero_error_bits_per_copy"] - 0.736966) < 1e-6
 
+    def test_one_validation_and_one_power(self, qubit64, capsys, monkeypatch):
+        import cohdist.distill as distill
+
+        calls, powers = [], []
+        require, power = distill.require_density, distill._kron_power
+        monkeypatch.setattr(distill, "require_density",
+                            lambda *a, **k: calls.append(1) or require(*a, **k))
+        monkeypatch.setattr(distill, "_kron_power",
+                            lambda probs, n: powers.append(n) or power(probs, n))
+        assert main(["rate", str(qubit64), "--eps", "0.05", "--copies", "10"]) == 0
+        assert len(calls) == 1
+        assert [n for n in powers if n > 1] == [10]
+
     def test_three_copies(self, qubit64, capsys):
         assert main(["rate", str(qubit64), "--eps", "0", "--copies", "3", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -226,13 +239,16 @@ class TestFigureCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_delta_route_matches_matrix_route_bitwise(self):
+        # n = 10 is the last qubit power within the tensor cap of 1024
         for p in (0.3, 0.6, 0.9):
             for fam_probs in (np.array([p, 1 - p]), np.array([0.5, 0.5])):
                 rho = np.diag(fam_probs).astype(complex)
-                for n in (1, 2, 3, 4):
-                    via_matrix = assisted_fidelity_bound(tensor_power(rho, n), 2)
-                    via_probs = assisted_fidelity_from_probs(fam_probs, n, 2)
-                    assert via_matrix == via_probs
+                for n in range(1, 11):
+                    big = tensor_power(rho, n)
+                    for m in (2, 3):
+                        via_matrix = assisted_fidelity_bound(big, m)
+                        via_probs = assisted_fidelity_from_probs(fam_probs, n, m)
+                        assert via_matrix == via_probs, (p, n, m)
 
     def test_many_copies_stay_cheap(self):
         # the probability route never materializes the 2^n x 2^n matrix

@@ -1,12 +1,17 @@
 """Assisted fidelities, rates, and convex-roof bounds."""
 
+import decimal
 import math
+import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
 
+from cohdist import distill
 from cohdist.distill import (
     assisted_fidelity_bound,
+    assisted_fidelity_from_probs,
     assisted_fidelity_sdp,
     coherence_of_assistance,
     logfloor,
@@ -16,7 +21,7 @@ from cohdist.distill import (
     zero_error_rate,
 )
 from cohdist import dnorm
-from cohdist.dnorm import mnorm
+from cohdist.dnorm import mnorm, pure_distillation_fidelity
 from cohdist.ensembles import (
     MaxAvgPureFidelity,
     ensemble_search,
@@ -68,6 +73,8 @@ class TestFidelityBound:
     def test_rejects_non_integer_m(self, rng):
         with pytest.raises(BadM):
             assisted_fidelity_bound(random_density(2, rng), 1.5)
+        with pytest.raises(BadM):  # on the type-class route too
+            assisted_fidelity_bound(random_density(2, rng), 1.5, copies=20)
 
     def test_tensor_power_consistency(self, rng):
         # the bound of a tensor power can be computed from the Kronecker
@@ -315,7 +322,7 @@ class TestCopies:
         with pytest.raises(NotPSD):
             one_shot_rate(_not_psd(3, False), 0.0, copies=2)
 
-    @pytest.mark.parametrize("copies", [0, -1, 1.5])
+    @pytest.mark.parametrize("copies", [0, -1, 1.5, 20.5])
     def test_rejects_bad_copies(self, copies):
         rho = np.diag([0.6, 0.4]).astype(complex)
         for call in (lambda: assisted_fidelity_bound(rho, 2, copies=copies),
@@ -323,6 +330,112 @@ class TestCopies:
                      lambda: zero_error_rate(rho, copies=copies)):
             with pytest.raises(ValueError):
                 call()
+
+
+def _kronecker_fidelity(probs, n, m):
+    power = np.clip(reduce(np.kron, [np.asarray(probs, dtype=float)] * n), 0.0, None)
+    return pure_distillation_fidelity(np.sqrt(power), m)
+
+
+def _decimal_fidelity(probs, n, m):
+    """Qubit reference in 50-digit decimal arithmetic: exact multiplicities
+    from math.comb, then the split-index scan on the first m sorted entries.
+    The tail sums of squares are total minus head, which loses at most a
+    few of the 50 digits for these inputs."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        p0, p1 = (decimal.Decimal(float(x)) for x in probs)
+        classes = sorted((((p0 ** k) * (p1 ** (n - k))).sqrt(), math.comb(n, k))
+                         for k in range(n + 1))[::-1]
+        head = []
+        for mag, count in classes:
+            head += [mag] * min(count, m - len(head))
+        head += [decimal.Decimal(0)] * (m - len(head))
+        total = sum(mag * mag * count for mag, count in classes)
+        suffix = [total - sum(x * x for x in head[:i]) for i in range(m)]
+        best = None
+        for k in range(1, m + 1):
+            tail = max(suffix[m - k], decimal.Decimal(0)).sqrt()
+            crit = tail / decimal.Decimal(k).sqrt()
+            if best is None or crit < best[0]:
+                best = (crit, sum(head[:m - k]) + decimal.Decimal(k).sqrt() * tail)
+        fid = float(best[1] * best[1] / m)
+    return 1.0 if abs(fid - 1.0) <= 1e-12 else min(max(fid, 0.0), 1.0)
+
+
+class TestTypeClasses:
+    """Above ``TENSOR_DIM_CAP`` entries the n-copy fidelity is read from the
+    types of the power; below it the Kronecker route is kept, bit for bit."""
+
+    # each diagonal with the copies just above the cap of 1024 entries
+    CASES = [
+        ([0.6, 0.4], range(11, 19)),
+        ([0.9, 0.1], range(11, 19)),
+        ([1.0, 0.0], range(11, 19)),
+        ([0.5, 0.5], range(11, 19)),
+        ([1.0 + 5e-11, -5e-11], range(11, 19)),
+        ([0.5, 0.3, 0.2], range(7, 11)),
+        ([0.7, 0.3, 0.0], range(7, 11)),
+        ([0.6, 0.4 + 5e-11, -5e-11], range(7, 11)),
+        ([0.4, 0.3, 0.2, 0.1], (6, 7)),
+        ([0.4, 0.3, 0.3, 0.0], (6, 7)),
+    ]
+
+    @pytest.mark.parametrize("probs, copies", CASES, ids=[str(c[0]) for c in CASES])
+    def test_matches_kronecker_route_above_the_cap(self, probs, copies):
+        # a negative entry stays in the power where an even number of its
+        # factors meet (clip after powering): clipping the base first moves
+        # the m = 17 values here by ~1e-10
+        d = len(probs)
+        for n in copies:
+            for m in (1, 2, 3, 5, 17):
+                assert (abs(assisted_fidelity_from_probs(probs, n, m)
+                            - _kronecker_fidelity(probs, n, m)) <= 1e-12), (n, m)
+            # m > d^n pads with zeros, so the value is the l1 norm of the
+            # magnitudes: with a and b the sums of sqrt|p_i| over the
+            # nonnegative and the negative entries, the products with an
+            # even number of negative factors sum to ((a+b)^n + (a-b)^n) / 2.
+            # The Kronecker route's sequential head sum over d^n entries
+            # drifts from it by up to ~3e-12 at 2^18 entries, so it is the
+            # reference only up to 2^14
+            m = d ** n + 1
+            got = assisted_fidelity_from_probs(probs, n, m)
+            a = math.fsum(math.sqrt(p) for p in probs if p >= 0.0)
+            b = math.fsum(math.sqrt(-p) for p in probs if p < 0.0)
+            l1 = 0.5 * ((a + b) ** n + (a - b) ** n)
+            assert abs(got - min(l1 * l1 / m, 1.0)) <= 1e-12, (n, m)
+            if d ** n <= 2 ** 14:
+                assert abs(got - _kronecker_fidelity(probs, n, m)) <= 1e-12, (n, m)
+
+    def test_route_follows_the_cap(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("type-class route below the cap")
+
+        monkeypatch.setattr(distill, "class_distillation_fidelity", fail)
+        assisted_fidelity_from_probs([0.6, 0.4], 10, 2)
+        assisted_fidelity_from_probs([0.5, 0.3, 0.2], 6, 2)
+        assisted_fidelity_from_probs([0.6, 0.4], 1, 2000)
+        with pytest.raises(AssertionError, match="below the cap"):
+            assisted_fidelity_from_probs([0.6, 0.4], 11, 2)
+
+    @pytest.mark.parametrize("n", [50, 300])
+    @pytest.mark.parametrize("p", [0.99, 0.999, 0.9999])
+    def test_matches_decimal_reference(self, n, p):
+        for m in (1, 2, 3, 5, 17):
+            assert (abs(assisted_fidelity_from_probs([p, 1.0 - p], n, m)
+                        - _decimal_fidelity([p, 1.0 - p], n, m)) <= 1e-12), m
+
+    def test_thousands_of_copies(self):
+        ms = (1, 2, 3, 5, 17, 100, 1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for probs in ([0.9999, 0.0001], [0.6, 0.4], [1.0, 0.0]):
+                fids = [assisted_fidelity_from_probs(probs, 5000, m) for m in ms]
+                assert all(math.isfinite(f) and 0.0 <= f <= 1.0 for f in fids), probs
+                assert all(b <= a for a, b in zip(fids, fids[1:])), probs
+        # 0.9999^5000 = e^-0.5 > 1/2, so m = 2 is not reached exactly
+        assert fids[0] == 1.0 and fids[1] == 0.5
+        assert 0.9 < assisted_fidelity_from_probs([0.9999, 0.0001], 5000, 2) < 1.0
 
 
 _NAN = float("nan")

@@ -5,18 +5,17 @@ Subpackages
 hermat
     Dense complex-Hermitian linear algebra (LAPACK eigensolver through numpy).
 dnorm
-    The m-distillation norm in three independent forms.
-sdpsolve
-    Small dense SDP solver plus the two fidelity/diagonal problem builders.
+    The m-distillation norm: semi-analytic scan and a primal/dual bracket.
 distill
-    Assisted fidelities, one-shot and zero-error rates, coherence of assistance.
+    Assisted fidelities and the fidelity SDP's checked optimal pair,
+    one-shot and zero-error rates, coherence of assistance.
 ensembles
     Same-diagonal decompositions, ensemble search, steering, Monte Carlo.
 cli
     Command-line front end (``cohdist`` entry point).
 """
 
-from . import cli, distill, dnorm, ensembles, errors, hermat, sdpsolve, stateio
+from . import cli, distill, dnorm, ensembles, errors, hermat, stateio
 
 __version__ = "0.1.0"
 
@@ -27,7 +26,6 @@ __all__ = [
     "ensembles",
     "errors",
     "hermat",
-    "sdpsolve",
     "stateio",
     "__version__",
 ]

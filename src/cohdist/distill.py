@@ -1,4 +1,4 @@
-"""Distillation quantities assembled from the norm, SDP and ensemble layers.
+"""Distillation quantities assembled from the norm and ensemble layers.
 
 Everything here quantifies how well a maximally coherent state of a target
 dimension ``m`` can be extracted from a state with the help of a party
@@ -6,9 +6,10 @@ holding a purification: the closed-form fidelity bound (exact in dimension
 2 and 3, and for tensor powers of such states), which equals its SDP
 counterpart over diagonal-capped states in every dimension, the
 one-shot / zero-error rates it induces, the convex-roof quantity governing
-the exact rate, and the coherence of assistance.  The SDP forms
-(``assisted_fidelity_sdp``, ``min_diag_over_ball``) are kept as an
-independent oracle for the closed form; no other function here solves one.
+the exact rate, and the coherence of assistance.  The SDP is not solved
+iteratively: ``fidelity_certificate`` writes down its optimal primal and
+dual points and checks their residuals and gap to 1e-12, an independent
+check of the closed form (``assisted_fidelity_sdp`` returns its value).
 
 The closed forms read a state only through its diagonal, and n copies
 only through the n-fold power of that diagonal.  They take the base state
@@ -25,7 +26,7 @@ entries (3e-12 at 19 qubit copies).
 
 Rates are reported in bits and quantized through ``logfloor``: the
 achievable target dimension is an integer, so every rate has the form
-``log2(floor(2^x))``.  A guard of 1e-9 inside the floor keeps solver noise
+``log2(floor(2^x))``.  A guard of 1e-9 inside the floor keeps rounding noise
 on exactly-integer reciprocals from losing a whole level.
 """
 
@@ -36,13 +37,13 @@ from functools import reduce
 import numpy as np
 
 from . import ensembles
-from .dnorm import class_distillation_fidelity, pure_distillation_fidelity
-from .errors import NumericalFailure
-from .hermat import TENSOR_DIM_CAP, require_density, shannon_entropy
-from .sdpsolve import build_fidelity_over_Mm, build_min_diag_over_ball, solve
+from .dnorm import class_distillation_fidelity, pure_distillation_fidelity, waterfill_level
+from .errors import BadM, NumericalFailure
+from .hermat import TENSOR_DIM_CAP, eig_psd, require_density, shannon_entropy
 
 __all__ = [
     "AssistanceBound",
+    "FidelityCertificate",
     "RateReport",
     "ThetaBound",
     "ZeroErrorRate",
@@ -50,8 +51,8 @@ __all__ = [
     "assisted_fidelity_from_probs",
     "assisted_fidelity_sdp",
     "coherence_of_assistance",
+    "fidelity_certificate",
     "logfloor",
-    "min_diag_over_ball",
     "one_shot_rate",
     "theta_upper",
     "zero_error_rate",
@@ -181,15 +182,16 @@ def assisted_fidelity_bound(rho, m: int, copies: int = 1) -> float:
     validated diagonal of rho.
 
     In every dimension it equals the SDP over diagonal-capped states
-    (``assisted_fidelity_sdp``).  Write rho = V V^dag: the block matrix
+    (``fidelity_certificate`` builds the optimal pair this argument gives).
+    Write rho = V V^dag: the block matrix
     [[rho, X], [X^dag, omega]] is PSD iff X = V C with omega >= C^dag C, and
     Re tr X = sum_j Re(v_j . c_j) <= sum_j sqrt(rho_jj) |c_j| (Cauchy-Schwarz,
     tight for c_j along v_j), while the caps and the trace bind only the
     |c_j|.  So the root fidelity is max{a.t : 0 <= t <= 1/sqrt(m), |t|_2 <= 1}
     with a = sqrt(diag rho), the dual form of mnorm(a, m) / sqrt(m).  Without
     the cap on t, the same argument gives the diagonal-ball SDP
-    (``min_diag_over_ball``): 1/theta is the largest real m with
-    (1/m) mnorm(a, m)^2 >= 1 - eps.
+    min {max_j omega_jj : F(rho, omega) >= 1 - eps}: its value theta has
+    1/theta the largest real m with (1/m) mnorm(a, m)^2 >= 1 - eps.
     """
     rho = require_density(rho, check_psd=False)
     return assisted_fidelity_from_probs(np.diag(rho).real, copies, m)
@@ -216,29 +218,95 @@ def assisted_fidelity_from_probs(probs, n: int, m: int) -> float:
     return pure_distillation_fidelity(np.sqrt(_kron_power(probs, n)), m)
 
 
-def assisted_fidelity_sdp(rho, m, *, max_iter: int = 300) -> float:
+@dataclass(frozen=True)
+class FidelityCertificate:
+    """Checked optimal primal/dual pair of the fidelity SDP at one m.
+
+    The SDP maximizes Re tr X over G = [[rho, X], [X^dag, omega]] PSD with
+    tr omega = 1 and omega_jj <= 1/m; its optimum is the root fidelity.
+    ``primal`` is Re tr X at G = F F^dag, F = [V; C^dag], so omega = C^dag C
+    and X = V C: a lower bound on the optimum.  ``dual`` is the weak-duality
+    upper bound tr(rho D^-1) / 4 + mu + sum_j (D_j - mu) / m from the PSD
+    matrix W = [[D^-1 / 4, -I / 2], [-I / 2, D]] = L L^dag,
+    L = [-D^(-1/2) / 2; D^(1/2)], with D = diag(``dual_diag``) >= ``mu``.
+    """
+
+    primal: float
+    dual: float
+    v: np.ndarray
+    c: np.ndarray
+    dual_diag: np.ndarray
+    mu: float
+
+
+_CERT_TOL = 1e-12
+
+
+def fidelity_certificate(rho, m) -> FidelityCertificate:
+    """The fidelity SDP's optimal pair at real m in [1, d], in closed form.
+
+    V is the square root of rho's PSD part and a_j = |v_j| the norms of its
+    rows, so a = sqrt(diag rho).  With l the water-filling level of a
+    (``dnorm.waterfill_level``) the primal columns are
+    c_j = t_j conj(v_j) / a_j, t_j = min(1, a_j / l) / sqrt(m) (t_j e_j on
+    a zero row, where rows outside the support take up the trace left
+    over when l = 0); the dual is D_j = max(mu, a_j sqrt(m) / 2) with
+    mu = l sqrt(m) / 2, or a tiny positive mu when l = 0.  Both sides then
+    equal mnorm(a, m) / sqrt(m) (see ``assisted_fidelity_bound``).
+
+    Raises ``NumericalFailure`` unless V V^dag reconstructs rho to 1e-12
+    (beyond the negative eigenvalues the PSD floor clamps), tr omega is 1
+    and every omega_jj is at most 1/m to 1e-12, and the two sides meet
+    within 1e-12.  ``BadM`` if m is outside [1, d].
+    """
+    rho = require_density(rho, check_psd=False)
+    d = rho.shape[0]
+    if not np.isfinite(m) or m < 1.0:
+        raise BadM(f"m must be >= 1, got {m}")
+    if m > d * (1.0 + 1e-12):
+        raise BadM(f"no {d}-dimensional state has all diagonal entries <= 1/{m}")
+    w, u = eig_psd(rho)
+    v = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
+    a = np.linalg.norm(v, axis=1)
+    level = waterfill_level(a, m)
+    root_m = math.sqrt(m)
+    support = a > 0.0
+    if level > 0.0:
+        t = np.minimum(1.0, a / level) / root_m
+        mu = level * root_m / 2.0
+    else:
+        t = np.where(support, 1.0 / root_m, 0.0)
+        k = int(np.count_nonzero(support))
+        if k < d:
+            t[~support] = math.sqrt(max(1.0 - k / m, 0.0) / (d - k))
+        mu = min(1e-16, float(np.min(a[support])) * root_m / 2.0)
+    c = v.conj().T * np.divide(t, a, out=np.zeros(d), where=support)
+    off = np.flatnonzero(~support)
+    c[off, off] = t[off]
+    dual_diag = np.maximum(mu, a * root_m / 2.0)
+    primal = float(np.einsum("ij,ji->", v, c).real)
+    dual = float(np.sum(a * a / (4.0 * dual_diag)) + mu + np.sum(dual_diag - mu) / m)
+    omega_diag = np.sum(np.abs(c) ** 2, axis=0)
+    checks = {
+        "reconstruction": float(np.linalg.norm(v @ v.conj().T - rho)
+                                - np.linalg.norm(np.minimum(w, 0.0))),
+        "trace": abs(float(np.sum(omega_diag)) - 1.0),
+        "cap": float(np.max(omega_diag)) - 1.0 / m,
+        "gap": abs(dual - primal),
+    }
+    failed = {name: val for name, val in checks.items() if not val <= _CERT_TOL}
+    if failed:
+        raise NumericalFailure("fidelity certificate fails its checks: " + ", ".join(
+            f"{name} {val:.2e}" for name, val in failed.items()))
+    return FidelityCertificate(primal=primal, dual=dual, v=v, c=c, dual_diag=dual_diag, mu=mu)
+
+
+def assisted_fidelity_sdp(rho, m) -> float:
     """Maximum fidelity between ``rho`` and the states with all diagonal
-    entries at most 1/m, computed by SDP (the solver returns the root
-    fidelity, squared here, which doubles its tolerance)."""
-    rho = require_density(rho)
-    sol = solve(build_fidelity_over_Mm(rho, m), max_iter=max_iter)
-    if sol.status != "optimal":
-        raise NumericalFailure(
-            f"fidelity SDP ended with status {sol.status!r} ({sol.exit_reason})")
-    root = min(max(sol.primal_value, 0.0), 1.0)
+    entries at most 1/m: the square of the primal side of
+    ``fidelity_certificate``, whose checked dual meets it within 1e-12."""
+    root = min(max(fidelity_certificate(rho, m).primal, 0.0), 1.0)
     return _snap_unit(root * root)
-
-
-def min_diag_over_ball(rho, eps: float, *, max_iter: int = 300) -> float:
-    """Smallest max-diagonal-entry among states with fidelity >= 1 - eps
-    to ``rho``.  Reports the dual (lower) side of the certified pair so
-    that downstream floors never lose an exactly attained integer level."""
-    rho = require_density(rho)
-    sol = solve(build_min_diag_over_ball(rho, eps), max_iter=max_iter)
-    if sol.status != "optimal":
-        raise NumericalFailure(
-            f"diagonal-ball SDP ended with status {sol.status!r} ({sol.exit_reason})")
-    return min(max(sol.dual_value, 1e-12), 1.0)
 
 
 def _max_m_by_fidelity(probs, eps: float) -> int:

@@ -1,13 +1,18 @@
-"""The m-distillation norm in three independent forms.
+"""The m-distillation norm: a semi-analytic scan and a checked bracket.
 
 ``mnorm`` evaluates the semi-analytic formula (sort, scan the split index
-k, combine head l1 with tail l2).  Two oracles check it from opposite
-directions without sharing any code path with the scan:
+k, combine head l1 with tail l2).  Two oracles bracket it from opposite
+sides, sharing only the sort with the scan; both read one exact
+water-filling level (``waterfill_level``, a segment formula, no search):
 
-* ``mnorm_dual_oracle`` maximizes ``<v, w>`` over the capped sphere
-  ``linf(w) <= 1, l2(w) = sqrt(m)`` by bisecting the water-filling level.
-* ``mnorm_primal_oracle`` minimizes ``l1(v - x) + sqrt(m) l2(x)`` by
-  Douglas-Rachford splitting on the two proximable terms.
+* ``mnorm_dual_oracle`` is ``<v, w>`` at the feasible point
+  ``w = min(1, v / l)`` of ``max <v, w> s.t. linf(w) <= 1, l2(w) = sqrt(m)``,
+  a lower bound on the norm.
+* ``mnorm_primal_oracle`` is ``l1(v - x) + sqrt(m) l2(x)`` at the point
+  ``x = min(v, l)`` of its minimization over ``x >= 0``, an upper bound.
+
+By weak duality the norm lies between the two; they meet to rounding,
+which certifies both the level and the scan.
 
 The scan works on the rows of a stack at once (sort along the last axis,
 suffix sums of squares, an argmin over the split index); ``mnorm`` is its
@@ -15,8 +20,8 @@ one-row case, and ``pure_distillation_fidelity`` scores a whole stack of
 states with one call.  ``class_distillation_fidelity`` runs the same scan
 on a vector given as classes of equal entries (magnitude and multiplicity,
 both in log space), in O(classes + m) whatever the vector's length.  For
-non-integer ``m`` the scan's indexing is undefined, so ``mnorm`` evaluates
-the dual characterization directly and reports no split index.
+non-integer ``m`` the scan's indexing is undefined, so ``mnorm`` returns
+the dual oracle's value and reports no split index.
 """
 
 import math
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadM, ConvergenceFailure
+from .errors import BadM
 
 __all__ = [
     "MNormResult",
@@ -33,6 +38,7 @@ __all__ = [
     "mnorm_dual_oracle",
     "mnorm_primal_oracle",
     "pure_distillation_fidelity",
+    "waterfill_level",
 ]
 
 _INTEGER_TOL = 1e-9
@@ -94,37 +100,38 @@ def _scan_integer(sorted_desc: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarr
     return value.reshape(shape), k_star.reshape(shape)
 
 
-def _waterfill_value(sorted_desc: np.ndarray, m: float) -> float:
-    """Exact maximum of <v, w> over 0 <= w <= 1, ||w||_2^2 = m.
-
-    The optimizer is w_i = min(1, v_i / lam) on the support of v, with the
-    level lam fixed by the budget; coordinates with v_i = 0 absorb any
-    remaining budget without affecting the value.
-    """
-    v = sorted_desc
-    pos = v[v > 0.0]
+def _level(sorted_desc: np.ndarray, m: float) -> float:
+    """Water-filling level of a descending vector; see ``waterfill_level``."""
+    pos = sorted_desc[sorted_desc > 0.0]
     if pos.size <= m + _INTEGER_TOL:
-        return float(np.sum(pos))  # every supported coordinate pins at 1
+        return 0.0  # every supported coordinate pins at 1
+    # capped counts K < m; the last always qualifies, as m - K <= 1 there
+    k = np.arange(math.ceil(m))
+    suffix_sq = np.cumsum((pos * pos)[::-1])[::-1]
+    levels = np.sqrt(suffix_sq[k] / (m - k))
+    return float(levels[np.argmax(pos[k] <= levels)])
 
-    def budget(lam: float) -> float:
-        w = np.minimum(1.0, pos / lam)
-        return float(np.sum(w * w))
 
-    lo = 0.0
-    hi = float(np.max(pos))
-    while budget(hi) > m:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= 0.0:
-            break
-        if budget(mid) > m:
-            lo = mid
-        else:
-            hi = mid
-    lam = hi
-    w = np.minimum(1.0, pos / lam)
-    return float(np.dot(pos, w))
+def waterfill_level(v, m: float) -> float:
+    """Exact water-filling level l of the m-norm's dual for real m >= 1.
+
+    The dual optimizer is w = min(1, |v| / l), with ||w||_2^2 = m.  If the
+    K largest entries are capped, the rest give l = sqrt(S_K / (m - K)),
+    S_K the sum of squares past them, and the norm is
+    H_K + sqrt(S_K (m - K)), H_K their sum.  K is the first split whose
+    next entry lies at or below its level.  When the support has at most
+    m entries every supported weight pins at 1, and l is 0.
+    """
+    return _level(_prepared(v, m), float(m))
+
+
+def _waterfill_value(sorted_desc: np.ndarray, m: float) -> float:
+    """<v, w> at the dual point w = min(1, v / l), a lower bound on the norm."""
+    pos = sorted_desc[sorted_desc > 0.0]
+    lam = _level(sorted_desc, m)
+    if lam == 0.0:
+        return float(np.sum(pos))
+    return float(np.dot(pos, np.minimum(1.0, pos / lam)))
 
 
 def mnorm(v, m: float) -> MNormResult:
@@ -144,79 +151,18 @@ def mnorm(v, m: float) -> MNormResult:
 
 
 def mnorm_dual_oracle(v, m: float) -> float:
-    """Dual evaluation: max <v, w> s.t. linf(w) <= 1, l2(w) = sqrt(m)."""
+    """Lower side of the bracket: <|v|, w> at the feasible dual point
+    w = min(1, |v| / l) of max <|v|, w> s.t. linf(w) <= 1, l2(w) = sqrt(m)."""
+    return _waterfill_value(_prepared(v, m), float(m))
+
+
+def mnorm_primal_oracle(v, m: float) -> float:
+    """Upper side of the bracket: l1(|v| - x) + sqrt(m) l2(x) at the point
+    x = min(|v|, l) of its minimization over x >= 0, l the water-filling
+    level.  It equals H_K + sqrt(S_K (m - K)) (see ``waterfill_level``)."""
     sorted_desc = _prepared(v, m)
-    return _waterfill_value(sorted_desc, float(m))
-
-
-def _douglas_rachford(v, sqrt_m, z0, iters, step):
-    """DR splitting on f(x) = l1(v - x) + sqrt_m * l2(x) + indicator(x >= 0).
-
-    Returns ``(best_value, best_x, converged)``; a converged run has hit
-    its fixed point, which for this convex objective is the global minimum.
-    """
-    z = z0.copy()
-    zero = np.zeros_like(v)
-    best_x = zero
-    best = float(np.abs(v).sum())
-    converged = False
-    shrink = step * sqrt_m
-    for _ in range(iters):
-        # x = prox of sqrt_m * l2 + indicator(x >= 0) at z
-        zp = np.maximum(z, 0.0)
-        nz = math.sqrt(zp @ zp)
-        x = zero if nz <= shrink else (1.0 - shrink / nz) * zp
-        # y = prox of l1(v - .) at the reflection 2x - z: soft threshold around v
-        u = v - (2.0 * x - z)
-        y = v - np.copysign(np.maximum(np.abs(u) - step, 0.0), u)
-        r = y - x
-        z += r
-        fx = float(np.abs(v - x).sum()) + sqrt_m * math.sqrt(x @ x)
-        if fx < best:
-            best = fx
-            best_x = x
-        if np.abs(r).max() < 1e-15:
-            converged = True
-            break
-    return best, best_x, converged
-
-
-def mnorm_primal_oracle(v, m: float, *, restarts: int = 5, iters: int = 4000,
-                        seed: int = 0) -> float:
-    """Primal evaluation: min over x >= 0 of l1(v - x) + sqrt(m) l2(x).
-
-    Runs Douglas-Rachford splitting from a deterministic start plus a few
-    random restarts.  Raises ``ConvergenceFailure`` if the gap to the
-    semi-analytic value is still above 1e-5 afterwards.
-    """
-    sorted_desc = _prepared(v, m)
-    sqrt_m = float(np.sqrt(m))
-    # the splitting converges for any step, at a geometry-dependent rate; a
-    # small ladder of steps covers the slow regimes
-    scale = max(1.0, float(np.max(sorted_desc)))
-    steps = (0.05 * scale, 0.2 * scale, 0.8 * scale)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    best = np.inf
-    done = False
-    for step in steps:
-        val, _, done = _douglas_rachford(sorted_desc, sqrt_m, sorted_desc.copy(), iters, step)
-        best = min(best, val)
-        if done:
-            break
-    if not done:
-        for i in range(max(0, restarts - 1)):
-            z0 = np.abs(rng.standard_normal(sorted_desc.size)) * scale
-            val, _, done = _douglas_rachford(sorted_desc, sqrt_m, z0, iters, steps[i % len(steps)])
-            best = min(best, val)
-            if done:
-                break
-    reference = mnorm(sorted_desc, m).value
-    if abs(best - reference) > 1e-5:
-        raise ConvergenceFailure(
-            f"primal minimization gap {abs(best - reference):.3e} above 1e-5 "
-            f"after {restarts} restarts"
-        )
-    return best
+    x = np.minimum(sorted_desc, _level(sorted_desc, float(m)))
+    return float(np.sum(sorted_desc - x)) + math.sqrt(m) * math.sqrt(float(x @ x))
 
 
 def _integer_m(m) -> int:

@@ -51,6 +51,7 @@ __all__ = [
 _WEIGHT_FLOOR = 1e-12
 _POLL_CHUNK = 8   # pattern-search candidates evaluated per stacked call
 _RANK_EIG_TOL = 1e-9
+_ROUNDING_EIG = 1e-14   # negative eigenvalues above this are eigensolver rounding
 
 
 def _herm(a):
@@ -178,8 +179,14 @@ def same_diagonal_decomposition(rho) -> Ensemble:
     """Pure-state decomposition whose every atom has the diagonal of ``rho``.
 
     Supports dimensions 2 and 3, where such a decomposition always exists.
-    Diagonal entries at or below 1e-18 are handled by restricting to the
-    support and embedding back.  Dimension 2 is a closed form.  Dimension 3
+    What is decomposed is rho's PSD part: the PSD gate's eigenvalues in
+    [-1e-10, -1e-14) are taken out, since beside a zero diagonal entry they
+    leave off-diagonals up to 1e-5.  Above -1e-14 a negative eigenvalue is
+    rounding, and taking it out would only add noise to tiny diagonal
+    entries, which the rescaling to unit diagonal amplifies; so for every
+    other state this step changes nothing.  Diagonal entries at or below
+    1e-18 are handled by restricting to the support and embedding back.
+    Dimension 2 is a closed form.  Dimension 3
     is an exact, deterministic construction on the correlation matrix (the
     state rescaled to unit diagonal): a complex correlation matrix of rank r
     can be extreme only if r^2 <= n, so in n <= 3 every face of the
@@ -193,7 +200,11 @@ def same_diagonal_decomposition(rho) -> Ensemble:
     NumericalFailure
         if the reconstruction or an atom's diagonal misses the 1e-8 target.
     """
-    rho = require_density(rho)
+    rho = require_density(rho, check_psd=False)
+    w, v = eig_psd(rho)
+    neg = w < -_ROUNDING_EIG
+    if neg.any():
+        rho = rho - (v[:, neg] * w[neg]) @ v[:, neg].conj().T
     d = rho.shape[0]
     if d > 3:
         raise DimTooLarge(f"same-diagonal decompositions are constructed only for d <= 3, got {d}")

@@ -29,14 +29,6 @@ class BadM(CohdistError):
     """Target dimension parameter m is outside its valid range."""
 
 
-class ConvergenceFailure(CohdistError):
-    """Iterative optimizer failed to reach its accuracy contract."""
-
-
-class IllPosed(CohdistError):
-    """Semidefinite program has rank-deficient equality constraints."""
-
-
 class DimTooLarge(CohdistError):
     """Operation only supports dimensions 2 and 3."""
 

@@ -4,7 +4,8 @@ One test per acceptance criterion, at the stated tolerance and runtime
 budget, each printing a single pass/fail line (visible with ``pytest -s``
 or on failure).  The SDP over diagonal-capped states equals the
 closed-form bound in every dimension; the last test asserts that equality
-against the solver in dimensions 4 to 8, at every rank.
+against both sides of the SDP's checked optimal pair in dimensions 4 to 8,
+at every rank.
 """
 
 import json
@@ -16,7 +17,7 @@ from cohdist.cli import main
 from cohdist.distill import (
     assisted_fidelity_bound,
     assisted_fidelity_sdp,
-    min_diag_over_ball,
+    fidelity_certificate,
     zero_error_rate,
 )
 from cohdist.dnorm import (
@@ -72,12 +73,13 @@ def test_norm_special_cases():
 
 
 def test_three_way_norm_agreement():
-    with _Budget("three-way norm agreement (semi-analytic, dual, primal)", 30.0):
+    with _Budget("three-way norm agreement (semi-analytic inside the dual/primal bracket)", 30.0):
         for v in _norm_corpus():
             for m in range(1, v.size + 1):
                 semi = mnorm(v, m).value
-                assert abs(semi - mnorm_dual_oracle(v, m)) <= 1e-6
-                assert abs(semi - mnorm_primal_oracle(v, m, restarts=2)) <= 1e-5
+                lower, upper = mnorm_dual_oracle(v, m), mnorm_primal_oracle(v, m)
+                assert lower - 1e-12 <= semi <= upper + 1e-12
+                assert upper - lower <= 1e-12
 
 
 def test_m2_closed_form():
@@ -109,7 +111,7 @@ def test_low_dim_tightness():
             for m in range(2, d + 1):
                 bound = assisted_fidelity_bound(rho, m)
                 sdp = assisted_fidelity_sdp(rho, m)
-                assert abs(sdp - bound) <= 1e-6
+                assert abs(sdp - bound) <= 1e-12
                 _, found = ensemble_search(
                     rho, MaxAvgPureFidelity(m), atoms_cap=d + 1,
                     seed=trial, restarts=2, max_evals=250,
@@ -141,14 +143,14 @@ def test_zero_error_rates():
         assert abs(-np.log2(0.6) - 0.736966) < 5e-7
 
 
-def test_ball_anchor_and_monotonicity():
+def test_ball_anchor_and_monotonicity(ball_theta):
     rng = np.random.default_rng(11)
     with _Budget("diagonal-ball SDP: eps=0 anchor and eps-monotonicity", 120.0):
         eps_grid = [round(0.01 * k, 2) for k in range(11)]
         for trial in range(20):
             d = int(rng.integers(2, 5))
             rho = random_density(d, rng)
-            vals = [min_diag_over_ball(rho, eps) for eps in eps_grid]
+            vals = [ball_theta(rho, eps) for eps in eps_grid]
             assert abs(vals[0] - float(np.max(np.diag(rho).real))) <= 1e-7
             assert all(b <= a + 1e-7 for a, b in zip(vals, vals[1:]))
 
@@ -217,6 +219,12 @@ def test_protocol_monte_carlo():
             assert abs(mean - analytic) <= max(4.0 * se, 1e-12)
 
 
+def _bracket_gap(rho, m, bound):
+    """Largest distance from both squared sides of the certified pair to ``bound``."""
+    cert = fidelity_certificate(rho, m)
+    return max(abs(cert.primal ** 2 - bound), abs(cert.dual ** 2 - bound))
+
+
 def test_tensor_power_tightness():
     # the SDP meets the closed-form bound on tensor powers of qubits and
     # qutrits, where the bound is exact
@@ -226,18 +234,24 @@ def test_tensor_power_tightness():
             for _ in range(2):
                 rho = tensor_power(random_density(base_dim, rng), copies)
                 for m in range(2, rho.shape[0] + 1):
-                    sdp = assisted_fidelity_sdp(rho, m)
-                    assert abs(sdp - assisted_fidelity_bound(rho, m)) <= 1e-6
+                    bound = assisted_fidelity_bound(rho, m)
+                    assert abs(assisted_fidelity_sdp(rho, m) - bound) <= 1e-12
+                    assert _bracket_gap(rho, m, bound) <= 1e-12
 
 
 def test_sdp_equals_closed_form_d4to8():
     # the relaxation's closed form holds in every dimension (the derivation
-    # is in assisted_fidelity_bound); the SDP solver is the oracle
+    # is in assisted_fidelity_bound); the SDP's checked optimal pair is the
+    # oracle, at every integer m and at two real m (water filling)
     rng = np.random.default_rng(14)
     with _Budget("SDP = closed-form bound for d in {4..8}, every rank and m", 120.0):
         for d in range(4, 9):
             for rank in range(1, d + 1):
                 rho = random_density(d, rng, rank=rank)
                 for m in range(2, d + 1):
-                    sdp = assisted_fidelity_sdp(rho, m)
-                    assert abs(sdp - assisted_fidelity_bound(rho, m)) <= 1e-6, (d, rank, m)
+                    bound = assisted_fidelity_bound(rho, m)
+                    assert _bracket_gap(rho, m, bound) <= 1e-12, (d, rank, m)
+                delta = np.sqrt(np.diag(rho).real)
+                for m in rng.uniform(1.0, d, 2):
+                    bound = mnorm(delta, m).value ** 2 / m
+                    assert _bracket_gap(rho, m, bound) <= 1e-12, (d, rank, m)

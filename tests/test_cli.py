@@ -112,15 +112,16 @@ RATE_KEYS = {"state", "dim", "copies", "eps", "m_star", "fidelity_bound", "fidel
 
 
 class TestNoSdpSolve:
-    """fidelity and rate report closed forms; the SDP solver is only an oracle."""
+    """fidelity and rate report closed forms; the SDP's certified optimal
+    pair is only an oracle for them."""
 
     @pytest.fixture(autouse=True)
     def forbid_solver(self, monkeypatch):
         def fail(*args, **kwargs):
-            raise AssertionError("SDP solve on a production path")
+            raise AssertionError("SDP certificate on a production path")
 
-        monkeypatch.setattr("cohdist.sdpsolve.solve", fail)
-        monkeypatch.setattr("cohdist.distill.solve", fail)
+        monkeypatch.setattr("cohdist.distill.fidelity_certificate", fail)
+        monkeypatch.setattr("cohdist.distill.assisted_fidelity_sdp", fail)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
     def test_fidelity_and_rate(self, d, tmp_path, capsys):
@@ -212,6 +213,25 @@ class TestDecomposeCommand:
         assert main(["decompose", str(path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["weights"]) <= 3
+        assert payload["reconstruction_residual"] <= 1e-8
+        assert payload["diagonal_residual"] <= 1e-8
+
+
+    def test_zero_diagonal_at_the_psd_floor(self, tmp_path, capsys):
+        # minimum eigenvalue -8.1e-11 passes the floor; beside the zero
+        # diagonal entry sits an off-diagonal of 9e-6, far above
+        # sqrt(1e-18), so only the PSD part has a same-diagonal decomposition
+        rho = np.array([[1.0, 9e-6], [9e-6, 0.0]], dtype=complex)
+        path = tmp_path / "floor.json"
+        dump_state(rho, path)
+        for cmd in ("fidelity", "rate"):
+            assert main([cmd, str(path)]) == 0, cmd
+        capsys.readouterr()
+        assert main(["decompose", str(path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        ens = np.array([[complex(*z) for z in atom] for atom in payload["atoms"]])
+        avg = (ens.T * np.array(payload["weights"])) @ ens.conj()
+        assert np.linalg.norm(avg - rho) <= 1e-8
         assert payload["reconstruction_residual"] <= 1e-8
         assert payload["diagonal_residual"] <= 1e-8
 

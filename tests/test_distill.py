@@ -14,8 +14,8 @@ from cohdist.distill import (
     assisted_fidelity_from_probs,
     assisted_fidelity_sdp,
     coherence_of_assistance,
+    fidelity_certificate,
     logfloor,
-    min_diag_over_ball,
     one_shot_rate,
     theta_upper,
     zero_error_rate,
@@ -101,8 +101,9 @@ class TestFidelitySdp:
         rho = random_density(4, rng)
         m = 1.0 / float(np.max(np.diag(rho).real))
         m_int = int(m)  # any integer m below keeps rho feasible
+        assert assisted_fidelity_sdp(rho, m) >= 1.0 - 1e-12
         if m_int >= 2:
-            assert assisted_fidelity_sdp(rho, m_int) >= 1.0 - 1e-6
+            assert assisted_fidelity_sdp(rho, m_int) >= 1.0 - 1e-12
 
     def test_matches_bound_low_dim(self, rng):
         for trial in range(10):
@@ -110,7 +111,7 @@ class TestFidelitySdp:
             rho = random_density(d, rng)
             for m in range(2, d + 1):
                 gap = abs(assisted_fidelity_sdp(rho, m) - assisted_fidelity_bound(rho, m))
-                assert gap <= 1e-6
+                assert gap <= 1e-12
 
     def test_bound_chain_dim_four(self, rng):
         # search lower bound <= SDP value <= closed-form norm bound
@@ -121,15 +122,20 @@ class TestFidelitySdp:
             f_bound = assisted_fidelity_bound(rho, m)
             _, f_search = ensemble_search(rho, MaxAvgPureFidelity(m), atoms_cap=5,
                                           seed=trial, restarts=3, max_evals=800)
-            assert f_search <= f_sdp + 1e-5
-            assert f_sdp <= f_bound + 1e-6
+            assert f_search <= f_sdp + 1e-12
+            assert f_sdp <= f_bound + 1e-12
 
-    def test_failure_names_exit_reason(self, rng):
+    def test_failure_names_exit_reason(self, rng, monkeypatch):
+        # a pair that misses a check raises NumericalFailure naming the check
         rho = random_density(3, rng)
-        with pytest.raises(NumericalFailure, match=r"'max_iter' \(max_iter\)"):
-            assisted_fidelity_sdp(rho, 2, max_iter=2)
-        with pytest.raises(NumericalFailure, match=r"'max_iter' \(max_iter\)"):
-            min_diag_over_ball(rho, 0.05, max_iter=2)
+        level, eig = distill.waterfill_level, distill.eig_psd
+        monkeypatch.setattr(distill, "waterfill_level", lambda a, m: 1.01 * level(a, m))
+        with pytest.raises(NumericalFailure, match=r"trace .*, gap "):
+            assisted_fidelity_sdp(rho, 2)
+        monkeypatch.setattr(distill, "waterfill_level", level)
+        monkeypatch.setattr(distill, "eig_psd", lambda a: (1.001 * eig(a)[0], eig(a)[1]))
+        with pytest.raises(NumericalFailure, match=r"reconstruction "):
+            assisted_fidelity_sdp(rho, 2)
 
 
 class TestRates:
@@ -190,7 +196,11 @@ class TestRates:
 
     def test_level_matches_diagonal_ball_oracle(self, rng):
         # the closed-form level equals floor(1/theta) of the diagonal-ball
-        # SDP, at eps = 0 and at an eps halfway between two adjacent levels
+        # SDP, at eps = 0 and at an eps halfway between two adjacent levels.
+        # The capped-diagonal fidelity does not increase with m, so two
+        # certified points fix that floor: the primal side at m* reaches
+        # 1 - eps and the dual side at m* + 1 stays below it (with the
+        # rate's 1e-9 guard)
         for d in range(4, 9):
             for rank in range(1, d + 1):
                 rho = random_density(d, rng, rank=rank)
@@ -199,9 +209,12 @@ class TestRates:
                            for m in range(1, d + 1)
                            if fid[m - 1] - fid[m] > 1e-4 and 1.0 - fid[m] > 1e-4]
                 for eps in (0.0, between[int(rng.integers(len(between)))]):
-                    theta = min_diag_over_ball(rho, eps)
-                    oracle = min(math.floor(1.0 / theta + 1e-9), d)
-                    assert one_shot_rate(rho, eps).m_requested == oracle, (d, rank, eps)
+                    m_star = one_shot_rate(rho, eps).m_requested
+                    target = 1.0 - eps - 1e-9
+                    assert fidelity_certificate(rho, m_star).primal ** 2 >= target
+                    if m_star < d:
+                        assert fidelity_certificate(rho, m_star + 1).dual ** 2 < target, (
+                            d, rank, eps)
 
     def test_level_search_is_logarithmic(self, monkeypatch):
         # m* = 854 of 1024 levels; a level-by-level scan makes 856 scans
@@ -229,9 +242,9 @@ class TestRates:
                         assert (one_shot_rate(rho, eps, copies=copies).m_requested
                                 == linear(rho, eps, copies)), (d, rank, copies, eps)
 
-    def test_ball_minimum_anchor(self, rng):
+    def test_ball_minimum_anchor(self, rng, ball_theta):
         rho = random_density(3, rng)
-        got = min_diag_over_ball(rho, 0.0)
+        got = ball_theta(rho, 0.0)
         assert abs(got - np.max(np.diag(rho).real)) <= 1e-7
 
     def test_logfloor(self):

@@ -1,4 +1,4 @@
-"""m-distillation norm: semi-analytic scan vs the two oracles."""
+"""m-distillation norm: semi-analytic scan vs the primal/dual bracket."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from cohdist.dnorm import (
     mnorm_dual_oracle,
     mnorm_primal_oracle,
     pure_distillation_fidelity,
+    waterfill_level,
 )
 from cohdist.errors import BadM
 from cohdist.hermat import maximally_coherent
@@ -143,13 +144,45 @@ class TestOracles:
             assert abs(mnorm_dual_oracle([1.0, 0.0], m) - 1.0) < 1e-12
 
     def test_three_way_agreement(self, rng):
+        # the dual point gives a lower bound and the primal point an upper
+        # one; the scan lies between them and they meet
         for _ in range(40):
             d = int(rng.integers(2, 9))
             v = normalized_abs(rng, d)
             for m in range(1, d + 1):
                 semi = mnorm(v, m).value
-                assert abs(semi - mnorm_dual_oracle(v, m)) <= 1e-6
-                assert abs(semi - mnorm_primal_oracle(v, m, restarts=2)) <= 1e-5
+                lower, upper = mnorm_dual_oracle(v, m), mnorm_primal_oracle(v, m)
+                assert lower - 1e-12 <= semi <= upper + 1e-12
+                assert upper - lower <= 1e-12
+
+    def test_bracket_with_zero_entries_and_large_m(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(600):
+            d = int(rng.integers(1, 14))
+            v = np.abs(rng.standard_normal(d)) * (rng.random(d) > 0.25)
+            v[0] = max(v[0], 1e-3)  # at least one nonzero entry
+            v = v / np.linalg.norm(v)
+            for m in [*range(1, d + 3), *rng.uniform(1.0, d + 2.0, 2)]:
+                lower, upper = mnorm_dual_oracle(v, m), mnorm_primal_oracle(v, m)
+                assert abs(upper - lower) <= 1e-12, (d, m)
+                assert abs(mnorm(v, m).value - lower) <= 1e-12, (d, m)
+
+    def test_level_spends_the_budget(self, rng):
+        # w = min(1, v / l) is the dual point: its squared norm is m, or the
+        # support size (l = 0) when that is at most m
+        for _ in range(200):
+            d = int(rng.integers(1, 10))
+            v = normalized_abs(rng, d) * (rng.random(d) > 0.3)
+            if not v.any():
+                continue
+            for m in (1.0, 1.7, 2.0, float(d), d + 1.5):
+                lam = waterfill_level(v, m)
+                support = np.count_nonzero(v)
+                if support <= m:
+                    assert lam == 0.0
+                else:
+                    w = np.minimum(1.0, v / lam)
+                    assert abs(float(w @ w) - m) <= 1e-12 * m
 
     def test_primal_below_trivial_upper_bounds(self, rng):
         v = normalized_abs(rng, 5)

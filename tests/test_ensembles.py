@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cohdist.distill import assisted_fidelity_sdp
+from cohdist.distill import assisted_fidelity_sdp, fidelity_certificate
 from cohdist.dnorm import mnorm, pure_distillation_fidelity
 from cohdist.ensembles import (
     _POLL_CHUNK,
@@ -191,6 +191,17 @@ class TestEnsembleSearch:
             _, val = ensemble_search(rho, MaxAvgPureFidelity(m), atoms_cap=d + 1,
                                      seed=trial, restarts=2, max_evals=250)
             assert abs(val - assisted_fidelity_sdp(rho, m)) <= 1e-5
+
+    def test_search_never_exceeds_certified_upper_side(self, rng):
+        # an exact decomposition's average fidelity is feasible for the
+        # capped-diagonal SDP, so no search can pass the dual side of its
+        # checked optimal pair; small budgets, every m, d = 4..8
+        for d in range(4, 9):
+            rho = random_density(d, rng, rank=int(rng.integers(1, d + 1)))
+            for m in range(1, d + 1):
+                _, val = ensemble_search(rho, MaxAvgPureFidelity(m), atoms_cap=d + 1,
+                                         seed=m, restarts=1, max_evals=64)
+                assert val <= fidelity_certificate(rho, m).dual ** 2 + 1e-12, (d, m)
 
     def test_atoms_cap_below_rank_rejected(self, rng):
         with pytest.raises(ValueError):

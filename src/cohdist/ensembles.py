@@ -15,9 +15,10 @@ time.
 are parametrized through an isometry applied to the eigen-ensemble, so
 every candidate reconstructs the state exactly by construction; a
 coordinate-wise pattern search then optimizes the chosen objective.  The
-search works on stacks: each poll builds up to eight candidate ensembles
-with one batched QR, and the objectives score a whole stack of ensembles
-in one call, masking atoms below the weight floor instead of dropping them.
+search works on stacks: all restarts run in lockstep, each round builds up
+to eight candidate ensembles per live start with one batched QR, and the
+objectives score the whole round in one call, masking atoms below the
+weight floor instead of dropping them.
 """
 
 from dataclasses import dataclass
@@ -183,9 +184,12 @@ def same_diagonal_decomposition(rho) -> Ensemble:
     [-1e-10, -1e-14) are taken out, since beside a zero diagonal entry they
     leave off-diagonals up to 1e-5.  Above -1e-14 a negative eigenvalue is
     rounding, and taking it out would only add noise to tiny diagonal
-    entries, which the rescaling to unit diagonal amplifies; so for every
-    other state this step changes nothing.  Diagonal entries at or below
-    1e-18 are handled by restricting to the support and embedding back.
+    entries, which the rescaling to unit diagonal amplifies; it is taken out
+    only when an off-diagonal above 1e-9 sits beside a diagonal entry at or
+    below 1e-18 ([[1, 5e-8], [5e-8, 0]] has eigenvalue -2.5e-15).  For
+    every other state this step changes nothing.  Diagonal entries at or
+    below 1e-18 are handled by restricting to the support and embedding
+    back.
     Dimension 2 is a closed form.  Dimension 3
     is an exact, deterministic construction on the correlation matrix (the
     state rescaled to unit diagonal): a complex correlation matrix of rank r
@@ -202,7 +206,11 @@ def same_diagonal_decomposition(rho) -> Ensemble:
     """
     rho = require_density(rho, check_psd=False)
     w, v = eig_psd(rho)
-    neg = w < -_ROUNDING_EIG
+    dropped = np.diag(rho).real <= 1e-18
+    # beside a dropped entry of a PSD state an off-diagonal is at most 1e-9;
+    # a larger one is rounding-level negativity that must be taken out too
+    beside = np.abs(rho[dropped]) > 1e-9
+    neg = w < (0.0 if beside.any() else -_ROUNDING_EIG)
     if neg.any():
         rho = rho - (v[:, neg] * w[neg]) @ v[:, neg].conj().T
     d = rho.shape[0]
@@ -346,8 +354,10 @@ def ensemble_search(
 
     Decompositions are parametrized by an isometry mixing the eigen-
     ensemble, so every candidate reconstructs ``rho`` exactly; a
-    coordinate-wise pattern search (shared evaluation budget across
-    ``restarts`` starts) optimizes the objective.  The returned value is a
+    coordinate-wise pattern search optimizes the objective from ``restarts``
+    starts, run in lockstep, and the first best start wins.  Each start may
+    spend max(64, max_evals // restarts) evaluations, so the total exceeds
+    ``max_evals`` when 64 * restarts > max_evals.  The returned value is a
     one-sided bound on the corresponding convex-roof quantity: a lower
     bound for "max" objectives, an upper bound for "min" ones.
 
@@ -389,58 +399,65 @@ def ensemble_search(
     while len(starts) < max(1, restarts):
         starts.append(rng.standard_normal(npar))
 
-    budget_each = max(64, max_evals // len(starts))
-    best_theta = None
-    best_cost = np.inf
-    for theta0 in starts:
-        theta, c = _pattern_search(cost, theta0, budget_each)
-        if c < best_cost:
-            best_cost, best_theta = c, theta
+    thetas, costs = _pattern_search(cost, np.array(starts), max(64, max_evals // len(starts)))
+    best = int(np.argmin(costs))  # the first minimum, as a strict-improvement scan keeps
 
-    weights, atoms = _ensemble_from_theta(best_theta[None, :], atoms_cap, basis)
+    weights, atoms = _ensemble_from_theta(thetas[best : best + 1], atoms_cap, basis)
     keep = weights[0] > _WEIGHT_FLOOR
     ens = Ensemble(weights=weights[0][keep], atoms=atoms[0][keep])
-    return ens, sense * best_cost
+    return ens, sense * costs[best]
 
 
-def _pattern_search(cost, theta0, budget, step0=0.3, step_min=1e-7):
-    """First-improvement coordinate search with step halving.
+def _pattern_search(cost, thetas0, budget, step0=0.3, step_min=1e-7):
+    """First-improvement coordinate search with step halving, run on an
+    (S, n) stack of starts in lockstep; returns (S, n) thetas and S costs.
 
-    The poll order is (coordinate 0, +step), (0, -step), (1, +step), ...;
-    the first candidate better than the current point by 1e-15 is taken
-    and the poll resumes at the next coordinate, and a sweep with no move
-    halves the step.  ``cost`` maps a (B, n) stack to B values, and the
-    poll evaluates up to ``_POLL_CHUNK`` candidates per call.  Only the
-    candidates up to and including the accepted one are charged to
-    ``budget``, so moves, halvings and the budget match a one-at-a-time poll.
+    Each start polls in the order (coordinate 0, +step), (0, -step),
+    (1, +step), ...; its first candidate better than its current point by
+    1e-15 is taken and its poll resumes at the next coordinate, and a sweep
+    with no move halves its step.  ``cost`` maps a (B, n) stack to B values.
+    The first call scores every start; then each round, every live start
+    (evaluations below ``budget``, step above ``step_min``) adds its next
+    ``_POLL_CHUNK`` poll positions, clipped at the sweep's end and at its
+    remaining budget, and one call scores all of them.  Each start is
+    charged only the candidates up to and including the one it accepts, so
+    its moves, halvings and budget match a one-at-a-time poll of that start
+    alone, and the calls number no more than its longest start would make.
     """
-    theta = theta0.astype(float).copy()
-    best = cost(theta[None, :])[0]
-    evals = 1
-    step = step0
-    n = theta.size
-    while evals < budget and step > step_min:
-        improved = False
-        pos = 0  # position in the sweep's poll order, 2 * coordinate + sign
-        while pos < 2 * n and evals < budget:
-            order = np.arange(pos, min(pos + _POLL_CHUNK, 2 * n, pos + budget - evals))
-            idx = order // 2
-            cands = np.repeat(theta[None, :], order.size, axis=0)
-            cands[np.arange(order.size), idx] += np.where(order % 2 == 0, step, -step)
-            costs = cost(cands)
-            better = np.flatnonzero(costs < best - 1e-15)
-            if better.size:
-                j = int(better[0])
-                theta, best = cands[j], costs[j]
-                improved = True
-                evals += j + 1
-                pos = 2 * (int(idx[j]) + 1)
-            else:
-                evals += order.size
-                pos += order.size
-        if not improved:
-            step *= 0.5
-    return theta, best
+    theta = np.array(thetas0, dtype=float)
+    best = np.array(cost(theta))
+    n_starts, n = theta.shape
+    evals = np.ones(n_starts, dtype=np.int64)
+    step = np.full(n_starts, float(step0))
+    pos = np.zeros(n_starts, dtype=np.int64)  # poll position, 2 * coordinate + sign
+    improved = np.zeros(n_starts, dtype=bool)
+    while True:
+        live = (evals < budget) & (step > step_min)
+        if not live.any():
+            return theta, best
+        count = np.where(live, np.minimum(np.minimum(_POLL_CHUNK, 2 * n - pos), budget - evals), 0)
+        owner = np.repeat(np.arange(n_starts), count)  # the start polling each row
+        rows = np.arange(owner.size)
+        offset = rows - (np.cumsum(count) - count)[owner]
+        order = pos[owner] + offset
+        cands = theta[owner]
+        cands[rows, order // 2] += np.where(order % 2 == 0, step[owner], -step[owner])
+        costs = cost(cands)
+        hits = np.flatnonzero(costs < best[owner] - 1e-15)
+        lead = np.ones(hits.size, dtype=bool)  # each start's first improvement
+        lead[1:] = owner[hits[1:]] != owner[hits[:-1]]
+        first = hits[lead]
+        moved = owner[first]
+        evals += count
+        evals[moved] += offset[first] + 1 - count[moved]
+        pos += count
+        pos[moved] = 2 * (order[first] // 2 + 1)
+        theta[moved], best[moved] = cands[first], costs[first]
+        improved[moved] = True
+        done = live & ((pos >= 2 * n) | (evals >= budget))
+        step[done & ~improved] *= 0.5
+        pos[done] = 0
+        improved[done] = False
 
 
 def random_decomposition(rho, n_atoms: int, seed: int = 0) -> Ensemble:

@@ -236,6 +236,25 @@ class TestDecomposeCommand:
         assert payload["diagonal_residual"] <= 1e-8
 
 
+    @pytest.mark.parametrize("off", [5e-8, 1e-7])
+    def test_zero_diagonal_above_the_rounding_floor(self, tmp_path, capsys, off):
+        # minimum eigenvalue -off^2 (-2.5e-15, -1e-14) is at eigensolver
+        # rounding, yet the off-diagonal beside the zero entry is above 1e-9
+        rho = np.array([[1.0, off], [off, 0.0]], dtype=complex)
+        path = tmp_path / "floor.json"
+        dump_state(rho, path)
+        for cmd in ("fidelity", "rate"):
+            assert main([cmd, str(path)]) == 0, cmd
+        capsys.readouterr()
+        assert main(["decompose", str(path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        ens = np.array([[complex(*z) for z in atom] for atom in payload["atoms"]])
+        avg = (ens.T * np.array(payload["weights"])) @ ens.conj()
+        assert np.linalg.norm(avg - rho) <= 1e-8
+        assert payload["reconstruction_residual"] <= 1e-8
+        assert payload["diagonal_residual"] <= 1e-8
+
+
 class TestFigureCommand:
     def test_csv_contents(self, curves_spec, tmp_path, capsys):
         out = tmp_path / "fig.csv"

@@ -15,6 +15,7 @@ from cohdist.ensembles import (
     _eigen_basis,
     _ensemble_from_theta,
     _pattern_search,
+    _theta_from_ensemble,
     ensemble_search,
     purify,
     random_decomposition,
@@ -309,12 +310,12 @@ class TestChunkedPoll:
         theta0 = rng.standard_normal(2 * (d + 1) * basis.shape[1])
         for budget in (77, 400):
             sizes.clear()
-            theta, best = _pattern_search(cost, theta0, budget)
+            theta, best = _pattern_search(cost, theta0[None, :], budget)
             if budget == 77:
                 assert sizes[-1] < _POLL_CHUNK  # the budget ends inside a chunk
             ref_theta, ref_best = sequential_pattern_search(cost, theta0, budget)
-            assert np.array_equal(theta, ref_theta)
-            assert best == ref_best
+            assert np.array_equal(theta[0], ref_theta)
+            assert best[0] == ref_best
 
     def test_step_halving_to_the_floor(self, rng):
         target = rng.standard_normal(11)
@@ -324,11 +325,101 @@ class TestChunkedPoll:
 
         theta0 = np.zeros(11)
         for budget in (5, 83, 20_000):
-            theta, best = _pattern_search(cost, theta0, budget)
+            theta, best = _pattern_search(cost, theta0[None, :], budget)
             ref_theta, ref_best = sequential_pattern_search(cost, theta0, budget)
-            assert np.array_equal(theta, ref_theta)
-            assert best == ref_best
-        assert best < 1e-12
+            assert np.array_equal(theta[0], ref_theta)
+            assert best[0] == ref_best
+        assert best[0] < 1e-12
+
+    def test_starts_stopping_in_different_rounds(self, rng):
+        """The start 6e-3 off the minimum halves down to the step floor
+        after 51 evaluations without a move (a step of 0.0094 would move
+        it), while the far starts run out of budget inside a chunk; every
+        row equals the sequential search of that start alone."""
+        target = rng.standard_normal(5)
+        calls = []
+
+        def cost(thetas):
+            calls.append(thetas.shape[0])
+            return np.sum((thetas - target) ** 2, axis=1)
+
+        starts = target + np.vstack([10 * rng.standard_normal(5), np.full(5, 6e-3),
+                                     10 * rng.standard_normal(5)])
+        theta, best = _pattern_search(cost, starts, 77, step_min=1e-2)
+        assert calls[0] == 3 and calls[-1] < _POLL_CHUNK
+        lockstep_calls = len(calls)
+        lone_calls = []
+        for s, start in enumerate(starts):
+            calls.clear()
+            ref_theta, ref_best = sequential_pattern_search(cost, start, 77, step_min=1e-2)
+            assert len(calls) == (51 if s == 1 else 77)  # one call per evaluation
+            assert np.array_equal(theta[s], ref_theta)
+            assert best[s] == ref_best
+            calls.clear()
+            _pattern_search(cost, start[None, :], 77, step_min=1e-2)
+            lone_calls.append(len(calls))
+        assert np.array_equal(theta[1], starts[1])
+        assert lone_calls[1] < min(lone_calls[0], lone_calls[2])
+        assert lockstep_calls == max(lone_calls)
+
+    @pytest.mark.parametrize("objective", OBJECTIVES, ids=repr)
+    def test_qutrit_search_matches_each_start_alone(self, rng, objective):
+        """d = 3: the warm start and the random starts, searched in lockstep,
+        give the ensemble a loop of sequential searches picks, in no more
+        cost calls than the longest start makes alone."""
+        rho = random_density(3, rng)
+        seed, restarts, max_evals = 11, 4, 600
+        basis, phi, lam = _eigen_basis(rho)
+        sense = 1.0 if objective.sense == "min" else -1.0
+        calls = []
+
+        def cost(thetas):
+            calls.append(thetas.shape[0])
+            weights, atoms = _ensemble_from_theta(thetas, 4, basis)
+            return sense * objective.evaluate(weights, atoms)
+
+        starts = [_theta_from_ensemble(same_diagonal_decomposition(rho), phi, lam, 4)]
+        rng_s = np.random.Generator(np.random.Philox(key=seed))
+        starts += [rng_s.standard_normal(starts[0].size) for _ in range(restarts - 1)]
+        best_theta, best_cost, longest = None, np.inf, 0
+        for start in starts:
+            calls.clear()
+            _pattern_search(cost, start[None, :], max_evals // restarts)
+            longest = max(longest, len(calls))
+            theta, c = sequential_pattern_search(cost, start, max_evals // restarts)
+            if c < best_cost:
+                best_theta, best_cost = theta, c
+
+        calls.clear()
+        _pattern_search(cost, np.array(starts), max_evals // restarts)
+        assert len(calls) <= longest
+        ens, value = ensemble_search(rho, objective, 4, seed=seed, restarts=restarts,
+                                     max_evals=max_evals)
+        weights, atoms = _ensemble_from_theta(best_theta[None, :], 4, basis)
+        keep = weights[0] > _WEIGHT_FLOOR
+        assert value == sense * best_cost
+        assert np.array_equal(ens.weights, weights[0][keep])
+        assert np.array_equal(ens.atoms, atoms[0][keep])
+
+    def test_ties_go_to_the_first_start(self, rng):
+        """Under a constant objective no start moves and every start ties;
+        the warm start, which comes first, is returned."""
+
+        class Flat:
+            sense = "min"
+
+            def evaluate(self, weights, atoms):
+                return np.zeros(np.shape(weights)[:-1])
+
+        rho = random_density(3, rng)
+        basis, phi, lam = _eigen_basis(rho)
+        warm = _theta_from_ensemble(same_diagonal_decomposition(rho), phi, lam, 4)
+        weights, atoms = _ensemble_from_theta(warm[None, :], 4, basis)
+        keep = weights[0] > _WEIGHT_FLOOR
+        ens, value = ensemble_search(rho, Flat(), 4, restarts=4, max_evals=256)
+        assert value == 0.0
+        assert np.array_equal(ens.weights, weights[0][keep])
+        assert np.array_equal(ens.atoms, atoms[0][keep])
 
 
 class TestSteering:

@@ -5,7 +5,8 @@ Subpackages
 hermat
     Dense complex-Hermitian linear algebra (LAPACK eigensolver through numpy).
 dnorm
-    The m-distillation norm: semi-analytic scan and a primal/dual bracket.
+    The m-distillation norm: one water-filling evaluator and a primal/dual
+    bracket.
 distill
     Assisted fidelities and the fidelity SDP's checked optimal pair,
     one-shot and zero-error rates, coherence of assistance.

@@ -18,11 +18,12 @@ and a ``copies`` count and never form the d^n x d^n matrix.  Up to
 diagonal, which reproduces the materialized matrix path bit for bit.
 Above it, the fidelity reads the power by its types: the C(n+d-1, d-1)
 distinct products prod_i p_i^k_i with their multinomial multiplicities,
-scanned in log space by ``dnorm.class_distillation_fidelity``.  That costs
-O(classes + m) instead of O(d^n), so n in the thousands is cheap, and
-agrees with the Kronecker route within 1e-12; its sums run over classes,
-not entries, so it does not share that route's rounding drift over 2^19
-entries (3e-12 at 19 qubit copies).
+formed in log space and handed to ``dnorm.class_distillation_fidelity`` as
+classes of equal entries for the norm's water-filling evaluator.  That
+costs O(classes) instead of O(d^n), whatever m is, so n in the thousands
+and m in the billions are cheap, and agrees with the Kronecker route within
+1e-12; its sums run over classes, not entries, so it does not share that
+route's rounding drift over 2^19 entries (3e-12 at 19 qubit copies).
 
 Rates are reported in bits and quantized through ``logfloor``: the
 achievable target dimension is an integer, so every rate has the form
@@ -37,7 +38,8 @@ from functools import reduce
 import numpy as np
 
 from . import ensembles
-from .dnorm import class_distillation_fidelity, pure_distillation_fidelity, waterfill_level
+from .dnorm import (_snapped_fidelity, class_distillation_fidelity, pure_distillation_fidelity,
+                    waterfill_level)
 from .errors import BadM, NumericalFailure
 from .hermat import TENSOR_DIM_CAP, eig_psd, require_density, shannon_entropy
 
@@ -123,12 +125,6 @@ class AssistanceBound:
     diag_entropy_bits: float
 
 
-def _snap_unit(f: float) -> float:
-    if abs(f - 1.0) <= 1e-12:
-        return 1.0
-    return min(max(f, 0.0), 1.0)
-
-
 def _check_copies(copies) -> int:
     if copies < 1 or int(copies) != copies:
         raise ValueError(f"copies must be a positive integer, got {copies}")
@@ -206,10 +202,11 @@ def assisted_fidelity_from_probs(probs, n: int, m: int) -> float:
     Kronecker-powered, clipped at zero and only then square-rooted, which
     reproduces the materialized tensor-power path bit for bit in O(d^n)
     memory.  Above that size the power is read by its types
-    (``_type_classes``) and scanned in O(C(n+d-1, d-1) + m), within 1e-12
-    of the Kronecker route.  ``probs`` is not validated; an ``m`` that is
-    not a positive integer raises ``BadM`` and a ``n`` that is not a
-    positive integer raises ``ValueError``.
+    (``_type_classes``) and evaluated in O(C(n+d-1, d-1)), within 1e-12 of
+    the Kronecker route.  Neither route builds an array that grows with m.
+    ``probs`` is not validated; an ``m`` that is not a positive integer
+    raises ``BadM`` and a ``n`` that is not a positive integer raises
+    ``ValueError``.
     """
     n = _check_copies(n)
     probs = np.asarray(probs, dtype=float)
@@ -305,8 +302,7 @@ def assisted_fidelity_sdp(rho, m) -> float:
     """Maximum fidelity between ``rho`` and the states with all diagonal
     entries at most 1/m: the square of the primal side of
     ``fidelity_certificate``, whose checked dual meets it within 1e-12."""
-    root = min(max(fidelity_certificate(rho, m).primal, 0.0), 1.0)
-    return _snap_unit(root * root)
+    return float(_snapped_fidelity(fidelity_certificate(rho, m).primal, 1))
 
 
 def _max_m_by_fidelity(probs, eps: float) -> int:

@@ -1,27 +1,39 @@
-"""The m-distillation norm: a semi-analytic scan and a checked bracket.
+"""The m-distillation norm: one water-filling evaluator and a checked bracket.
 
-``mnorm`` evaluates the semi-analytic formula (sort, scan the split index
-k, combine head l1 with tail l2).  Two oracles bracket it from opposite
-sides, sharing only the sort with the scan; both read one exact
-water-filling level (``waterfill_level``, a segment formula, no search):
+Every value of the norm here comes from one evaluator, ``_waterfill``,
+whatever its input: a vector, a stack of vectors or a vector given by
+classes of equal entries.  It reads rows of classes in descending order
+of magnitude a_j, each by its l1 mass c_j a_j and squared mass c_j a_j^2,
+with the multiplicities c_j, and solves the norm's dual
 
-* ``mnorm_dual_oracle`` is ``<v, w>`` at the feasible point
-  ``w = min(1, v / l)`` of ``max <v, w> s.t. linf(w) <= 1, l2(w) = sqrt(m)``,
-  a lower bound on the norm.
+    max <|v|, w>  s.t.  linf(w) <= 1,  l2(w) = sqrt(m)
+
+by water filling.  With K_j the number of entries before class j, H_j
+their l1 sum and S_j the squared mass from class j onwards, the optimum
+caps the entries before the first class with a_j^2 (m - K_j) <= S_j at
+w = 1 and sets the rest to w = a / l at the level l = sqrt(S_j / (m - K_j));
+the norm is H_j + sqrt(S_j (m - K_j)).  Within a class of magnitude a the
+test reads a^2 (m - K_j - c_j) <= S_(j+1) however many of its entries are
+capped, so the split falls on a class boundary.  A zero class after the
+last covers a support of at most m entries (then S_j = 0 and the norm is
+the l1 norm), so nothing is padded to m entries and the cost is
+O(classes) per row for any real m >= 1.
+
+A plain vector is the case c_j = 1 and a stack is more rows: ``mnorm``,
+``waterfill_level`` and ``pure_distillation_fidelity`` sort magnitudes
+and call the evaluator, and ``class_distillation_fidelity`` turns a
+tensor power's type classes, given in log space, into counts capped at m
+and masses for it.  Two oracles bracket the norm from opposite sides:
+
+* ``mnorm_dual_oracle`` is ``<v, w>`` at the feasible dual point
+  ``w = min(1, v / l)``, that is H_j + S_j / l, the evaluator's value: a
+  lower bound on the norm.
 * ``mnorm_primal_oracle`` is ``l1(v - x) + sqrt(m) l2(x)`` at the point
-  ``x = min(v, l)`` of its minimization over ``x >= 0``, an upper bound.
+  ``x = min(v, l)`` of its minimization over ``x >= 0``, summed apart from
+  the evaluator: an upper bound.
 
 By weak duality the norm lies between the two; they meet to rounding,
-which certifies both the level and the scan.
-
-The scan works on the rows of a stack at once (sort along the last axis,
-suffix sums of squares, an argmin over the split index); ``mnorm`` is its
-one-row case, and ``pure_distillation_fidelity`` scores a whole stack of
-states with one call.  ``class_distillation_fidelity`` runs the same scan
-on a vector given as classes of equal entries (magnitude and multiplicity,
-both in log space), in O(classes + m) whatever the vector's length.  For
-non-integer ``m`` the scan's indexing is undefined, so ``mnorm`` returns
-the dual oracle's value and reports no split index.
+which certifies the level and the value.
 """
 
 import math
@@ -46,11 +58,13 @@ _INTEGER_TOL = 1e-9
 
 @dataclass(frozen=True)
 class MNormResult:
-    """Value of the m-distillation norm together with the scan diagnostics.
+    """Value of the m-distillation norm together with diagnostics.
 
-    ``k_star`` is the minimizing split index (None when m is not an
-    integer); ``sorted_vector`` holds the entry magnitudes in descending
-    order, zero-padded to ceil(m) entries when m exceeds the dimension.
+    ``k_star`` is the split index m - K of the norm's split-index form, K
+    the number of capped entries (1 when every supported entry is capped,
+    None when m is not an integer); ``sorted_vector`` holds the entry
+    magnitudes in descending order, zero-padded to ceil(m) entries when m
+    exceeds the dimension.
     """
 
     value: float
@@ -58,58 +72,58 @@ class MNormResult:
     sorted_vector: np.ndarray
 
 
-def _sorted_rows(mags: np.ndarray, m) -> np.ndarray:
-    """Magnitudes sorted in descending order along the last axis, zero-padded
-    to ceil(m) entries when m exceeds the row length."""
-    if mags.shape[-1] == 0:
+def _waterfill(l1, masses, counts, m):
+    """Water filling over the rows (last axis) of a stack of classes.
+
+    Each row lists its classes in descending order of magnitude a, by l1
+    mass c a in ``l1`` and squared mass c a^2 in ``masses``; ``counts``
+    holds the multiplicities c, shared by every row.  Returns, per row,
+    the norm H + sqrt(m - K) sqrt(S) at the first class boundary K with
+    a^2 (m - K) <= S, the squared mass S past it and the room m - K > 0.
+    """
+    shape, c = l1.shape[:-1], l1.shape[-1]
+    starts = np.zeros(c + 1)
+    np.add.accumulate(counts, out=starts[1:])
+    # squared mass from each boundary on and l1 sum before it, for the c
+    # classes and the zero class after them
+    tail, head = cols = np.zeros((2,) + shape + (c + 1,))
+    np.add.accumulate(masses[..., ::-1], axis=-1, out=tail[..., -2::-1])
+    np.add.accumulate(l1, axis=-1, out=head[..., 1:])
+    # the test at class j's start, in its equivalent form at the class's
+    # end, a_j^2 (m - K_(j+1)) <= S_(j+1): for the class that reaches m the
+    # left side is <= 0, so the split never passes it, whatever the rounding
+    split = np.ones(shape + (c + 1,), dtype=bool)
+    np.less_equal(masses * ((m - starts[1:]) / counts), tail[..., 1:], out=split[..., :c])
+    j = split.argmax(axis=-1)
+    tail, head = cols.reshape(2, -1)[:, j.ravel() + np.arange(0, j.size * (c + 1), c + 1)]
+    tail, room = tail.reshape(shape), m - starts[j]
+    return head.reshape(shape) + np.sqrt(room) * np.sqrt(tail), tail, room
+
+
+def _vector_waterfill(v, m):
+    """Magnitudes of ``v`` sorted in descending order along the last axis,
+    and the evaluator's value, tail mass and room on each row."""
+    a = np.abs(np.asarray(v, dtype=np.complex128))
+    if a.shape[-1] == 0:
         raise BadM("empty vector")
-    target = int(np.ceil(m - _INTEGER_TOL))
-    if target > mags.shape[-1]:
-        pad = np.zeros(mags.shape[:-1] + (target - mags.shape[-1],))
-        mags = np.concatenate([mags, pad], axis=-1)
-    return np.sort(mags, axis=-1)[..., ::-1]
+    a.sort(axis=-1)
+    a = a[..., ::-1]
+    return (a, *_waterfill(a, a * a, np.ones(a.shape[-1]), m))
 
 
-def _prepared(v, m) -> np.ndarray:
+def _real_m(m) -> float:
     if not np.isfinite(m) or m < 1.0:
         raise BadM(f"m must be >= 1, got {m}")
-    return _sorted_rows(np.abs(np.asarray(v, dtype=np.complex128).ravel()), m)
+    return float(m)
 
 
-def _scan_integer(sorted_desc: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split-index scan over the rows (last axis) of a descending stack.
-
-    For each split k in 1..m the candidate is head l1 of the first m - k
-    entries plus sqrt(k) times the l2 norm of the rest; k_star minimizes
-    tail_l2 / sqrt(k).  Returns the values and k_star, one per row.
-    """
-    rows = sorted_desc.reshape(-1, sorted_desc.shape[-1])
-    r = np.arange(rows.shape[0])
-    # suffix_sq[:, i] = sum of squares of entries i..end, summed from the end
-    sq = rows * rows
-    suffix_sq = np.cumsum(sq[:, ::-1], axis=1)[:, ::-1]
-    ks = np.arange(1, m + 1)
-    tail_l2 = np.sqrt(np.maximum(suffix_sq[:, m - ks], 0.0))
-    j = np.argmin(tail_l2 / np.sqrt(ks), axis=1)
-    k_star = ks[j]
-    # head_l1 = sum of the first m - k_star entries, summed in order (none at k_star = m)
-    head = np.cumsum(rows[:, :m], axis=1)
-    head_l1 = np.where(k_star < m, head[r, m - k_star - 1], 0.0)
-    value = head_l1 + np.sqrt(k_star) * tail_l2[r, j]
-    shape = sorted_desc.shape[:-1]
-    return value.reshape(shape), k_star.reshape(shape)
-
-
-def _level(sorted_desc: np.ndarray, m: float) -> float:
-    """Water-filling level of a descending vector; see ``waterfill_level``."""
-    pos = sorted_desc[sorted_desc > 0.0]
-    if pos.size <= m + _INTEGER_TOL:
-        return 0.0  # every supported coordinate pins at 1
-    # capped counts K < m; the last always qualifies, as m - K <= 1 there
-    k = np.arange(math.ceil(m))
-    suffix_sq = np.cumsum((pos * pos)[::-1])[::-1]
-    levels = np.sqrt(suffix_sq[k] / (m - k))
-    return float(levels[np.argmax(pos[k] <= levels)])
+def _dual_level(v, m):
+    """Sorted magnitudes of ``v`` and the water-filling level; see
+    ``waterfill_level``."""
+    a, _, tail, room = _vector_waterfill(np.ravel(v), _real_m(m))
+    # a support of at most m entries is pinned at 1 by any level up to its
+    # smallest entry; the evaluator may split at such an entry on a tie
+    return a, 0.0 if np.count_nonzero(a) <= m + _INTEGER_TOL else math.sqrt(tail / room)
 
 
 def waterfill_level(v, m: float) -> float:
@@ -122,46 +136,36 @@ def waterfill_level(v, m: float) -> float:
     next entry lies at or below its level.  When the support has at most
     m entries every supported weight pins at 1, and l is 0.
     """
-    return _level(_prepared(v, m), float(m))
-
-
-def _waterfill_value(sorted_desc: np.ndarray, m: float) -> float:
-    """<v, w> at the dual point w = min(1, v / l), a lower bound on the norm."""
-    pos = sorted_desc[sorted_desc > 0.0]
-    lam = _level(sorted_desc, m)
-    if lam == 0.0:
-        return float(np.sum(pos))
-    return float(np.dot(pos, np.minimum(1.0, pos / lam)))
+    return _dual_level(v, m)[1]
 
 
 def mnorm(v, m: float) -> MNormResult:
-    """m-distillation norm of the entrywise magnitudes of ``v``.
-
-    Integer ``m`` uses the semi-analytic split-index scan; non-integer
-    ``m`` is evaluated through the dual characterization (water filling)
-    and carries ``k_star=None``.
-    """
-    sorted_desc = _prepared(v, m)
-    m_round = round(m)
-    if abs(m - m_round) <= _INTEGER_TOL * max(1.0, abs(m)):
-        value, k_star = _scan_integer(sorted_desc, int(m_round))
-        return MNormResult(value=float(value), k_star=int(k_star), sorted_vector=sorted_desc)
-    value = _waterfill_value(sorted_desc, float(m))
-    return MNormResult(value=value, k_star=None, sorted_vector=sorted_desc)
+    """m-distillation norm of the entrywise magnitudes of ``v``, from the
+    water-filling evaluator at any real m >= 1 (an ``m`` within 1e-9 of an
+    integer counts as that integer)."""
+    m = _real_m(m)
+    integer = abs(m - round(m)) <= _INTEGER_TOL * max(1.0, m)
+    sorted_desc, value, tail, room = _vector_waterfill(np.ravel(v), round(m) if integer else m)
+    k_star = (int(room) if tail > 0.0 else 1) if integer else None
+    pad = np.zeros(max(math.ceil(m - _INTEGER_TOL) - sorted_desc.size, 0))
+    return MNormResult(value=float(value), k_star=k_star,
+                       sorted_vector=np.concatenate([sorted_desc, pad]))
 
 
 def mnorm_dual_oracle(v, m: float) -> float:
     """Lower side of the bracket: <|v|, w> at the feasible dual point
-    w = min(1, |v| / l) of max <|v|, w> s.t. linf(w) <= 1, l2(w) = sqrt(m)."""
-    return _waterfill_value(_prepared(v, m), float(m))
+    w = min(1, |v| / l) of max <|v|, w> s.t. linf(w) <= 1, l2(w) = sqrt(m),
+    which is H_K + S_K / l = H_K + sqrt(S_K (m - K)) (see
+    ``waterfill_level``)."""
+    return float(_vector_waterfill(np.ravel(v), _real_m(m))[1])
 
 
 def mnorm_primal_oracle(v, m: float) -> float:
     """Upper side of the bracket: l1(|v| - x) + sqrt(m) l2(x) at the point
     x = min(|v|, l) of its minimization over x >= 0, l the water-filling
     level.  It equals H_K + sqrt(S_K (m - K)) (see ``waterfill_level``)."""
-    sorted_desc = _prepared(v, m)
-    x = np.minimum(sorted_desc, _level(sorted_desc, float(m)))
+    sorted_desc, level = _dual_level(v, m)
+    x = np.minimum(sorted_desc, level)
     return float(np.sum(sorted_desc - x)) + math.sqrt(m) * math.sqrt(float(x @ x))
 
 
@@ -181,58 +185,30 @@ def pure_distillation_fidelity(psi, m: int):
     from the pure state ``psi``: (1/m) * mnorm(|psi|, m)^2, in [0, 1].
 
     ``psi`` may also be a stack of states along the last axis; the result
-    is then one fidelity per state, from one row-batched scan.
+    is then one fidelity per state, from one call of the evaluator.
     """
     m = _integer_m(m)
-    # the magnitudes go straight into the sort, so no copy of them stays
-    # alive through the scan
-    sorted_desc = _sorted_rows(np.atleast_1d(np.abs(np.asarray(psi, dtype=np.complex128))), m)
-    value, _ = _scan_integer(sorted_desc, m)
-    fid = _snapped_fidelity(value, m)
+    fid = _snapped_fidelity(_vector_waterfill(np.atleast_1d(psi), m)[1], m)
     return float(fid) if np.ndim(psi) <= 1 else fid
 
 
 def class_distillation_fidelity(log_mags, log_counts, m: int) -> float:
     """``pure_distillation_fidelity`` of a vector given by classes of equal
     entries: class j holds exp(log_counts[j]) entries of magnitude
-    exp(log_mags[j]), with ``log_mags`` descending; the vector is
-    zero-padded to m entries.
+    exp(log_mags[j]), with ``log_mags`` descending.
 
-    The scan of ``_scan_integer`` needs only the first m sorted entries and
-    the sum of squares from each of them to the end.  The class of each of
-    those positions gives the head l1 sums; the squares are summed in log
-    space, class by class from the smallest up, so counts and magnitudes
-    far outside the float range (n in the thousands for a tensor power's
-    diagonal) neither overflow nor underflow.  O(classes + m).
+    The evaluator reads each class's magnitude, its squared mass
+    exp(log_counts + 2 log_mags), which stays in range when the count and
+    the magnitude do not (n in the thousands for a tensor power's
+    diagonal), and its count capped at m: the split comes before m
+    entries, so larger counts only place boundaries that are never
+    reached.  Counts up to m are integers, recovered from their logs by
+    rounding.  O(classes), whatever m is.
     """
     m = _integer_m(m)
-    mags = np.asarray(log_mags, dtype=float)
-    logc = np.asarray(log_counts, dtype=float)
-    if mags.size == 0:
-        return 0.0
-    # log of the squared mass in each class, and in all the classes after it
-    mass = logc + 2.0 * mags
-    after = np.append(np.logaddexp.accumulate(mass[::-1])[::-1][1:], -np.inf)
-    # only the first m positions are scanned, so counts above m are capped;
-    # counts up to m are integers, recovered exactly from their logs
-    capped = np.exp(np.minimum(logc, math.log(m) + 1.0))
-    big = capped > m
-    counts = np.where(big, m, np.rint(capped)).astype(np.int64)
-    ends = np.cumsum(counts)
-    pos = np.arange(m)
-    cls = np.searchsorted(ends, pos, side="right")
-    inside = cls < mags.size   # positions past every class are zero padding
-    cls[~inside] = mags.size - 1
-    offset = pos - (ends[cls] - counts[cls])
-    # log of the number of entries of the position's class from it onwards
-    log_left = np.log(np.maximum(counts[cls] - offset, 1))
-    b = big[cls]
-    lc = logc[cls][b]
-    log_left[b] = lc + np.log1p(-offset[b] * np.exp(-lc))
-    log_suffix = np.where(inside, np.logaddexp(2.0 * mags[cls] + log_left, after[cls]), -np.inf)
-    ks = np.arange(1, m + 1)
-    k_star = int(np.argmin(0.5 * (log_suffix[m - ks] - np.log(ks)))) + 1
-    head = slice(0, m - k_star)
-    head_l1 = float(np.sum(np.exp(mags[cls[head]]), where=inside[head]))
-    value = head_l1 + math.sqrt(k_star) * math.exp(0.5 * log_suffix[m - k_star])
+    log_mags = np.asarray(log_mags, dtype=float)
+    log_counts = np.asarray(log_counts, dtype=float)
+    counts = np.rint(np.exp(np.minimum(log_counts, math.log(m))))
+    value, _, _ = _waterfill(counts * np.exp(log_mags), np.exp(log_counts + 2.0 * log_mags),
+                             counts, m)
     return float(_snapped_fidelity(value, m))

@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import tracemalloc
 import warnings
 from functools import reduce
 
@@ -217,10 +218,10 @@ class TestRates:
                             d, rank, eps)
 
     def test_level_search_is_logarithmic(self, monkeypatch):
-        # m* = 854 of 1024 levels; a level-by-level scan makes 856 scans
+        # m* = 854 of 1024 levels; a level-by-level scan makes 856 evaluations
         calls = []
-        scan = dnorm._scan_integer
-        monkeypatch.setattr(dnorm, "_scan_integer", lambda *a: calls.append(1) or scan(*a))
+        evaluate = dnorm._waterfill
+        monkeypatch.setattr(dnorm, "_waterfill", lambda *a: calls.append(1) or evaluate(*a))
         rep = one_shot_rate(np.diag([0.6, 0.4]).astype(complex), 0.05, copies=10)
         assert rep.m_requested == 854
         assert len(calls) <= 12
@@ -449,6 +450,25 @@ class TestTypeClasses:
         # 0.9999^5000 = e^-0.5 > 1/2, so m = 2 is not reached exactly
         assert fids[0] == 1.0 and fids[1] == 0.5
         assert 0.9 < assisted_fidelity_from_probs([0.9999, 0.0001], 5000, 2) < 1.0
+
+    @pytest.mark.parametrize("n", [1, 20])
+    def test_memory_does_not_grow_with_m(self, n):
+        # the norm is evaluated on classes, so no array has m entries: a
+        # zero-padded sort of 10^6 entries alone would take 8 MB
+        tracemalloc.start()
+        try:
+            assisted_fidelity_from_probs([0.6, 0.4], n, 10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 6
+
+    @pytest.mark.parametrize("n", [1, 20])
+    def test_every_entry_capped_at_a_billion_levels(self, n):
+        # m = 10^9 exceeds the 2^n entries, so the norm is the l1 norm
+        m = 10 ** 9
+        l1_sq = (math.sqrt(0.6) + math.sqrt(0.4)) ** (2 * n)
+        assert abs(assisted_fidelity_from_probs([0.6, 0.4], n, m) - l1_sq / m) <= 1e-12 * l1_sq / m
 
 
 _NAN = float("nan")

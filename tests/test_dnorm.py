@@ -1,11 +1,13 @@
-"""m-distillation norm: semi-analytic scan vs the primal/dual bracket."""
+"""m-distillation norm: the water-filling evaluator on vectors, stacks and
+classes, against a brute-force split-index reference and the primal/dual
+bracket."""
 
 import numpy as np
 import pytest
 
 from cohdist.dnorm import (
-    _scan_integer,
-    _sorted_rows,
+    _vector_waterfill,
+    class_distillation_fidelity,
     mnorm,
     mnorm_dual_oracle,
     mnorm_primal_oracle,
@@ -19,6 +21,17 @@ from cohdist.hermat import maximally_coherent
 def normalized_abs(rng, d):
     v = np.abs(rng.standard_normal(d)) + 1e-3
     return v / np.linalg.norm(v)
+
+
+def split_reference(v, m):
+    """The norm by brute force over the split index k: the first m - k
+    sorted entries at weight 1 and the rest weighted in proportion, kept
+    when no weight there exceeds 1; the norm is the largest kept value."""
+    a = np.sort(np.abs(np.ravel(v)))[::-1]
+    a = np.concatenate([a, np.zeros(max(m - a.size, 0))])
+    kept = [np.sum(a[:m - k]) + np.sqrt(k) * np.linalg.norm(a[m - k:]) for k in range(1, m + 1)
+            if np.sqrt(k) * a[m - k] <= np.linalg.norm(a[m - k:]) * (1.0 + 1e-12)]
+    return max(kept)
 
 
 class TestMnorm:
@@ -105,12 +118,12 @@ class TestRowBatchedScan:
         v = self.stack(rng, shape)
         d = shape[-1]
         for m in (1, 2, d - 1, d, d + 2):
-            value, k_star = _scan_integer(_sorted_rows(np.abs(v), m), m)
-            assert value.shape == k_star.shape == shape[:-1]
+            _, value, tail, room = _vector_waterfill(v, m)
+            assert value.shape == tail.shape == room.shape == shape[:-1]
             for idx in np.ndindex(*shape[:-1]):
                 res = mnorm(v[idx], m)
                 assert value[idx] == res.value
-                assert k_star[idx] == res.k_star
+                assert (int(room[idx]) if tail[idx] > 0.0 else 1) == res.k_star
             assert value[(0,) * (len(shape) - 1)] == 0.0
 
     def test_pure_fidelity_rows(self, rng):
@@ -130,6 +143,48 @@ class TestRowBatchedScan:
             assert res.k_star is None
             assert res.value == mnorm_dual_oracle(v, m)
         assert mnorm(v, 6.5).sorted_vector.size == 7
+
+
+class TestAgainstSplitReference:
+    @staticmethod
+    def sparse(rng, shape):
+        v = np.abs(rng.standard_normal(shape)) * (rng.random(shape) > 0.25)
+        v[..., 0] += 1e-3  # at least one nonzero entry
+        return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+    def test_vectors_with_zero_entries(self):
+        rng = np.random.default_rng(77)
+        for _ in range(300):
+            d = int(rng.integers(1, 14))
+            v = self.sparse(rng, d)
+            for m in range(1, d + 3):
+                ref = split_reference(v, m)
+                assert abs(mnorm(v, m).value - ref) <= 1e-12, (d, m)
+                assert abs(mnorm_dual_oracle(v, m) - ref) <= 1e-12, (d, m)
+                assert abs(pure_distillation_fidelity(v, m) - min(ref * ref / m, 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(5, 3, 4), (2, 6, 7), (4, 1, 1)])
+    def test_stacks(self, shape):
+        rng = np.random.default_rng(78)
+        v = self.sparse(rng, shape)
+        for m in range(1, shape[-1] + 3):
+            fid = pure_distillation_fidelity(v, m)
+            for idx in np.ndindex(*shape[:-1]):
+                ref = split_reference(v[idx], m)
+                assert abs(fid[idx] - min(ref * ref / m, 1.0)) <= 1e-12, (idx, m)
+
+    def test_classes_from_repeated_entries(self):
+        rng = np.random.default_rng(79)
+        for _ in range(100):
+            n_classes = int(rng.integers(1, 7))
+            mags = np.sort(rng.random(n_classes) + 1e-3)[::-1]
+            counts = rng.integers(1, 6, n_classes)
+            v = np.repeat(mags, counts)
+            mags, v = mags / np.linalg.norm(v), v / np.linalg.norm(v)
+            for m in range(1, v.size + 3):
+                ref = split_reference(v, m)
+                got = class_distillation_fidelity(np.log(mags), np.log(counts), m)
+                assert abs(got - min(ref * ref / m, 1.0)) <= 1e-12, (counts, m)
 
 
 class TestOracles:

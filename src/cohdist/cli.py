@@ -19,13 +19,18 @@ every dimension (see ``distill.assisted_fidelity_bound``).  Like ``figure``,
 they read n copies through the power of the base state's diagonal
 (``distill.assisted_fidelity_from_probs``) and never form the d^n x d^n
 matrix.
+
+The argument parser is built once per process, on the first ``main`` call
+(importing the package builds nothing), and every later call parses with
+it.  Parsing does not mutate an argparse parser and every default is an
+immutable scalar, so ``main`` may run from several threads at once.
 """
 
 import argparse
 import json
 import os
 import sys
-from functools import reduce
+from functools import cache
 
 import numpy as np
 
@@ -337,7 +342,7 @@ def _selftest_checks(seed: int):
         for d, n in ((2, 11), (3, 7)):
             q = float(rng.uniform(0.94, 0.99))
             probs = np.concatenate([[q], (1.0 - q) * rng.dirichlet(np.ones(d - 1))])
-            power = np.clip(reduce(np.kron, [probs] * n), 0.0, None)
+            power = distill._kron_power(probs, n)
             for m in (2, 3, 5):
                 worst = max(worst, abs(distill.assisted_fidelity_from_probs(probs, n, m)
                                        - pure_distillation_fidelity(np.sqrt(power), m)))
@@ -373,6 +378,7 @@ def cmd_selftest(args) -> int:
     return 0 if failures == 0 else _EXIT_NUMERICAL
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cohdist",
@@ -420,8 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, BadM, NotDistribution, DimMismatch, NonHermitian, NotPSD) as exc:

@@ -133,8 +133,11 @@ def _check_copies(copies) -> int:
 
 def _kron_power(probs, copies: int) -> np.ndarray:
     # the diagonal of a copies-fold tensor power is the Kronecker power of the
-    # base diagonal; clipping it afterwards matches clipping the power's own
-    return np.clip(reduce(np.kron, [probs] * _check_copies(copies)), 0.0, None)
+    # base diagonal; on vectors the flattened outer product forms the same
+    # products in the same order as np.kron, bit for bit, without its
+    # per-call set-up.  Clipping afterwards matches clipping the power's own
+    power = reduce(lambda a, b: np.multiply.outer(a, b).ravel(), [probs] * _check_copies(copies))
+    return np.clip(power, 0.0, None)
 
 
 def _types(n: int, d: int) -> np.ndarray:

@@ -63,8 +63,8 @@ class MNormResult:
     ``k_star`` is the split index m - K of the norm's split-index form, K
     the number of capped entries (1 when every supported entry is capped,
     None when m is not an integer); ``sorted_vector`` holds the entry
-    magnitudes in descending order, zero-padded to ceil(m) entries when m
-    exceeds the dimension.
+    magnitudes in descending order, one per entry of the input whatever m
+    is (no zeros are appended when m exceeds the dimension).
     """
 
     value: float
@@ -147,9 +147,7 @@ def mnorm(v, m: float) -> MNormResult:
     integer = abs(m - round(m)) <= _INTEGER_TOL * max(1.0, m)
     sorted_desc, value, tail, room = _vector_waterfill(np.ravel(v), round(m) if integer else m)
     k_star = (int(room) if tail > 0.0 else 1) if integer else None
-    pad = np.zeros(max(math.ceil(m - _INTEGER_TOL) - sorted_desc.size, 0))
-    return MNormResult(value=float(value), k_star=k_star,
-                       sorted_vector=np.concatenate([sorted_desc, pad]))
+    return MNormResult(value=float(value), k_star=k_star, sorted_vector=sorted_desc)
 
 
 def mnorm_dual_oracle(v, m: float) -> float:

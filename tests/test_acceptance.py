@@ -73,7 +73,7 @@ def test_norm_special_cases():
 
 
 def test_three_way_norm_agreement():
-    with _Budget("three-way norm agreement (semi-analytic inside the dual/primal bracket)", 30.0):
+    with _Budget("three-way norm agreement (water-filling evaluator inside the dual/primal bracket)", 30.0):
         for v in _norm_corpus():
             for m in range(1, v.size + 1):
                 semi = mnorm(v, m).value

@@ -1,10 +1,13 @@
 """CLI surfaces: commands, exit codes, file formats, determinism."""
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from cohdist import cli
 from cohdist.cli import main
 from cohdist.distill import (
     assisted_fidelity_bound,
@@ -378,3 +381,81 @@ class TestSelftest:
         assert main(["selftest", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "0 failure(s)" in out
+
+
+class TestSharedParser:
+    """One parser serves every ``main`` call in a process; a call's output
+    must not depend on the calls made before it."""
+
+    @staticmethod
+    def run(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def test_calls_leave_nothing_behind(self, qubit64, capsys):
+        state = str(qubit64)
+        sequence = [
+            ["fidelity", state, "--copies", "3", "--m", "3", "--json"],
+            ["fidelity", state],
+            ["rate", state, "--eps", "0.05", "--copies", "2"],
+            ["rate", state],
+            ["fidelity", "f", "--m", "x"],
+            ["fidelity", state, "--m", "3"],
+        ]
+        fresh = []
+        for argv in sequence:
+            cli._build_parser.cache_clear()
+            fresh.append(self.run(argv, capsys))
+        assert fresh[4][0] == ("exit", 2) and "invalid int value" in fresh[4][2]
+        cli._build_parser.cache_clear()
+        assert [self.run(argv, capsys) for argv in sequence] == fresh
+
+    def test_threads_write_what_sequential_runs_write(self, qubit64, curves_spec,
+                                                      tmp_path, capsys):
+        commands = [
+            ["fidelity", str(qubit64), "--copies", "2", "--m", "3", "--json"],
+            ["rate", str(qubit64), "--eps", "0.05", "--copies", "3", "--json"],
+            ["decompose", str(qubit64), "--json"],
+            ["figure", str(curves_spec)],
+        ]
+
+        def run_all(tag, barrier=None):
+            if barrier is not None:
+                barrier.wait()
+            for rep in range(5):
+                for i, argv in enumerate(commands):
+                    assert main(argv + ["--out", str(tmp_path / f"{tag}-{i}-{rep}")]) == 0
+
+        cli._build_parser.cache_clear()
+        run_all("seq")
+        # the four threads also race to build the parser
+        cli._build_parser.cache_clear()
+        barrier, errors = threading.Barrier(4), []
+
+        def worker(k):
+            try:
+                run_all(f"t{k}", barrier)
+            except Exception as exc:  # surfaced in the main thread below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        for k in range(4):
+            for i in range(len(commands)):
+                for rep in range(5):
+                    assert ((tmp_path / f"t{k}-{i}-{rep}").read_bytes()
+                            == (tmp_path / f"seq-{i}-{rep}").read_bytes())

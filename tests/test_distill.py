@@ -327,6 +327,18 @@ class TestCopies:
                             == one_shot_rate(big, eps, declared_base_dim=d))
                 assert zero_error_rate(rho, copies=n) == zero_error_rate(big, declared_base_dim=d)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_kron_power_is_the_kronecker_power_bytewise(self, d, rng):
+        # np.kron is the independent reference; an entry at -1e-12 leaves
+        # negative products for the clip
+        clipped = np.concatenate([rng.dirichlet(np.ones(d - 1)), [-1e-12]])
+        for probs in [rng.dirichlet(np.ones(d)) for _ in range(3)] + [clipped]:
+            n = 1
+            while d ** n <= 1024:
+                reference = np.clip(reduce(np.kron, [probs] * n), 0, None)
+                assert distill._kron_power(probs, n).tobytes() == reference.tobytes(), (probs, n)
+                n += 1
+
     def test_exactness_follows_the_base(self, rng):
         assert one_shot_rate(random_density(2, rng), 0.0, copies=4).exact_flag
         assert not zero_error_rate(random_density(4, rng), copies=2).exact

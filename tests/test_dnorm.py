@@ -2,6 +2,8 @@
 classes, against a brute-force split-index reference and the primal/dual
 bracket."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -54,7 +56,21 @@ class TestMnorm:
         # more target levels than entries: the norm collapses to l1
         res = mnorm([0.8, 0.6], 5)
         assert abs(res.value - 1.4) < 1e-12
-        assert res.sorted_vector.size == 5
+        assert res.sorted_vector.size == 2
+
+    def test_memory_does_not_grow_with_m(self):
+        # sorted_vector holds the input's entries only: zero-padded to m
+        # entries and copied once, it would take 160 MB here.  m stays at
+        # 10^7 so that such a regression fails without asking for the 16 GB
+        # it would take at m = 10^9
+        tracemalloc.start()
+        try:
+            res = mnorm([0.8, 0.6], 10 ** 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(res.value - 1.4) < 1e-12
+        assert peak < 10 ** 6
 
     def test_magnitudes_only(self, rng):
         v = normalized_abs(rng, 5)
@@ -142,7 +158,7 @@ class TestRowBatchedScan:
             res = mnorm(v, m)
             assert res.k_star is None
             assert res.value == mnorm_dual_oracle(v, m)
-        assert mnorm(v, 6.5).sorted_vector.size == 7
+        assert mnorm(v, 6.5).sorted_vector.size == 5
 
 
 class TestAgainstSplitReference:

@@ -17,8 +17,9 @@ and a ``copies`` count and never form the d^n x d^n matrix.  Up to
 ``hermat.TENSOR_DIM_CAP`` entries the power is the Kronecker product of the
 diagonal, which reproduces the materialized matrix path bit for bit.
 Above it, the fidelity reads the power by its types: the C(n+d-1, d-1)
-distinct products prod_i p_i^k_i with their multinomial multiplicities,
-formed in log space and handed to ``dnorm.class_distillation_fidelity`` as
+distinct products prod_i p_i^k_i with their multinomial multiplicities
+(sums of logs of exact binomials, so no large logs cancel), formed in log
+space and handed to ``dnorm.class_distillation_fidelity`` as
 classes of equal entries for the norm's water-filling evaluator.  That
 costs O(classes) instead of O(d^n), whatever m is, so n in the thousands
 and m in the billions are cheap, and agrees with the Kronecker route within
@@ -33,14 +34,14 @@ on exactly-integer reciprocals from losing a whole level.
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from . import ensembles
 from .dnorm import (_snapped_fidelity, class_distillation_fidelity, pure_distillation_fidelity,
                     waterfill_level)
-from .errors import BadM, NumericalFailure
+from .errors import BadM, DimMismatch, NumericalFailure
 from .hermat import TENSOR_DIM_CAP, eig_psd, require_density, shannon_entropy
 
 __all__ = [
@@ -140,16 +141,41 @@ def _kron_power(probs, copies: int) -> np.ndarray:
     return np.clip(power, 0.0, None)
 
 
-def _types(n: int, d: int) -> np.ndarray:
+@lru_cache(maxsize=16)
+def _types(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Every way of splitting n copies among d outcomes, one count vector
-    (k_1, ..., k_d) with sum n per row: the C(n+d-1, d-1) types."""
+    (k_1, ..., k_d) with sum n per row: the C(n+d-1, d-1) types, and the
+    log of each type's multinomial coefficient n! / prod_j k_j!.
+
+    The log multinomial is the sum over j >= 2 of log C(s_j, k_j), with
+    s_j = k_1 + ... + k_j.  Each log C(s, k) is the log of an exact integer
+    from a row of Pascal's triangle, C(s, k + 1) = C(s, k) (s - k) / (k + 1),
+    so it is rounded once; a difference of log-factorials would lose the
+    rounding of log n! (about 1e-11 at n = 5000) to cancellation.  With
+    two outcomes only the row s = n is built.  Both arrays are read-only
+    and cached, since a figure's curve asks for the same n at every point
+    of its grid.
+    """
     rows = np.zeros((1, 0), dtype=np.int64)
     for _ in range(d - 1):
         reps = n + 1 - rows.sum(axis=1)
         starts = np.cumsum(reps) - reps
         rows = np.column_stack([np.repeat(rows, reps, axis=0),
                                 np.arange(reps.sum()) - np.repeat(starts, reps)])
-    return np.column_stack([rows, n - rows.sum(axis=1)])
+    k = np.column_stack([rows, n - rows.sum(axis=1)])
+    prefix = np.cumsum(k, axis=1)[:, 1:]
+    offset = np.zeros(n + 1, dtype=np.int64)
+    log_binomials = []
+    for s in np.flatnonzero(np.bincount(prefix.ravel())).tolist():
+        offset[s] = len(log_binomials)
+        c = 1
+        log_binomials.append(0.0)
+        for j in range(s):
+            c = c * (s - j) // (j + 1)
+            log_binomials.append(math.log(c))
+    log_mult = np.array(log_binomials)[offset[prefix] + k[:, 1:]].sum(axis=1)
+    k.flags.writeable = log_mult.flags.writeable = False
+    return k, log_mult
 
 
 def _type_classes(probs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -158,15 +184,13 @@ def _type_classes(probs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     zero when it has a zero factor or an odd number of negative ones; an
     even number of negative factors leaves it positive, as in the Kronecker
     route, which clips after powering."""
-    k = _types(n, probs.size)
-    log_fact = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+    k, log_mult = _types(n, probs.size)
     keep = ~((k[:, probs == 0] > 0).any(axis=1) | (k[:, probs < 0].sum(axis=1) % 2 == 1))
     k = k[keep]
     nonzero = probs != 0
     log_mags = 0.5 * (k[:, nonzero] @ np.log(np.abs(probs[nonzero])))
-    log_counts = log_fact[n] - log_fact[k].sum(axis=1)
     order = np.argsort(-log_mags, kind="stable")
-    return log_mags[order], log_counts[order]
+    return log_mags[order], log_mult[keep][order]
 
 
 def assisted_fidelity_bound(rho, m: int, copies: int = 1) -> float:
@@ -207,12 +231,15 @@ def assisted_fidelity_from_probs(probs, n: int, m: int) -> float:
     memory.  Above that size the power is read by its types
     (``_type_classes``) and evaluated in O(C(n+d-1, d-1)), within 1e-12 of
     the Kronecker route.  Neither route builds an array that grows with m.
-    ``probs`` is not validated; an ``m`` that is not a positive integer
+    A ``probs`` that is not one-dimensional raises ``DimMismatch``; its
+    entries are not validated.  An ``m`` that is not a positive integer
     raises ``BadM`` and a ``n`` that is not a positive integer raises
     ``ValueError``.
     """
     n = _check_copies(n)
     probs = np.asarray(probs, dtype=float)
+    if probs.ndim != 1:
+        raise DimMismatch(f"probs must be a vector, got shape {probs.shape}")
     if n > 1 and probs.size ** n > TENSOR_DIM_CAP:
         return class_distillation_fidelity(*_type_classes(probs, n), m)
     return pure_distillation_fidelity(np.sqrt(_kron_power(probs, n)), m)

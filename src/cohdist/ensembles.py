@@ -18,7 +18,10 @@ coordinate-wise pattern search then optimizes the chosen objective.  The
 search works on stacks: all restarts run in lockstep, each round builds up
 to eight candidate ensembles per live start with one batched QR, and the
 objectives score the whole round in one call, masking atoms below the
-weight floor instead of dropping them.
+weight floor instead of dropping them.  Diagonal phases are free in this
+resource theory, so every shipped objective reads an ensemble only through
+its squared amplitudes w_i |psi_ij|^2: the search scores these real arrays
+and forms the complex ``Ensemble`` for the returned decomposition alone.
 """
 
 from dataclasses import dataclass
@@ -31,9 +34,10 @@ from .errors import (
     DimTooLarge,
     IncompatibleEnsemble,
     NotAPurification,
+    NotDistribution,
     NumericalFailure,
 )
-from .hermat import eig_hermitian, eig_psd, require_density, shannon_entropy
+from .hermat import _DISTRIBUTION, eig_hermitian, eig_psd, require_density
 
 __all__ = [
     "Ensemble",
@@ -255,23 +259,29 @@ def same_diagonal_decomposition(rho) -> Ensemble:
 # general ensemble search
 
 
-# Objectives take ``weights`` of shape (..., k) and ``atoms`` of shape
-# (..., k, d), any leading batch axes, and return one value per ensemble.
-# Atoms at or below the weight floor are masked out, never dropped, so a
-# stack keeps its shape.
+# Objectives take ``probs`` of shape (..., k, d), any leading batch axes,
+# with probs[..., i, j] = w_i |psi_ij|^2, and return one value per
+# ensemble.  Every shipped objective measures the coherence of a pure
+# state, which diagonal phases leave unchanged, so it reads atom i only
+# through these squared amplitudes.  Atoms at or below the weight floor
+# are masked out, never dropped, so a stack keeps its shape.
 
 
 @dataclass(frozen=True)
 class MaxAvgPureFidelity:
-    """Maximize the weighted average pure-state distillation fidelity at m."""
+    """Maximize the weighted average pure-state distillation fidelity at m.
+
+    The m-norm is 1-homogeneous, so w_i F(psi_i) is the fidelity of the
+    unnormalized row sqrt(probs_i): ||sqrt(probs_i)||_(m)^2 / m.
+    """
 
     m: int
     sense: str = "max"
 
-    def evaluate(self, weights, atoms):
-        weights = np.asarray(weights, dtype=float)
-        scores = pure_distillation_fidelity(atoms, self.m)
-        return np.sum(np.where(weights > _WEIGHT_FLOOR, weights * scores, 0.0), axis=-1)
+    def evaluate(self, probs):
+        probs = np.asarray(probs, dtype=float)
+        scores = pure_distillation_fidelity(np.sqrt(probs), self.m)
+        return np.sum(np.where(probs.sum(axis=-1) > _WEIGHT_FLOOR, scores, 0.0), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -280,24 +290,38 @@ class MinMaxInfNormSq:
 
     sense: str = "min"
 
-    def evaluate(self, weights, atoms):
-        peak = np.max(np.abs(atoms) ** 2, axis=-1)
-        return np.max(np.where(np.asarray(weights) > _WEIGHT_FLOOR, peak, 0.0), axis=-1)
+    def evaluate(self, probs):
+        probs = np.asarray(probs, dtype=float)
+        weights = probs.sum(axis=-1)
+        peak = np.divide(np.max(probs, axis=-1), weights, out=np.zeros_like(weights),
+                         where=weights > _WEIGHT_FLOOR)
+        return np.max(peak, axis=-1)
+
+
+def _xlog2x(p):
+    pos = p > 0.0
+    return np.where(pos, p * np.log2(np.where(pos, p, 1.0)), 0.0)
 
 
 @dataclass(frozen=True)
 class MaxAvgDiagEntropy:
-    """Maximize the weighted average entropy of the atoms' diagonals."""
+    """Maximize the weighted average entropy of the atoms' diagonals,
+    sum_i w_i H(|psi_i|^2) = sum_i (w_i log2 w_i - sum_j P_ij log2 P_ij)
+    with P = ``probs``.
+
+    Raises ``NotDistribution`` unless the weights of every ensemble in the
+    stack sum to 1 within 1e-9 (NaN fails).
+    """
 
     sense: str = "max"
 
-    def evaluate(self, weights, atoms):
-        weights = np.asarray(weights, dtype=float)
-        live = weights > _WEIGHT_FLOOR
-        # masked atoms get a stand-in distribution so the gate sees only live ones
-        p = np.where(live[..., None], np.abs(atoms) ** 2, 1.0)
-        entropy = shannon_entropy(p / p.sum(axis=-1, keepdims=True))
-        return np.sum(np.where(live, weights * entropy, 0.0), axis=-1)
+    def evaluate(self, probs):
+        probs = np.asarray(probs, dtype=float)
+        weights = probs.sum(axis=-1)
+        if not np.all(np.abs(weights.sum(axis=-1) - 1.0) <= _DISTRIBUTION):
+            raise NotDistribution(f"ensemble weights do not sum to 1 within {_DISTRIBUTION:.0e}")
+        terms = _xlog2x(weights) - np.sum(_xlog2x(probs), axis=-1)
+        return np.sum(np.where(weights > _WEIGHT_FLOOR, terms, 0.0), axis=-1)
 
 
 def _eigen_basis(rho):
@@ -311,26 +335,33 @@ def _eigen_basis(rho):
     return phi * np.sqrt(lam), phi, lam  # basis columns sqrt(lam_j) phi_j
 
 
-def _ensemble_from_theta(thetas, n_atoms, basis):
-    """Ensembles from a (B, npar) stack of parameter vectors: (B, k) weights
-    and (B, k, d) atoms, atoms below the weight floor set to zero."""
+def _amplitudes(thetas, n_atoms, basis):
+    """Unnormalized atoms sqrt(w_i) psi_i, shape (B, k, d), of the ensembles
+    of a (B, npar) stack of parameter vectors: the rows of Q basis^T, Q the
+    isometry from the QR factorization of the parameter matrix."""
     r = basis.shape[1]
     half = n_atoms * r
-    m = (thetas[:, :half] + 1j * thetas[:, half:]).reshape(-1, n_atoms, r)
-    q, rr = np.linalg.qr(m)
+    m = np.empty((thetas.shape[0], half), dtype=np.complex128)
+    m.real, m.imag = thetas[:, :half], thetas[:, half:]
+    q, rr = np.linalg.qr(m.reshape(-1, n_atoms, r))
     # pin the column phases (diag of R real positive) so that an already
     # orthonormal M maps to itself; column phases change the ensemble
     dr = np.diagonal(rr, axis1=-2, axis2=-1)
-    phases = np.where(np.abs(dr) > 0, dr / np.where(np.abs(dr) > 0, np.abs(dr), 1.0), 1.0)
-    q = q * phases[:, None, :]
-    unnorm = q @ basis.T  # rows are unnormalized atoms sqrt(w_i) psi_i
-    weights = np.sum(np.abs(unnorm) ** 2, axis=-1)
-    atoms = np.where(
-        weights[..., None] > _WEIGHT_FLOOR,
-        unnorm / np.sqrt(np.maximum(weights, 1e-300))[..., None],
-        0.0,
-    )
-    return weights, atoms
+    mag = np.abs(dr)
+    phases = np.divide(dr, mag, out=np.ones_like(dr), where=mag > 0)
+    return (q * phases[:, None, :]) @ basis.T
+
+
+def _squared(amps):
+    return amps.real ** 2 + amps.imag ** 2
+
+
+def _ensemble(amps):
+    """The ``Ensemble`` of one (k, d) amplitude matrix, with the atoms at or
+    below the weight floor dropped."""
+    weights = _squared(amps).sum(axis=-1)
+    keep = weights > _WEIGHT_FLOOR
+    return Ensemble(weights=weights[keep], atoms=amps[keep] / np.sqrt(weights[keep])[:, None])
 
 
 def _theta_from_ensemble(ens: Ensemble, phi, lam, n_atoms):
@@ -366,9 +397,13 @@ def ensemble_search(
     objectives.
 
     ``objective`` has a ``sense`` ("max" or "min") and an
-    ``evaluate(weights, atoms)`` that must accept leading batch axes:
-    weights of shape (..., k) and atoms of shape (..., k, d), returning
-    one value per ensemble.  The search scores its candidates in stacks.
+    ``evaluate(probs)`` that must accept leading batch axes: ``probs`` of
+    shape (..., k, d) holds the squared amplitudes w_i |psi_ij|^2 of each
+    ensemble, so its weights are ``probs.sum(-1)``, and one value per
+    ensemble is returned.  Atoms at or below the weight floor 1e-12 must
+    contribute nothing.  The objective is thereby blind to the phases of
+    the atoms' entries, as the shipped coherence measures are.  The search
+    scores its candidates in stacks.
     """
     rho = require_density(rho, check_psd=False)
     d = rho.shape[0]
@@ -380,8 +415,7 @@ def ensemble_search(
     sense = 1.0 if objective.sense == "min" else -1.0
 
     def cost(thetas):
-        weights, atoms = _ensemble_from_theta(thetas, atoms_cap, basis)
-        return sense * objective.evaluate(weights, atoms)
+        return sense * objective.evaluate(_squared(_amplitudes(thetas, atoms_cap, basis)))
 
     starts: list[np.ndarray] = []
     if d <= 3:
@@ -402,10 +436,7 @@ def ensemble_search(
     thetas, costs = _pattern_search(cost, np.array(starts), max(64, max_evals // len(starts)))
     best = int(np.argmin(costs))  # the first minimum, as a strict-improvement scan keeps
 
-    weights, atoms = _ensemble_from_theta(thetas[best : best + 1], atoms_cap, basis)
-    keep = weights[0] > _WEIGHT_FLOOR
-    ens = Ensemble(weights=weights[0][keep], atoms=atoms[0][keep])
-    return ens, sense * costs[best]
+    return _ensemble(_amplitudes(thetas[best : best + 1], atoms_cap, basis)[0]), sense * costs[best]
 
 
 def _pattern_search(cost, thetas0, budget, step0=0.3, step_min=1e-7):
@@ -431,27 +462,29 @@ def _pattern_search(cost, thetas0, budget, step0=0.3, step_min=1e-7):
     step = np.full(n_starts, float(step0))
     pos = np.zeros(n_starts, dtype=np.int64)  # poll position, 2 * coordinate + sign
     improved = np.zeros(n_starts, dtype=bool)
+    chunk = np.arange(_POLL_CHUNK)
     while True:
         live = (evals < budget) & (step > step_min)
         if not live.any():
             return theta, best
         count = np.where(live, np.minimum(np.minimum(_POLL_CHUNK, 2 * n - pos), budget - evals), 0)
-        owner = np.repeat(np.arange(n_starts), count)  # the start polling each row
-        rows = np.arange(owner.size)
-        offset = rows - (np.cumsum(count) - count)[owner]
-        order = pos[owner] + offset
+        # the start polling each row and the row's place in that start's chunk
+        owner, offset = np.nonzero(chunk < count[:, None])
+        coord, sign = np.divmod(pos[owner] + offset, 2)
+        steps = step[owner]
+        steps[sign == 1] *= -1.0
         cands = theta[owner]
-        cands[rows, order // 2] += np.where(order % 2 == 0, step[owner], -step[owner])
+        cands[np.arange(owner.size), coord] += steps
         costs = cost(cands)
         hits = np.flatnonzero(costs < best[owner] - 1e-15)
+        hit_starts = owner[hits]
         lead = np.ones(hits.size, dtype=bool)  # each start's first improvement
-        lead[1:] = owner[hits[1:]] != owner[hits[:-1]]
-        first = hits[lead]
-        moved = owner[first]
+        lead[1:] = hit_starts[1:] != hit_starts[:-1]
+        first, moved = hits[lead], hit_starts[lead]
         evals += count
         evals[moved] += offset[first] + 1 - count[moved]
         pos += count
-        pos[moved] = 2 * (order[first] // 2 + 1)
+        pos[moved] = 2 * coord[first] + 2
         theta[moved], best[moved] = cands[first], costs[first]
         improved[moved] = True
         done = live & ((pos >= 2 * n) | (evals >= budget))
@@ -469,9 +502,7 @@ def random_decomposition(rho, n_atoms: int, seed: int = 0) -> Ensemble:
         raise ValueError(f"n_atoms {n_atoms} below rank {rank}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     theta = rng.standard_normal((1, 2 * n_atoms * rank))
-    weights, atoms = _ensemble_from_theta(theta, n_atoms, basis)
-    keep = weights[0] > _WEIGHT_FLOOR
-    return Ensemble(weights=weights[0][keep], atoms=atoms[0][keep])
+    return _ensemble(_amplitudes(theta, n_atoms, basis)[0])
 
 
 # ---------------------------------------------------------------------------

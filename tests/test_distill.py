@@ -30,7 +30,7 @@ from cohdist.ensembles import (
     random_decomposition,
     same_diagonal_decomposition,
 )
-from cohdist.errors import BadM, NotPSD, NumericalFailure, ParseError
+from cohdist.errors import BadM, DimMismatch, NotPSD, NumericalFailure, ParseError
 from cohdist.hermat import (
     maximally_coherent,
     random_density,
@@ -348,6 +348,14 @@ class TestCopies:
         with pytest.raises(NotPSD):
             one_shot_rate(_not_psd(3, False), 0.0, copies=2)
 
+    @pytest.mark.parametrize("probs", [np.float64(0.6), np.array([[0.6, 0.4]])],
+                             ids=["0-d", "2-d"])
+    @pytest.mark.parametrize("n", [1, 12])
+    def test_probs_must_be_a_vector(self, probs, n):
+        # n = 1 takes the Kronecker route and n = 12 the type classes
+        with pytest.raises(DimMismatch):
+            assisted_fidelity_from_probs(probs, n, 2)
+
     @pytest.mark.parametrize("copies", [0, -1, 1.5, 20.5])
     def test_rejects_bad_copies(self, copies):
         rho = np.diag([0.6, 0.4]).astype(complex)
@@ -450,6 +458,15 @@ class TestTypeClasses:
         for m in (1, 2, 3, 5, 17):
             assert (abs(assisted_fidelity_from_probs([p, 1.0 - p], n, m)
                         - _decimal_fidelity([p, 1.0 - p], n, m)) <= 1e-12), m
+
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_exact_multiplicities_at_thousands_of_copies(self, m):
+        # log C(5000, k) as a difference of log-factorials carries the
+        # ~1e-11 rounding of log 5000!, which was 3e-12 off here; from exact
+        # integers it is rounded once
+        probs = [0.9999, 1.0 - 0.9999]
+        assert (abs(assisted_fidelity_from_probs(probs, 5000, m)
+                    - _decimal_fidelity(probs, 5000, m)) <= 1e-14)
 
     def test_thousands_of_copies(self):
         ms = (1, 2, 3, 5, 17, 100, 1000)

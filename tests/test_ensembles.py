@@ -12,9 +12,11 @@ from cohdist.ensembles import (
     MaxAvgDiagEntropy,
     MaxAvgPureFidelity,
     MinMaxInfNormSq,
+    _amplitudes,
     _eigen_basis,
-    _ensemble_from_theta,
+    _ensemble,
     _pattern_search,
+    _squared,
     _theta_from_ensemble,
     ensemble_search,
     purify,
@@ -23,7 +25,7 @@ from cohdist.ensembles import (
     simulate_protocol,
     steering_measurement,
 )
-from cohdist.errors import DimTooLarge, IncompatibleEnsemble, NotAPurification
+from cohdist.errors import DimTooLarge, IncompatibleEnsemble, NotAPurification, NotDistribution
 from cohdist.hermat import delta_vector, random_density, shannon_entropy
 
 
@@ -212,12 +214,33 @@ class TestEnsembleSearch:
 OBJECTIVES = [MaxAvgPureFidelity(2), MaxAvgPureFidelity(3), MinMaxInfNormSq(), MaxAvgDiagEntropy()]
 
 
-def loop_evaluate(objective, weights, atoms):
-    """Per-atom reference: atoms above the weight floor, taken in order."""
+def loop_evaluate(objective, probs):
+    """Per-atom reference on the squared amplitudes: atoms above the weight
+    floor, taken in order."""
     total = 0.0
-    for w, a in zip(weights, atoms):
+    for p in probs:
+        w = p.sum()
         if w <= _WEIGHT_FLOOR:
             continue
+        if isinstance(objective, MaxAvgPureFidelity):
+            total += pure_distillation_fidelity(np.sqrt(p), objective.m)
+        elif isinstance(objective, MinMaxInfNormSq):
+            total = max(total, float(np.max(p) / w))
+        else:
+            pos = p[p > 0]
+            total += w * np.log2(w) - np.sum(pos * np.log2(pos))
+    return total
+
+
+def atom_loop_evaluate(objective, amps):
+    """Independent reference on normalized atoms: weight w = ||amps_i||^2 and
+    atom amps_i / sqrt(w), atoms at or below the weight floor skipped."""
+    total = 0.0
+    for u in amps:
+        w = float(np.sum(np.abs(u) ** 2))
+        if w <= _WEIGHT_FLOOR:
+            continue
+        a = u / np.sqrt(w)
         if isinstance(objective, MaxAvgPureFidelity):
             total += w * pure_distillation_fidelity(a, objective.m)
         elif isinstance(objective, MinMaxInfNormSq):
@@ -256,42 +279,85 @@ def sequential_pattern_search(cost, theta0, budget, step0=0.3, step_min=1e-7):
     return theta, best
 
 
-def random_stack(rng, d, batch):
-    """(batch, d + 1) weights and atoms of random exact decompositions of one
-    state, with atoms at or below the weight floor in some ensembles."""
+def random_stack(rng, d, batch, *, normalized=False):
+    """Random exact decompositions of one state into d + 1 atoms: the
+    (batch, d + 1, d) amplitudes and their squares.
+
+    Ensemble 0 has a zero atom and ensemble 1 an atom exactly at the weight
+    floor, with the weight they lose moved onto atom 0, so every weight sum
+    stays 1.  In ensemble 2 no atom is above the floor, or, if
+    ``normalized``, one basis-state atom has all the weight, so that the
+    whole stack passes the entropy objective's check.  Either way each
+    objective scores ensemble 2 as 0.
+    """
     basis, _, _ = _eigen_basis(random_density(d, rng))
     thetas = rng.standard_normal((batch, 2 * (d + 1) * basis.shape[1]))
-    weights, atoms = _ensemble_from_theta(thetas, d + 1, basis)
-    weights[0, 1] = 0.0                     # a masked atom left unnormalized
-    weights[1, 2] = _WEIGHT_FLOOR            # at the floor, atom zeroed
-    atoms[1, 2] = 0.0
-    weights[2, :] = _WEIGHT_FLOOR / 2        # nothing above the floor
-    return basis, thetas, weights, atoms
+    amps = _amplitudes(thetas, d + 1, basis)
+    weights = _squared(amps).sum(axis=-1)
+    amps[0, 1] = 0.0
+    amps[0, 0] *= np.sqrt((weights[0, 0] + weights[0, 1]) / weights[0, 0])
+    amps[1, 2] = 0.0
+    amps[1, 2, 0] = np.sqrt(_WEIGHT_FLOOR)   # squares to the floor exactly
+    amps[1, 0] *= np.sqrt((weights[1, 0] + weights[1, 2] - _WEIGHT_FLOOR) / weights[1, 0])
+    if normalized:
+        amps[2] = 0.0
+        amps[2, 0, 0] = 1.0
+    else:
+        amps[2] *= np.sqrt(_WEIGHT_FLOOR / 2 / weights[2])[:, None]
+    probs = _squared(amps)
+    assert probs[1, 2].sum() == _WEIGHT_FLOOR
+    return amps, probs
 
 
 class TestStackedEvaluation:
     @pytest.mark.parametrize("d", [4, 6])
     def test_builder_rows_match_single(self, rng, d):
-        basis, thetas, _, _ = random_stack(rng, d, 6)
-        weights, atoms = _ensemble_from_theta(thetas, d + 1, basis)
+        basis, _, _ = _eigen_basis(random_density(d, rng))
+        thetas = rng.standard_normal((6, 2 * (d + 1) * basis.shape[1]))
+        amps = _amplitudes(thetas, d + 1, basis)
         for b in range(thetas.shape[0]):
-            w1, a1 = _ensemble_from_theta(thetas[b : b + 1], d + 1, basis)
-            assert np.array_equal(w1[0], weights[b]) and np.array_equal(a1[0], atoms[b])
+            assert np.array_equal(_amplitudes(thetas[b : b + 1], d + 1, basis)[0], amps[b])
 
     @pytest.mark.filterwarnings("error")  # masked zero atoms must not divide 0 by 0
     @pytest.mark.parametrize("objective", OBJECTIVES, ids=repr)
     @pytest.mark.parametrize("d", [4, 5, 6])
     def test_stack_matches_each_ensemble(self, rng, objective, d):
-        _, _, weights, atoms = random_stack(rng, d, 6)
-        values = objective.evaluate(weights, atoms)
+        amps, probs = random_stack(rng, d, 6,
+                                   normalized=isinstance(objective, MaxAvgDiagEntropy))
+        values = objective.evaluate(probs)
         assert values.shape == (6,)
-        nested = objective.evaluate(weights.reshape(2, 3, -1), atoms.reshape(2, 3, d + 1, d))
+        nested = objective.evaluate(probs.reshape(2, 3, d + 1, d))
         assert np.array_equal(nested.ravel(), values)
         assert values[2] == 0.0
         for b in range(6):
-            assert objective.evaluate(weights[b], atoms[b]) == values[b]
+            assert objective.evaluate(probs[b]) == values[b]
             # fewer than 8 atoms: numpy sums them in order, as the loop does
-            assert loop_evaluate(objective, weights[b], atoms[b]) == values[b]
+            assert loop_evaluate(objective, probs[b]) == values[b]
+            assert abs(atom_loop_evaluate(objective, amps[b]) - values[b]) <= 1e-14
+
+    def test_entropy_check_covers_the_stack(self, rng):
+        objective = MaxAvgDiagEntropy()
+        _, probs = random_stack(rng, 5, 6, normalized=True)
+        objective.evaluate(probs)
+        slack = probs.copy()
+        slack[4] *= 1.0 + 1e-10
+        objective.evaluate(slack)
+        off = probs.copy()
+        off[4] *= 1.0 + 1e-8
+        nan = probs.copy()
+        nan[3, 1, 2] = np.nan
+        _, below = random_stack(rng, 5, 6)  # ensemble 2 has no atom above the floor
+        for bad in (off, nan, below):
+            with pytest.raises(NotDistribution):
+                objective.evaluate(bad)
+
+    @pytest.mark.parametrize("objective", OBJECTIVES, ids=repr)
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_search_value_is_the_returned_ensembles(self, rng, objective, d):
+        rho = random_density(d, rng)
+        ens, value = ensemble_search(rho, objective, d + 1, seed=d, restarts=2, max_evals=300)
+        probs = ens.weights[:, None] * np.abs(ens.atoms) ** 2
+        assert abs(objective.evaluate(probs) - value) <= 1e-12
 
 
 class TestChunkedPoll:
@@ -304,8 +370,7 @@ class TestChunkedPoll:
 
         def cost(thetas):
             sizes.append(thetas.shape[0])
-            weights, atoms = _ensemble_from_theta(thetas, d + 1, basis)
-            return sense * objective.evaluate(weights, atoms)
+            return sense * objective.evaluate(_squared(_amplitudes(thetas, d + 1, basis)))
 
         theta0 = rng.standard_normal(2 * (d + 1) * basis.shape[1])
         for budget in (77, 400):
@@ -375,8 +440,7 @@ class TestChunkedPoll:
 
         def cost(thetas):
             calls.append(thetas.shape[0])
-            weights, atoms = _ensemble_from_theta(thetas, 4, basis)
-            return sense * objective.evaluate(weights, atoms)
+            return sense * objective.evaluate(_squared(_amplitudes(thetas, 4, basis)))
 
         starts = [_theta_from_ensemble(same_diagonal_decomposition(rho), phi, lam, 4)]
         rng_s = np.random.Generator(np.random.Philox(key=seed))
@@ -395,11 +459,10 @@ class TestChunkedPoll:
         assert len(calls) <= longest
         ens, value = ensemble_search(rho, objective, 4, seed=seed, restarts=restarts,
                                      max_evals=max_evals)
-        weights, atoms = _ensemble_from_theta(best_theta[None, :], 4, basis)
-        keep = weights[0] > _WEIGHT_FLOOR
+        best = _ensemble(_amplitudes(best_theta[None, :], 4, basis)[0])
         assert value == sense * best_cost
-        assert np.array_equal(ens.weights, weights[0][keep])
-        assert np.array_equal(ens.atoms, atoms[0][keep])
+        assert np.array_equal(ens.weights, best.weights)
+        assert np.array_equal(ens.atoms, best.atoms)
 
     def test_ties_go_to_the_first_start(self, rng):
         """Under a constant objective no start moves and every start ties;
@@ -408,18 +471,17 @@ class TestChunkedPoll:
         class Flat:
             sense = "min"
 
-            def evaluate(self, weights, atoms):
-                return np.zeros(np.shape(weights)[:-1])
+            def evaluate(self, probs):
+                return np.zeros(np.shape(probs)[:-2])
 
         rho = random_density(3, rng)
         basis, phi, lam = _eigen_basis(rho)
         warm = _theta_from_ensemble(same_diagonal_decomposition(rho), phi, lam, 4)
-        weights, atoms = _ensemble_from_theta(warm[None, :], 4, basis)
-        keep = weights[0] > _WEIGHT_FLOOR
+        first = _ensemble(_amplitudes(warm[None, :], 4, basis)[0])
         ens, value = ensemble_search(rho, Flat(), 4, restarts=4, max_evals=256)
         assert value == 0.0
-        assert np.array_equal(ens.weights, weights[0][keep])
-        assert np.array_equal(ens.atoms, atoms[0][keep])
+        assert np.array_equal(ens.weights, first.weights)
+        assert np.array_equal(ens.atoms, first.atoms)
 
 
 class TestSteering:

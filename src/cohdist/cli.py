@@ -48,7 +48,7 @@ from .errors import (
     NumericalFailure,
     ParseError,
 )
-from .hermat import TENSOR_DIM_CAP, random_density
+from .hermat import TENSOR_DIM_CAP, random_density, shannon_entropy
 from .stateio import dump_state, load_state
 
 __all__ = ["main"]
@@ -348,6 +348,16 @@ def _selftest_checks(seed: int):
                                        - pure_distillation_fidelity(np.sqrt(power), m)))
         return worst, 1e-12
 
+    def roof_search():
+        # the searched ensemble reconstructs rho, and its entropy value is a
+        # convex-roof lower bound that cannot pass S(Delta rho)
+        rho = random_density(5, rng)
+        ens, value = ensembles.ensemble_search(rho, ensembles.MaxAvgDiagEntropy(), 6,
+                                               seed=seed, restarts=4, max_evals=1500)
+        ceiling = shannon_entropy(np.diag(rho).real)
+        worst = max(ens.reconstruction_residual(rho), value - ceiling)
+        return (worst if value >= 0.0 else np.inf), 1e-12
+
     return [
         ("norm special cases", norm_special_cases),
         ("norm bracket = scan", norm_bracket),
@@ -357,6 +367,7 @@ def _selftest_checks(seed: int):
         ("zero-error anchors", zero_error_anchors),
         ("figure spot values", figure_spots),
         ("type classes = Kronecker", type_classes),
+        ("roof search", roof_search),
     ]
 
 

@@ -102,8 +102,10 @@ def _waterfill(l1, masses, counts, m):
 
 def _vector_waterfill(v, m):
     """Magnitudes of ``v`` sorted in descending order along the last axis,
-    and the evaluator's value, tail mass and room on each row."""
-    a = np.abs(np.asarray(v, dtype=np.complex128))
+    and the evaluator's value, tail mass and room on each row.  Real input
+    skips the complex copy: |x + 0i| = |x|."""
+    v = np.asarray(v)
+    a = np.abs(v.astype(np.complex128 if np.iscomplexobj(v) else float, copy=False))
     if a.shape[-1] == 0:
         raise BadM("empty vector")
     a.sort(axis=-1)

@@ -11,19 +11,25 @@ Matrix Anal. Appl. 15, 1994), so walking inside a face of the elliptope
 ends at rank-one unimodular points, and these are peeled off one rank at a
 time.
 
-``ensemble_search`` explores general decompositions.  Atoms and weights
-are parametrized through an isometry applied to the eigen-ensemble, so
-every candidate reconstructs the state exactly by construction; a
-coordinate-wise pattern search then optimizes the chosen objective.  The
-search works on stacks: all restarts run in lockstep, each round builds up
-to eight candidate ensembles per live start with one batched QR, and the
-objectives score the whole round in one call, masking atoms below the
-weight floor instead of dropping them.  Diagonal phases are free in this
-resource theory, so every shipped objective reads an ensemble only through
-its squared amplitudes w_i |psi_ij|^2: the search scores these real arrays
-and forms the complex ``Ensemble`` for the returned decomposition alone.
+``ensemble_search`` explores general decompositions.  A decomposition
+into k atoms is a k x d amplitude matrix A, rows sqrt(w_i) psi_i, with
+A^dag A = rho^T, and any two are related by a k x k unitary acting on the
+left (Hughston, Jozsa and Wootters).  Each start moves along that orbit:
+a poll move rotates two rows of A by +-step, with a real or an imaginary
+generator, so the reconstruction stays exact up to rounding (checked on
+the returned ensemble) and a candidate differs from its start in two rows
+only; one evaluation scores one rotated pair.  Random starts are random
+isometries applied to the eigen-ensemble, one QR each.  The search works
+on stacks: all restarts run in lockstep, each round adds up to sixteen
+candidates per live start, and the objectives score the whole round in
+one call, masking atoms below the weight floor instead of dropping them.
+Diagonal phases are free in this resource theory, so every shipped
+objective reads an ensemble only through its squared amplitudes
+w_i |psi_ij|^2: the search scores these real arrays and forms the complex
+``Ensemble`` for the returned decomposition alone.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +60,7 @@ __all__ = [
 ]
 
 _WEIGHT_FLOOR = 1e-12
-_POLL_CHUNK = 8   # pattern-search candidates evaluated per stacked call
+_POLL_CHUNK = 16   # poll positions a start adds to each stacked call
 _RANK_EIG_TOL = 1e-9
 _ROUNDING_EIG = 1e-14   # negative eigenvalues above this are eigensolver rounding
 
@@ -325,14 +331,12 @@ class MaxAvgDiagEntropy:
 
 
 def _eigen_basis(rho):
-    """Eigen-ensemble of a Hermitian unit-trace ``rho``; raises ``NotPSD`` from
-    the same eigenvalues (``eig_psd``), so callers validate with
-    ``check_psd=False``."""
+    """Columns sqrt(lam_j) phi_j of the eigen-ensemble of a Hermitian
+    unit-trace ``rho``; raises ``NotPSD`` from the same eigenvalues
+    (``eig_psd``), so callers validate with ``check_psd=False``."""
     w, u = eig_psd(rho)
     keep = w > 1e-12
-    lam = w[keep]
-    phi = u[:, keep]
-    return phi * np.sqrt(lam), phi, lam  # basis columns sqrt(lam_j) phi_j
+    return u[:, keep] * np.sqrt(w[keep])
 
 
 def _amplitudes(thetas, n_atoms, basis):
@@ -364,14 +368,6 @@ def _ensemble(amps):
     return Ensemble(weights=weights[keep], atoms=amps[keep] / np.sqrt(weights[keep])[:, None])
 
 
-def _theta_from_ensemble(ens: Ensemble, phi, lam, n_atoms):
-    unnorm = ens.atoms * np.sqrt(ens.weights)[:, None]
-    u0 = (unnorm @ phi.conj()) / np.sqrt(lam)[None, :]
-    if u0.shape[0] < n_atoms:
-        u0 = np.vstack([u0, np.zeros((n_atoms - u0.shape[0], u0.shape[1]), dtype=np.complex128)])
-    return np.concatenate([u0.real.ravel(), u0.imag.ravel()])
-
-
 def ensemble_search(
     rho,
     objective,
@@ -383,18 +379,26 @@ def ensemble_search(
 ) -> tuple[Ensemble, float]:
     """Locally optimal pure-state decomposition for the given objective.
 
-    Decompositions are parametrized by an isometry mixing the eigen-
-    ensemble, so every candidate reconstructs ``rho`` exactly; a
-    coordinate-wise pattern search optimizes the objective from ``restarts``
-    starts, run in lockstep, and the first best start wins.  Each start may
-    spend max(64, max_evals // restarts) evaluations, so the total exceeds
-    ``max_evals`` when 64 * restarts > max_evals.  The returned value is a
-    one-sided bound on the corresponding convex-roof quantity: a lower
-    bound for "max" objectives, an upper bound for "min" ones.
+    Each start is an amplitude matrix A (``atoms_cap`` x d, rows
+    sqrt(w_i) psi_i) with A^dag A = rho^T, and a poll move rotates two of
+    its rows, (a_j, a_l) -> (c a_j + s e^{i phi} a_l, c a_l - s e^{-i phi} a_j)
+    with c, s the cosine and sine of +-step and phi in {0, pi/2}, so every
+    candidate reconstructs ``rho`` and one evaluation scores one rotated
+    pair.  The poll is a first-improvement search from ``restarts`` starts,
+    run in lockstep (see ``_rotation_search``); the step starts at 0.3 rad
+    and halves after each sweep without a move, down to 1e-7, and the first
+    best start wins.  Random starts are random isometries applied to the
+    eigen-ensemble.  Each start may spend max(64, max_evals // restarts)
+    evaluations, so the total exceeds ``max_evals`` when
+    64 * restarts > max_evals.  The returned ensemble's reconstruction
+    residual is checked against 1e-8 (``NumericalFailure``), and the
+    returned value is the objective evaluated on that ensemble: a one-sided
+    bound on the corresponding convex-roof quantity, a lower bound for
+    "max" objectives and an upper bound for "min" ones.
 
     In dimensions 2 and 3 the first start is the same-diagonal
     decomposition, which the theory makes optimal for all three shipped
-    objectives.
+    objectives, padded with zero rows up to ``atoms_cap``.
 
     ``objective`` has a ``sense`` ("max" or "min") and an
     ``evaluate(probs)`` that must accept leading batch axes: ``probs`` of
@@ -407,17 +411,12 @@ def ensemble_search(
     """
     rho = require_density(rho, check_psd=False)
     d = rho.shape[0]
-    basis, phi, lam = _eigen_basis(rho)
+    basis = _eigen_basis(rho)
     rank = basis.shape[1]
     if atoms_cap < rank:
         raise ValueError(f"atoms_cap {atoms_cap} below rank {rank}")
 
-    sense = 1.0 if objective.sense == "min" else -1.0
-
-    def cost(thetas):
-        return sense * objective.evaluate(_squared(_amplitudes(thetas, atoms_cap, basis)))
-
-    starts: list[np.ndarray] = []
+    starts = []
     if d <= 3:
         try:
             warm = same_diagonal_decomposition(rho)
@@ -426,77 +425,95 @@ def ensemble_search(
         else:
             if warm.atoms.shape[0] > atoms_cap:
                 raise ValueError("warm start has more atoms than atoms_cap")
-            starts.append(_theta_from_ensemble(warm, phi, lam, atoms_cap))
+            starts.append(np.zeros((atoms_cap, d), dtype=np.complex128))
+            starts[0][: warm.atoms.shape[0]] = warm.atoms * np.sqrt(warm.weights)[:, None]
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    npar = 2 * atoms_cap * rank
-    while len(starts) < max(1, restarts):
-        starts.append(rng.standard_normal(npar))
+    if max(1, restarts) > len(starts):
+        thetas = rng.standard_normal((max(1, restarts) - len(starts), 2 * atoms_cap * rank))
+        starts += list(_amplitudes(thetas, atoms_cap, basis))
 
-    thetas, costs = _pattern_search(cost, np.array(starts), max(64, max_evals // len(starts)))
-    best = int(np.argmin(costs))  # the first minimum, as a strict-improvement scan keeps
+    amps, costs = _rotation_search(objective, starts, max(64, max_evals // len(starts)))
+    ens = _ensemble(amps[np.argmin(costs)])  # the first minimum, as a strict scan keeps
+    if not (residual := ens.reconstruction_residual(rho)) <= 1e-8:
+        raise NumericalFailure(f"searched ensemble misses rho by {residual:.2e}")
+    return ens, float(objective.evaluate(ens.weights[:, None] * _squared(ens.atoms)))
 
-    return _ensemble(_amplitudes(thetas[best : best + 1], atoms_cap, basis)[0]), sense * costs[best]
 
+def _rotation_search(objective, amps0, budget, step0=0.3, step_min=1e-7):
+    """First-improvement poll over pair rotations with step halving, run on
+    an (S, k, d) stack of amplitude matrices in lockstep; returns the (S, k, d)
+    amplitudes and their S costs (the objective's value, negated for "max").
 
-def _pattern_search(cost, thetas0, budget, step0=0.3, step_min=1e-7):
-    """First-improvement coordinate search with step halving, run on an
-    (S, n) stack of starts in lockstep; returns (S, n) thetas and S costs.
-
-    Each start polls in the order (coordinate 0, +step), (0, -step),
-    (1, +step), ...; its first candidate better than its current point by
-    1e-15 is taken and its poll resumes at the next coordinate, and a sweep
-    with no move halves its step.  ``cost`` maps a (B, n) stack to B values.
-    The first call scores every start; then each round, every live start
-    (evaluations below ``budget``, step above ``step_min``) adds its next
-    ``_POLL_CHUNK`` poll positions, clipped at the sweep's end and at its
-    remaining budget, and one call scores all of them.  Each start is
-    charged only the candidates up to and including the one it accepts, so
-    its moves, halvings and budget match a one-at-a-time poll of that start
-    alone, and the calls number no more than its longest start would make.
+    A sweep polls the 4 C(k, 2) positions (pair j < l in row-major order,
+    then phi = 0, pi/2, then +step, -step) of the rotation described in
+    ``ensemble_search``.  Each start takes its first candidate better than
+    its current point by 1e-15 and resumes its poll at the next (pair, phi);
+    a sweep with no move halves its step.  The first call scores every
+    start; then each round, every live start (evaluations below ``budget``,
+    step above ``step_min``) adds its next ``_POLL_CHUNK`` positions,
+    clipped at the sweep's end and at its remaining budget, and one
+    ``objective.evaluate`` call scores all of them: a candidate's squared
+    amplitudes are its start's with the two rotated rows replaced.  Each
+    start is charged only the candidates up to and including the one it
+    accepts, so its moves, halvings and budget match a one-at-a-time poll
+    of that start alone, and the calls number no more than its longest
+    start would make.
     """
-    theta = np.array(thetas0, dtype=float)
-    best = np.array(cost(theta))
-    n_starts, n = theta.shape
-    evals = np.ones(n_starts, dtype=np.int64)
-    step = np.full(n_starts, float(step0))
-    pos = np.zeros(n_starts, dtype=np.int64)  # poll position, 2 * coordinate + sign
-    improved = np.zeros(n_starts, dtype=bool)
+    sense = 1.0 if objective.sense == "min" else -1.0
+    amps = np.array(amps0, dtype=np.complex128)
+    probs = _squared(amps)
+    best = sense * objective.evaluate(probs)
+    # per poll position, four per pair: the rotated rows (j, l) and the
+    # factors of sin(step) that multiply a_l in row j and a_j in row l,
+    # +-e^{i phi} and -+e^{-i phi} for phi = 0, pi/2 and the signs +, -
+    pos_rows = np.repeat(np.transpose(np.triu_indices(amps.shape[1], 1)), 4, axis=0)
+    n_pos = pos_rows.shape[0]
+    pos_turn = np.tile([[1.0, -1.0], [-1.0, 1.0], [1j, 1j], [-1j, -1j]], (n_pos // 4, 1))
+    # the steps step0 / 2^level above step_min, with their cosines and sines
+    steps, step = [], float(step0)
+    while step > step_min:
+        steps.append(step)
+        step *= 0.5
+    cos, sin = (np.array([f(t) for t in steps]) for f in (math.cos, math.sin))
+    evals = np.ones(best.size, dtype=np.int64)
+    level, pos = np.zeros((2, best.size), dtype=np.int64)
+    swept = best.copy()  # each start's cost when its sweep began
     chunk = np.arange(_POLL_CHUNK)
     while True:
-        live = (evals < budget) & (step > step_min)
-        if not live.any():
-            return theta, best
-        count = np.where(live, np.minimum(np.minimum(_POLL_CHUNK, 2 * n - pos), budget - evals), 0)
+        live = (evals < budget) & (level < len(steps))
+        if n_pos == 0 or not live.any():
+            return amps, best
+        count = np.where(live, np.minimum(np.minimum(_POLL_CHUNK, n_pos - pos), budget - evals), 0)
         # the start polling each row and the row's place in that start's chunk
         owner, offset = np.nonzero(chunk < count[:, None])
-        coord, sign = np.divmod(pos[owner] + offset, 2)
-        steps = step[owner]
-        steps[sign == 1] *= -1.0
-        cands = theta[owner]
-        cands[np.arange(owner.size), coord] += steps
-        costs = cost(cands)
+        p, lev = pos[owner] + offset, level[owner]
+        rows = pos_rows[p]
+        ajl = amps[owner[:, None], rows]  # (B, 2, d): a_j, a_l
+        # each factor has one exactly zero part, so every product rounds once
+        new = cos[lev, None, None] * ajl + (sin[lev, None] * pos_turn[p])[..., None] * ajl[:, ::-1]
+        cands = probs[owner]
+        cands[np.arange(owner.size)[:, None], rows] = _squared(new)
+        costs = sense * objective.evaluate(cands)
         hits = np.flatnonzero(costs < best[owner] - 1e-15)
-        hit_starts = owner[hits]
-        lead = np.ones(hits.size, dtype=bool)  # each start's first improvement
-        lead[1:] = hit_starts[1:] != hit_starts[:-1]
-        first, moved = hits[lead], hit_starts[lead]
+        first = hits[np.diff(owner[hits], prepend=-1) != 0]  # each start's first improvement
+        moved = owner[first]
         evals += count
         evals[moved] += offset[first] + 1 - count[moved]
         pos += count
-        pos[moved] = 2 * coord[first] + 2
-        theta[moved], best[moved] = cands[first], costs[first]
-        improved[moved] = True
-        done = live & ((pos >= 2 * n) | (evals >= budget))
-        step[done & ~improved] *= 0.5
+        pos[moved] = p[first] // 2 * 2 + 2  # the next pair or phase
+        amps[moved[:, None], rows[first]] = new[first]
+        probs[moved], best[moved] = cands[first], costs[first]
+        done = live & ((pos >= n_pos) | (evals >= budget))
+        level[done & ~(best < swept)] += 1  # no move lowered the cost
         pos[done] = 0
-        improved[done] = False
+        swept[done] = best[done]
 
 
 def random_decomposition(rho, n_atoms: int, seed: int = 0) -> Ensemble:
     """Random exact pure-state decomposition with ``n_atoms`` atoms."""
     rho = require_density(rho, check_psd=False)
-    basis, _, _ = _eigen_basis(rho)
+    basis = _eigen_basis(rho)
     rank = basis.shape[1]
     if n_atoms < rank:
         raise ValueError(f"n_atoms {n_atoms} below rank {rank}")

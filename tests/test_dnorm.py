@@ -142,6 +142,22 @@ class TestRowBatchedScan:
                 assert (int(room[idx]) if tail[idx] > 0.0 else 1) == res.k_star
             assert value[(0,) * (len(shape) - 1)] == 0.0
 
+    @pytest.mark.parametrize("shape", [(7, 4), (3, 5, 6)])
+    def test_real_stack_matches_its_complex_copy(self, rng, shape):
+        # |x + 0i| = |x|, so real input skipping the complex copy changes nothing
+        v = rng.standard_normal(shape)
+        v[(0,) * (len(shape) - 1)] = 0.0
+        kept = v.copy()
+        d = shape[-1]
+        for m in (1, 2, d - 1, d, d + 2):
+            real = _vector_waterfill(v, m)
+            assert np.array_equal(v, kept)  # sorted on a copy
+            copy = _vector_waterfill(v.astype(complex), m)
+            for got, want in zip(real, copy):
+                assert np.array_equal(got, want)
+            assert np.array_equal(pure_distillation_fidelity(v, m),
+                                  pure_distillation_fidelity(v.astype(complex), m))
+
     def test_pure_fidelity_rows(self, rng):
         v = self.stack(rng, (2, 6, 5))
         v[1, 2] = np.sqrt(0.2)  # maximally coherent: snaps to 1 at m = 5

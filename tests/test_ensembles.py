@@ -1,8 +1,12 @@
 """Decompositions, search, steering, and the protocol Monte Carlo."""
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from cohdist import ensembles
 from cohdist.distill import assisted_fidelity_sdp, fidelity_certificate
 from cohdist.dnorm import mnorm, pure_distillation_fidelity
 from cohdist.ensembles import (
@@ -15,9 +19,8 @@ from cohdist.ensembles import (
     _amplitudes,
     _eigen_basis,
     _ensemble,
-    _pattern_search,
+    _rotation_search,
     _squared,
-    _theta_from_ensemble,
     ensemble_search,
     purify,
     random_decomposition,
@@ -25,7 +28,13 @@ from cohdist.ensembles import (
     simulate_protocol,
     steering_measurement,
 )
-from cohdist.errors import DimTooLarge, IncompatibleEnsemble, NotAPurification, NotDistribution
+from cohdist.errors import (
+    DimTooLarge,
+    IncompatibleEnsemble,
+    NotAPurification,
+    NotDistribution,
+    NumericalFailure,
+)
 from cohdist.hermat import delta_vector, random_density, shannon_entropy
 
 
@@ -251,34 +260,6 @@ def atom_loop_evaluate(objective, amps):
     return total
 
 
-def sequential_pattern_search(cost, theta0, budget, step0=0.3, step_min=1e-7):
-    """The poll one candidate per cost call, which the chunked poll must match."""
-    theta = theta0.astype(float).copy()
-    best = cost(theta[None, :])[0]
-    evals = 1
-    step = step0
-    n = theta.size
-    while evals < budget and step > step_min:
-        improved = False
-        for idx in range(n):
-            if evals >= budget:
-                break
-            for sgn in (1.0, -1.0):
-                cand = theta.copy()
-                cand[idx] += sgn * step
-                c = cost(cand[None, :])[0]
-                evals += 1
-                if c < best - 1e-15:
-                    theta, best = cand, c
-                    improved = True
-                    break
-                if evals >= budget:
-                    break
-        if not improved:
-            step *= 0.5
-    return theta, best
-
-
 def random_stack(rng, d, batch, *, normalized=False):
     """Random exact decompositions of one state into d + 1 atoms: the
     (batch, d + 1, d) amplitudes and their squares.
@@ -290,7 +271,7 @@ def random_stack(rng, d, batch, *, normalized=False):
     whole stack passes the entropy objective's check.  Either way each
     objective scores ensemble 2 as 0.
     """
-    basis, _, _ = _eigen_basis(random_density(d, rng))
+    basis = _eigen_basis(random_density(d, rng))
     thetas = rng.standard_normal((batch, 2 * (d + 1) * basis.shape[1]))
     amps = _amplitudes(thetas, d + 1, basis)
     weights = _squared(amps).sum(axis=-1)
@@ -312,7 +293,7 @@ def random_stack(rng, d, batch, *, normalized=False):
 class TestStackedEvaluation:
     @pytest.mark.parametrize("d", [4, 6])
     def test_builder_rows_match_single(self, rng, d):
-        basis, _, _ = _eigen_basis(random_density(d, rng))
+        basis = _eigen_basis(random_density(d, rng))
         thetas = rng.standard_normal((6, 2 * (d + 1) * basis.shape[1]))
         amps = _amplitudes(thetas, d + 1, basis)
         for b in range(thetas.shape[0]):
@@ -358,111 +339,171 @@ class TestStackedEvaluation:
         ens, value = ensemble_search(rho, objective, d + 1, seed=d, restarts=2, max_evals=300)
         probs = ens.weights[:, None] * np.abs(ens.atoms) ** 2
         assert abs(objective.evaluate(probs) - value) <= 1e-12
+        assert value == returned_value(objective, ens)  # re-evaluated, not the tracked cost
 
 
-class TestChunkedPoll:
-    @pytest.mark.parametrize("objective", OBJECTIVES[1:], ids=repr)
+class Counted:
+    """An objective that records how many ensembles each evaluate call scores."""
+
+    def __init__(self, objective):
+        self.objective, self.sense, self.sizes = objective, objective.sense, []
+
+    def evaluate(self, probs):
+        self.sizes.append(math.prod(np.shape(probs)[:-2]))
+        return self.objective.evaluate(probs)
+
+
+@dataclass(frozen=True)
+class Target:
+    """Squared distance of the squared amplitudes from a fixed (k, d) array."""
+
+    probs: np.ndarray
+    sense: str = "min"
+
+    def evaluate(self, probs):
+        return np.sum((probs - self.probs) ** 2, axis=(-2, -1))
+
+
+def sequential_rotation_poll(objective, amps0, budget, step0=0.3, step_min=1e-7):
+    """The rotation poll one candidate per evaluate call, which the lockstep
+    poll must match: pairs j < l in row-major order, phi = 0 then pi/2, the
+    angle +step then -step; the first improvement by 1e-15 is taken and the
+    poll resumes at the next (pair, phi); a sweep with no move halves the
+    step."""
+    sense = 1.0 if objective.sense == "min" else -1.0
+    amps = np.array(amps0, dtype=complex)
+    probs = _squared(amps)
+    best = sense * objective.evaluate(probs[None])[0]
+    evals, step = 1, step0
+    moves = [(j, l, turn) for j, l in zip(*np.triu_indices(amps.shape[0], 1))
+             for turn in (1.0, 1j)]
+    while moves and evals < budget and step > step_min:
+        c, s = math.cos(step), math.sin(step)
+        improved = False
+        for j, l, turn in moves:
+            if evals >= budget:
+                break
+            for sgn in (1.0, -1.0):
+                t = sgn * s * turn
+                new_j = c * amps[j] + t * amps[l]
+                new_l = c * amps[l] - np.conj(t) * amps[j]
+                cand = probs.copy()
+                cand[j], cand[l] = _squared(new_j), _squared(new_l)
+                value = sense * objective.evaluate(cand[None])[0]
+                evals += 1
+                if value < best - 1e-15:
+                    amps[j], amps[l] = new_j, new_l
+                    probs, best, improved = cand, value, True
+                    break
+                if evals >= budget:
+                    break
+        if not improved:
+            step *= 0.5
+    return amps, best
+
+
+def random_amplitudes(rng, rho, n_atoms, n_starts):
+    """(n_starts, n_atoms, d) exact decompositions of ``rho``."""
+    basis = _eigen_basis(rho)
+    return _amplitudes(rng.standard_normal((n_starts, 2 * n_atoms * basis.shape[1])),
+                       n_atoms, basis)
+
+
+def warm_amplitudes(rho, n_atoms):
+    """The same-diagonal ensemble's unnormalized atoms, padded with zero rows."""
+    warm = same_diagonal_decomposition(rho)
+    amps = np.zeros((n_atoms, rho.shape[0]), dtype=complex)
+    amps[: warm.atoms.shape[0]] = warm.atoms * np.sqrt(warm.weights)[:, None]
+    return amps
+
+
+def returned_value(objective, ens):
+    return objective.evaluate(ens.weights[:, None] * _squared(ens.atoms))
+
+
+class TestRotationPoll:
+    @pytest.mark.parametrize("objective", OBJECTIVES, ids=repr)
     @pytest.mark.parametrize("d", [4, 5, 6])
-    def test_matches_sequential_poll(self, rng, objective, d):
-        basis, _, _ = _eigen_basis(random_density(d, rng))
-        sense = 1.0 if objective.sense == "min" else -1.0
-        sizes = []
-
-        def cost(thetas):
-            sizes.append(thetas.shape[0])
-            return sense * objective.evaluate(_squared(_amplitudes(thetas, d + 1, basis)))
-
-        theta0 = rng.standard_normal(2 * (d + 1) * basis.shape[1])
+    def test_lockstep_matches_one_start_at_a_time(self, rng, objective, d):
+        rho = random_density(d, rng)
+        starts = random_amplitudes(rng, rho, d + 1, 3)
         for budget in (77, 400):
-            sizes.clear()
-            theta, best = _pattern_search(cost, theta0[None, :], budget)
-            if budget == 77:
-                assert sizes[-1] < _POLL_CHUNK  # the budget ends inside a chunk
-            ref_theta, ref_best = sequential_pattern_search(cost, theta0, budget)
-            assert np.array_equal(theta[0], ref_theta)
-            assert best[0] == ref_best
+            amps, costs = _rotation_search(objective, starts, budget)
+            for s in range(3):
+                ref_amps, ref_cost = sequential_rotation_poll(objective, starts[s], budget)
+                assert np.array_equal(amps[s], ref_amps)
+                assert costs[s] == ref_cost
+            # rotations keep the reconstruction: A^dag A = rho^T
+            assert np.max(np.abs(np.einsum("sij,sik->sjk", amps.conj(), amps) - rho.T)) <= 1e-14
 
     def test_step_halving_to_the_floor(self, rng):
-        target = rng.standard_normal(11)
-
-        def cost(thetas):
-            return np.sum((thetas - target) ** 2, axis=1)
-
-        theta0 = np.zeros(11)
+        rho = random_density(2, rng)
+        start, goal = random_amplitudes(rng, rho, 3, 2)
+        objective = Target(_squared(goal))
         for budget in (5, 83, 20_000):
-            theta, best = _pattern_search(cost, theta0[None, :], budget)
-            ref_theta, ref_best = sequential_pattern_search(cost, theta0, budget)
-            assert np.array_equal(theta[0], ref_theta)
-            assert best[0] == ref_best
-        assert best[0] < 1e-12
+            amps, costs = _rotation_search(objective, start[None], budget)
+            counted = Counted(objective)
+            ref_amps, ref_cost = sequential_rotation_poll(counted, start, budget)
+            assert np.array_equal(amps[0], ref_amps)
+            assert costs[0] == ref_cost
+        # the step fell below 1e-7 before the budget ran out, at the goal
+        assert len(counted.sizes) < 20_000
+        assert costs[0] < 1e-12
 
     def test_starts_stopping_in_different_rounds(self, rng):
-        """The start 6e-3 off the minimum halves down to the step floor
-        after 51 evaluations without a move (a step of 0.0094 would move
-        it), while the far starts run out of budget inside a chunk; every
-        row equals the sequential search of that start alone."""
-        target = rng.standard_normal(5)
-        calls = []
-
-        def cost(thetas):
-            calls.append(thetas.shape[0])
-            return np.sum((thetas - target) ** 2, axis=1)
-
-        starts = target + np.vstack([10 * rng.standard_normal(5), np.full(5, 6e-3),
-                                     10 * rng.standard_normal(5)])
-        theta, best = _pattern_search(cost, starts, 77, step_min=1e-2)
-        assert calls[0] == 3 and calls[-1] < _POLL_CHUNK
-        lockstep_calls = len(calls)
+        """Start 1 sits at the minimum: no candidate improves on it, so its
+        five steps above the floor 1e-2 take 1 + 5 * 12 = 61 evaluations,
+        while the far starts run out of budget inside a chunk; every row
+        equals the poll of that start alone."""
+        rho = random_density(3, rng)
+        starts = random_amplitudes(rng, rho, 3, 3)
+        objective = Target(_squared(starts[1]))
+        counted = Counted(objective)
+        amps, costs = _rotation_search(counted, starts, 77, step_min=1e-2)
+        assert counted.sizes[0] == 3 and counted.sizes[-1] < _POLL_CHUNK
+        lockstep_calls = len(counted.sizes)
         lone_calls = []
         for s, start in enumerate(starts):
-            calls.clear()
-            ref_theta, ref_best = sequential_pattern_search(cost, start, 77, step_min=1e-2)
-            assert len(calls) == (51 if s == 1 else 77)  # one call per evaluation
-            assert np.array_equal(theta[s], ref_theta)
-            assert best[s] == ref_best
-            calls.clear()
-            _pattern_search(cost, start[None, :], 77, step_min=1e-2)
-            lone_calls.append(len(calls))
-        assert np.array_equal(theta[1], starts[1])
+            lone = Counted(objective)
+            ref_amps, ref_cost = sequential_rotation_poll(lone, start, 77, step_min=1e-2)
+            assert len(lone.sizes) == (61 if s == 1 else 77)  # one call per evaluation
+            assert np.array_equal(amps[s], ref_amps)
+            assert costs[s] == ref_cost
+            lone = Counted(objective)
+            _rotation_search(lone, start[None], 77, step_min=1e-2)
+            lone_calls.append(len(lone.sizes))
+        assert np.array_equal(amps[1], starts[1])
         assert lone_calls[1] < min(lone_calls[0], lone_calls[2])
         assert lockstep_calls == max(lone_calls)
 
     @pytest.mark.parametrize("objective", OBJECTIVES, ids=repr)
     def test_qutrit_search_matches_each_start_alone(self, rng, objective):
         """d = 3: the warm start and the random starts, searched in lockstep,
-        give the ensemble a loop of sequential searches picks, in no more
-        cost calls than the longest start makes alone."""
+        give the ensemble a loop of one-at-a-time polls picks, in no more
+        evaluate calls than the longest start makes alone."""
         rho = random_density(3, rng)
         seed, restarts, max_evals = 11, 4, 600
-        basis, phi, lam = _eigen_basis(rho)
-        sense = 1.0 if objective.sense == "min" else -1.0
-        calls = []
-
-        def cost(thetas):
-            calls.append(thetas.shape[0])
-            return sense * objective.evaluate(_squared(_amplitudes(thetas, 4, basis)))
-
-        starts = [_theta_from_ensemble(same_diagonal_decomposition(rho), phi, lam, 4)]
         rng_s = np.random.Generator(np.random.Philox(key=seed))
-        starts += [rng_s.standard_normal(starts[0].size) for _ in range(restarts - 1)]
-        best_theta, best_cost, longest = None, np.inf, 0
+        starts = np.concatenate([warm_amplitudes(rho, 4)[None],
+                                 random_amplitudes(rng_s, rho, 4, restarts - 1)])
+        best_amps, best_cost, longest = None, np.inf, 0
         for start in starts:
-            calls.clear()
-            _pattern_search(cost, start[None, :], max_evals // restarts)
-            longest = max(longest, len(calls))
-            theta, c = sequential_pattern_search(cost, start, max_evals // restarts)
-            if c < best_cost:
-                best_theta, best_cost = theta, c
+            lone = Counted(objective)
+            _rotation_search(lone, start[None], max_evals // restarts)
+            longest = max(longest, len(lone.sizes))
+            amps, cost = sequential_rotation_poll(objective, start, max_evals // restarts)
+            if cost < best_cost:
+                best_amps, best_cost = amps, cost
 
-        calls.clear()
-        _pattern_search(cost, np.array(starts), max_evals // restarts)
-        assert len(calls) <= longest
-        ens, value = ensemble_search(rho, objective, 4, seed=seed, restarts=restarts,
+        counted = Counted(objective)
+        ens, value = ensemble_search(rho, counted, 4, seed=seed, restarts=restarts,
                                      max_evals=max_evals)
-        best = _ensemble(_amplitudes(best_theta[None, :], 4, basis)[0])
-        assert value == sense * best_cost
+        assert len(counted.sizes) <= longest + 1  # plus the returned ensemble's evaluation
+        best = _ensemble(best_amps)
         assert np.array_equal(ens.weights, best.weights)
         assert np.array_equal(ens.atoms, best.atoms)
+        assert value == returned_value(objective, best)
+        assert abs(value - (best_cost if objective.sense == "min" else -best_cost)) <= 1e-14
 
     def test_ties_go_to_the_first_start(self, rng):
         """Under a constant objective no start moves and every start ties;
@@ -475,13 +516,54 @@ class TestChunkedPoll:
                 return np.zeros(np.shape(probs)[:-2])
 
         rho = random_density(3, rng)
-        basis, phi, lam = _eigen_basis(rho)
-        warm = _theta_from_ensemble(same_diagonal_decomposition(rho), phi, lam, 4)
-        first = _ensemble(_amplitudes(warm[None, :], 4, basis)[0])
+        first = _ensemble(warm_amplitudes(rho, 4))
         ens, value = ensemble_search(rho, Flat(), 4, restarts=4, max_evals=256)
         assert value == 0.0
         assert np.array_equal(ens.weights, first.weights)
         assert np.array_equal(ens.atoms, first.atoms)
+
+    def test_single_atom_has_nothing_to_rotate(self):
+        psi = np.array([0.6, 0.8j, 0.0])
+        rho = np.outer(psi, psi.conj())
+        counted = Counted(MinMaxInfNormSq())
+        ens, value = ensemble_search(rho, counted, 1, restarts=2, max_evals=200)
+        assert counted.sizes == [2, 1]  # the starts, then the returned ensemble
+        assert abs(value - 0.64) <= 1e-15
+        assert ens.reconstruction_residual(rho) <= 1e-15
+
+    def test_residual_is_checked(self, rng, monkeypatch):
+        search = ensembles._rotation_search
+
+        def drifting(objective, amps0, budget):
+            amps, costs = search(objective, amps0, budget)
+            return amps * (1.0 + 1e-8), costs
+
+        rho = random_density(4, rng)
+        ensemble_search(rho, MinMaxInfNormSq(), 5, restarts=2, max_evals=200)
+        monkeypatch.setattr(ensembles, "_rotation_search", drifting)
+        with pytest.raises(NumericalFailure):
+            ensemble_search(rho, MinMaxInfNormSq(), 5, restarts=2, max_evals=200)
+
+
+class TestSearchInvariants:
+    def test_long_search_keeps_the_reconstruction(self, rng):
+        rho = random_density(6, rng)
+        counted = Counted(MaxAvgDiagEntropy())
+        ens, _ = ensemble_search(rho, counted, 7, seed=1, restarts=2, max_evals=100_000)
+        assert sum(counted.sizes) >= 50_000  # candidates scored, including discarded ones
+        assert ens.reconstruction_residual(rho) <= 1e-12
+
+    @pytest.mark.parametrize("objective", OBJECTIVES[1:], ids=repr)
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_more_evaluations_never_worse(self, rng, objective, d):
+        """Each start's path does not depend on its budget, which only cuts
+        it short, and its cost only falls along the path; so with the same
+        seed and restarts the best start cannot get worse."""
+        rho = random_density(d, rng, rank=int(rng.integers(2, d + 1)))
+        sense = 1.0 if objective.sense == "min" else -1.0
+        values = [ensemble_search(rho, objective, d + 1, seed=5, restarts=3, max_evals=n)[1]
+                  for n in (200, 600, 2000, 6000, 20_000)]
+        assert all(sense * (b - a) <= 0.0 for a, b in zip(values, values[1:])), values
 
 
 class TestSteering:

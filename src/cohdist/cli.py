@@ -7,18 +7,19 @@ curves over (family, p, n) grids.
 
 Exit codes: 0 success, 2 input error, 3 capacity, 4 numerical failure.
 Human tables print 6 significant digits; CSV and JSON carry full doubles.
-The cap on the expanded dimension d^n of ``--copies`` n is ``--cap`` if
-given, else the ``COHDIST_CAP`` environment variable, else 1024.
-``figure`` accepts at most cap^2 probabilities per curve, the entry count
-of the largest matrix the cap allows, although above 1024 entries it
-reads them by type classes rather than holding them.
+How many copies a command may take is decided in ``distill``, not here,
+and no option moves it: ``fidelity`` and ``rate`` accept an expanded
+dimension d^n up to 2^53 (53 qubit copies, 33 qutrit copies), and they and
+``figure`` stop where the type-class route's table would pass 2^17
+entries (65535 qubit copies, the only bound on ``figure``).  Past either
+bound ``distill`` raises ``CapExceeded``, which exits 3.
 
 ``fidelity`` and ``rate`` report closed-form values only; their
 ``fidelity_sdp`` fields carry the closed form, which equals the SDP value in
 every dimension (see ``distill.assisted_fidelity_bound``).  Like ``figure``,
-they read n copies through the power of the base state's diagonal
-(``distill.assisted_fidelity_from_probs``) and never form the d^n x d^n
-matrix.
+they read n copies through the power of the base state's diagonal (the
+evaluator behind ``distill.assisted_fidelity_from_probs``, which ``rate``
+also bisects m* on) and never form the d^n x d^n matrix.
 
 The argument parser is built once per process, on the first ``main`` call
 (importing the package builds nothing), and every later call parses with
@@ -28,7 +29,6 @@ immutable scalar, so ``main`` may run from several threads at once.
 
 import argparse
 import json
-import os
 import sys
 from functools import cache
 
@@ -48,7 +48,7 @@ from .errors import (
     NumericalFailure,
     ParseError,
 )
-from .hermat import TENSOR_DIM_CAP, random_density, shannon_entropy
+from .hermat import random_density, shannon_entropy
 from .stateio import dump_state, load_state
 
 __all__ = ["main"]
@@ -64,18 +64,6 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _resolve_cap(args) -> int:
-    if getattr(args, "cap", None) is not None:
-        return args.cap
-    env = os.environ.get("COHDIST_CAP")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ParseError(f"COHDIST_CAP={env!r} is not an integer") from exc
-    return TENSOR_DIM_CAP
-
-
 def _emit(args, payload: dict, text: str) -> None:
     out = json.dumps(payload, indent=1) + "\n" if args.json else text
     if getattr(args, "out", None):
@@ -85,23 +73,18 @@ def _emit(args, payload: dict, text: str) -> None:
         sys.stdout.write(out)
 
 
-def _load_base(args, cap: int):
+def _load_base(args):
     rho, declared = load_state(args.state)
-    d = rho.shape[0]
-    expanded_dim = d ** args.copies
-    if expanded_dim > cap:
-        raise CapExceeded(f"dim {d}^{args.copies} = {expanded_dim} exceeds cap {cap}")
-    base_dim = declared["dim_sigma"] if declared else d
     if args.dump_state:
         dump_state(rho, args.dump_state, declared)
-    return rho, expanded_dim, base_dim
+    return rho, declared["dim_sigma"] if declared else rho.shape[0]
 
 
 def cmd_fidelity(args) -> int:
-    cap = _resolve_cap(args)
-    rho, expanded_dim, base_dim = _load_base(args, cap)
+    rho, base_dim = _load_base(args)
     exact = base_dim <= 3
     bound = distill.assisted_fidelity_bound(rho, args.m, copies=args.copies)
+    expanded_dim = rho.shape[0] ** args.copies  # at most 2^53, or distill raised
 
     payload = {
         "state": str(args.state),
@@ -125,9 +108,9 @@ def cmd_fidelity(args) -> int:
 
 
 def cmd_rate(args) -> int:
-    cap = _resolve_cap(args)
-    rho, expanded_dim, base_dim = _load_base(args, cap)
+    rho, base_dim = _load_base(args)
     report = distill.one_shot_rate(rho, args.eps, base_dim, args.copies)
+    expanded_dim = rho.shape[0] ** args.copies  # at most 2^53, or distill raised
     asymptotic = report.asymptotic_zero_error_bits_per_copy
     per_base = asymptotic / args.copies
 
@@ -235,13 +218,6 @@ def cmd_figure(args) -> int:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {args.spec}: {exc}") from exc
     specs = _parse_curve_specs(obj)
-    cap = _resolve_cap(args)
-    for spec in specs:
-        n = max(spec["copies"])
-        entries = len(_family_probs(spec["family"], 0.5)) ** n
-        if entries > cap * cap:
-            raise CapExceeded(f"{spec['family']} at {n} copies holds {entries} "
-                              f"probabilities, above cap^2 = {cap * cap}")
 
     rows = []
     for spec in specs:
@@ -335,17 +311,23 @@ def _selftest_checks(seed: int):
         return worst, 1e-9
 
     def type_classes():
-        # above the tensor cap the fidelity comes from the types of the
-        # power; the Kronecker power of the diagonal is the reference.  A
-        # largest entry q with q^n > 1/2 keeps every m short of fidelity 1
+        # above the tensor cap the fidelity, and rate's level m* with it,
+        # come from the types of the power; the Kronecker power of the
+        # diagonal is the reference, with m* bisected on it.  A largest
+        # entry q with q^n > 1/2 keeps every m short of fidelity 1
         worst = 0.0
         for d, n in ((2, 11), (3, 7)):
             q = float(rng.uniform(0.94, 0.99))
             probs = np.concatenate([[q], (1.0 - q) * rng.dirichlet(np.ones(d - 1))])
-            power = distill._kron_power(probs, n)
+            amps = np.sqrt(distill._kron_power(probs, n))
             for m in (2, 3, 5):
                 worst = max(worst, abs(distill.assisted_fidelity_from_probs(probs, n, m)
-                                       - pure_distillation_fidelity(np.sqrt(power), m)))
+                                       - pure_distillation_fidelity(amps, m)))
+            for eps in (0.05, 0.2, 0.5):
+                reference = distill._max_m_by_fidelity(
+                    lambda m: pure_distillation_fidelity(amps, m), amps.size, eps)
+                rate = distill.one_shot_rate(np.diag(probs), eps, copies=n)
+                worst = max(worst, abs(rate.m_requested - reference))
         return worst, 1e-12
 
     def roof_search():
@@ -408,7 +390,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--m", type=int, default=2, help="target coherence level (default 2)")
     p.add_argument("--copies", type=int, default=1, help="tensor copies to expand (default 1)")
-    p.add_argument("--cap", type=int, help="expanded-dimension cap (overrides COHDIST_CAP)")
     p.add_argument("--dump-state", help="re-serialize the parsed state to this path")
     p.set_defaults(func=cmd_fidelity)
 
@@ -416,7 +397,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--eps", type=float, default=0.0, help="error tolerance in [0, 1)")
     p.add_argument("--copies", type=int, default=1)
-    p.add_argument("--cap", type=int, help="expanded-dimension cap (overrides COHDIST_CAP)")
     p.add_argument("--dump-state", help="re-serialize the parsed state to this path")
     p.set_defaults(func=cmd_rate)
 

@@ -13,18 +13,32 @@ check of the closed form (``assisted_fidelity_sdp`` returns its value).
 
 The closed forms read a state only through its diagonal, and n copies
 only through the n-fold power of that diagonal.  They take the base state
-and a ``copies`` count and never form the d^n x d^n matrix.  Up to
-``hermat.TENSOR_DIM_CAP`` entries the power is the Kronecker product of the
-diagonal, which reproduces the materialized matrix path bit for bit.
-Above it, the fidelity reads the power by its types: the C(n+d-1, d-1)
-distinct products prod_i p_i^k_i with their multinomial multiplicities
-(sums of logs of exact binomials, so no large logs cancel), formed in log
-space and handed to ``dnorm.class_distillation_fidelity`` as
-classes of equal entries for the norm's water-filling evaluator.  That
-costs O(classes) instead of O(d^n), whatever m is, so n in the thousands
-and m in the billions are cheap, and agrees with the Kronecker route within
-1e-12; its sums run over classes, not entries, so it does not share that
-route's rounding drift over 2^19 entries (3e-12 at 19 qubit copies).
+and a ``copies`` count and never form the d^n x d^n matrix.  One evaluator
+of the power's fidelity, ``_power_fidelity``, is built once per call and
+serves every m the call asks for.  Up to ``hermat.TENSOR_DIM_CAP`` entries
+(and at n = 1) it holds the Kronecker product of the diagonal, which
+reproduces the materialized matrix path bit for bit.  Above it, it reads
+the power by its types: the C(n+d-1, d-1) distinct products
+prod_i p_i^k_i with their multinomial multiplicities (sums of logs of
+exact binomials, so no large logs cancel), formed in log space and handed
+to ``dnorm.class_distillation_fidelity`` as classes of equal entries for
+the norm's water-filling evaluator.  That costs O(classes) instead of
+O(d^n), whatever m is, so n in the thousands and m in the billions are
+cheap, and agrees with the Kronecker route within 1e-12; its sums run over
+classes, not entries, so it does not share that route's rounding drift
+over 2^19 entries (3e-12 at 19 qubit copies).
+
+Two fixed bounds, not options, limit the copies a call may take; past
+either one it raises ``CapExceeded``:
+
+* the entry points that take a state and ``copies`` accept d^n up to 2^53,
+  where d^n, the level m* <= d^n and floor(1/q^n) <= d^n are still exact
+  integers in a double;
+* the type-class route builds a table of C(n+d-1, d-1) types of d counts
+  each, at most 2^17 entries: 65535 qubit copies, 294 qutrit copies, 56
+  copies at d = 4 and 8 at d = 9.  The qubits take the longest, about 1 s
+  and 43 MB, for the O(n^2) big-integer work of their exact binomials;
+  memory and that work would otherwise grow without limit.
 
 Rates are reported in bits and quantized through ``logfloor``: the
 achievable target dimension is an integer, so every rate has the form
@@ -34,14 +48,15 @@ on exactly-integer reciprocals from losing a whole level.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
+from itertools import repeat
 
 import numpy as np
 
 from . import ensembles
 from .dnorm import (_snapped_fidelity, class_distillation_fidelity, pure_distillation_fidelity,
                     waterfill_level)
-from .errors import BadM, DimMismatch, NumericalFailure
+from .errors import BadM, CapExceeded, DimMismatch, NumericalFailure
 from .hermat import TENSOR_DIM_CAP, eig_psd, require_density, shannon_entropy
 
 __all__ = [
@@ -132,12 +147,22 @@ def _check_copies(copies) -> int:
     return int(copies)
 
 
+def _copies_dim(d: int, copies) -> tuple[int, int]:
+    """The checked copies count n and the dimension d^n of n copies of a
+    d-dimensional state; ``CapExceeded`` past d^n = 2^53."""
+    n = _check_copies(copies)
+    if d ** min(n, 54) > 2 ** 53:  # any d >= 2 passes 2^53 by n = 54
+        raise CapExceeded(f"{n} copies of dimension {d} exceed dimension 2^53")
+    return n, d ** n
+
+
 def _kron_power(probs, copies: int) -> np.ndarray:
     # the diagonal of a copies-fold tensor power is the Kronecker power of the
     # base diagonal; on vectors the flattened outer product forms the same
     # products in the same order as np.kron, bit for bit, without its
     # per-call set-up.  Clipping afterwards matches clipping the power's own
-    power = reduce(lambda a, b: np.multiply.outer(a, b).ravel(), [probs] * _check_copies(copies))
+    # diagonal.  copies is a checked count
+    power = reduce(lambda a, b: np.multiply.outer(a, b).ravel(), repeat(probs, copies))
     return np.clip(power, 0.0, None)
 
 
@@ -202,7 +227,8 @@ def assisted_fidelity_bound(rho, m: int, copies: int = 1) -> float:
     m-level maximally coherent state, with equality for dimension <= 3 and
     for tensor powers of such states.  Only the diagonal is read, so the
     power is never formed: this is ``assisted_fidelity_from_probs`` on the
-    validated diagonal of rho.
+    validated diagonal of rho, and past d^n = 2^53 it raises
+    ``CapExceeded``.
 
     In every dimension it equals the SDP over diagonal-capped states
     (``fidelity_certificate`` builds the optimal pair this argument gives).
@@ -217,32 +243,50 @@ def assisted_fidelity_bound(rho, m: int, copies: int = 1) -> float:
     1/theta the largest real m with (1/m) mnorm(a, m)^2 >= 1 - eps.
     """
     rho = require_density(rho, check_psd=False)
-    return assisted_fidelity_from_probs(np.diag(rho).real, copies, m)
+    n, _ = _copies_dim(rho.shape[0], copies)
+    return _power_fidelity(np.diag(rho).real, n)(m)
+
+
+def _power_fidelity(probs, n: int):
+    """The assisted fidelity of the n-fold power of a diagonal ``probs`` as
+    a function of m, built once: the route is chosen and the power or its
+    types are formed here, not at each m.
+
+    Up to d^n = ``TENSOR_DIM_CAP`` entries (and at n = 1) the probabilities
+    are Kronecker-powered, clipped at zero and only then square-rooted,
+    which reproduces the materialized tensor-power path bit for bit in
+    O(d^n) memory.  Above that size the power is read by its types
+    (``_type_classes``) in O(C(n+d-1, d-1)), within 1e-12 of the Kronecker
+    route; a type table of more than 2^17 entries raises ``CapExceeded``
+    before it is built.  Neither route builds an array that grows with m.
+    """
+    n = _check_copies(n)
+    probs = np.asarray(probs, dtype=float)
+    if probs.ndim != 1:
+        raise DimMismatch(f"probs must be a vector, got shape {probs.shape}")
+    d = probs.size
+    if n > 1:
+        if math.comb(n + d - 1, d - 1) * d > 2 ** 17:
+            raise CapExceeded(f"{n} copies of {d} outcomes need over 2^17 type-table entries")
+        if d ** n > TENSOR_DIM_CAP:
+            return partial(class_distillation_fidelity, *_type_classes(probs, n))
+    return partial(pure_distillation_fidelity, np.sqrt(_kron_power(probs, n)))
 
 
 def assisted_fidelity_from_probs(probs, n: int, m: int) -> float:
     """``assisted_fidelity_bound`` of the n-fold tensor power of a state with
     diagonal ``probs``, computed from the probabilities alone.
 
-    Every closed-form fidelity in the package goes through here.  Up to
-    d^n = ``TENSOR_DIM_CAP`` entries (and at n = 1) the probabilities are
-    Kronecker-powered, clipped at zero and only then square-rooted, which
-    reproduces the materialized tensor-power path bit for bit in O(d^n)
-    memory.  Above that size the power is read by its types
-    (``_type_classes``) and evaluated in O(C(n+d-1, d-1)), within 1e-12 of
-    the Kronecker route.  Neither route builds an array that grows with m.
-    A ``probs`` that is not one-dimensional raises ``DimMismatch``; its
-    entries are not validated.  An ``m`` that is not a positive integer
-    raises ``BadM`` and a ``n`` that is not a positive integer raises
-    ``ValueError``.
+    Every closed-form fidelity in the package, this one included, comes
+    from the evaluator ``_power_fidelity`` builds (see it for its two
+    routes).  A ``probs`` that is not one-dimensional raises
+    ``DimMismatch``; its entries are not validated.  An ``m`` that is not a
+    positive integer raises ``BadM``, a ``n`` that is not a positive
+    integer raises ``ValueError``, and a type table past 2^17 entries (more
+    than 65535 qubit copies) raises ``CapExceeded``; d^n itself is not
+    bounded here.
     """
-    n = _check_copies(n)
-    probs = np.asarray(probs, dtype=float)
-    if probs.ndim != 1:
-        raise DimMismatch(f"probs must be a vector, got shape {probs.shape}")
-    if n > 1 and probs.size ** n > TENSOR_DIM_CAP:
-        return class_distillation_fidelity(*_type_classes(probs, n), m)
-    return pure_distillation_fidelity(np.sqrt(_kron_power(probs, n)), m)
+    return _power_fidelity(probs, n)(m)
 
 
 @dataclass(frozen=True)
@@ -335,13 +379,13 @@ def assisted_fidelity_sdp(rho, m) -> float:
     return float(_snapped_fidelity(fidelity_certificate(rho, m).primal, 1))
 
 
-def _max_m_by_fidelity(probs, eps: float) -> int:
-    # probs is a clipped diagonal; F(1) = 1 always passes and F does not
-    # increase with m, so bisect on lo passing, hi failing (or past the end)
-    lo, hi = 1, probs.size + 1
+def _max_m_by_fidelity(fidelity, dim: int, eps: float) -> int:
+    # F(1) = 1 always passes and F does not increase with m, so bisect on lo
+    # passing, hi failing (or past the dim levels)
+    lo, hi = 1, dim + 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if assisted_fidelity_from_probs(probs, 1, mid) >= 1.0 - eps - _FLOOR_GUARD:
+        if fidelity(mid) >= 1.0 - eps - _FLOOR_GUARD:
             lo = mid
         else:
             hi = mid
@@ -357,25 +401,30 @@ def one_shot_rate(rho, eps: float, declared_base_dim: int | None = None,
     ``assisted_fidelity_bound(rho, m, copies) >= 1 - eps``.  That fidelity
     is non-increasing in real m, so m* is also floor(1/theta) of the
     diagonal-ball SDP (see ``assisted_fidelity_bound``); no SDP is solved.
-    The level is exact when ``zero_error_rate``'s flag holds and an upper
-    bound otherwise; the zero-error fields are that function's too, from
-    the same validation and the same power of the diagonal.
+    m* is found by bisection over [1, d^n] on one n-copy evaluator, the
+    one ``assisted_fidelity_from_probs`` uses: the Kronecker power up to
+    1024 entries, the type classes above.  The level is exact when
+    ``zero_error_rate``'s flag holds and an upper bound otherwise; the
+    zero-error fields are that function's too, from the same validation.
     Tensor-power structure is never detected, only declared, by ``copies``
-    or by ``declared_base_dim``.
+    or by ``declared_base_dim``.  Past d^n = 2^53, or past the type-class
+    route's table of 2^17 entries, ``CapExceeded`` is raised.
 
-    Only the diagonal of the tensor power is formed, and ``rho`` itself is
+    Only the diagonal of the tensor power is read, and ``rho`` itself is
     PSD-checked: a tensor power's smallest eigenvalue is a product of the
     base's, so that check is at least as strict as one on the power.
     """
     rho = require_density(rho)
     if not (0.0 <= eps < 1.0):
         raise ValueError(f"eps must lie in [0, 1), got {eps}")
-    probs = _kron_power(np.diag(rho).real, copies)
-    zero = _zero_error(probs, rho.shape[0], declared_base_dim)
-    m_star = _max_m_by_fidelity(probs, eps)
+    probs = np.diag(rho).real
+    n, dim = _copies_dim(probs.size, copies)
+    fidelity = _power_fidelity(probs, n)
+    m_star = _max_m_by_fidelity(fidelity, dim, eps)
+    zero = _zero_error(probs, n, declared_base_dim)
     return RateReport(
         m_requested=m_star,
-        fidelity_bound=assisted_fidelity_from_probs(probs, 1, m_star),
+        fidelity_bound=fidelity(m_star),
         one_shot_rate_bits=math.log2(m_star),
         zero_error_bits=zero.one_shot_bits,
         exact_flag=zero.exact,
@@ -383,24 +432,30 @@ def one_shot_rate(rho, eps: float, declared_base_dim: int | None = None,
     )
 
 
-def _zero_error(probs, dim: int, declared_base_dim: int | None) -> ZeroErrorRate:
-    q = float(np.max(probs))
+def _zero_error(probs, n: int, declared_base_dim: int | None) -> ZeroErrorRate:
+    # q^n as the left-to-right product q * q * ... * q: the products of the
+    # Kronecker power are formed in that order and rounding is monotone, so
+    # this is its largest entry bit for bit, with no vector built
+    q = math.prod(repeat(float(np.max(probs)), n))
     return ZeroErrorRate(
         one_shot_bits=math.log2(_floor_guarded(1.0 / q)),
         asymptotic_bits_per_copy=-math.log2(q),
-        exact=dim <= 3 or (declared_base_dim is not None and declared_base_dim <= 3),
+        exact=probs.size <= 3 or (declared_base_dim is not None and declared_base_dim <= 3),
     )
 
 
 def zero_error_rate(rho, declared_base_dim: int | None = None,
                     copies: int = 1) -> ZeroErrorRate:
     """Zero-error rates of ``copies`` copies of ``rho`` from the largest
-    diagonal entry q of their tensor power: one-shot log2(floor(1/q)) bits
-    and asymptotically -log2(q) bits per copy of that power.  Exact when
-    ``rho`` has dimension <= 3 or is a declared power of such a base
-    (``declared_base_dim``); upper bounds otherwise."""
+    diagonal entry q^n of their tensor power, q the largest diagonal entry
+    of ``rho``: one-shot log2(floor(1/q^n)) bits and asymptotically
+    -log2(q^n) bits per copy of that power.  q^n is taken as a product of
+    n factors; no power is formed, and past d^n = 2^53 ``CapExceeded`` is
+    raised.  Exact when ``rho`` has dimension <= 3 or is a declared power
+    of such a base (``declared_base_dim``); upper bounds otherwise."""
     rho = require_density(rho, check_psd=False)
-    return _zero_error(_kron_power(np.diag(rho).real, copies), rho.shape[0], declared_base_dim)
+    n, _ = _copies_dim(rho.shape[0], copies)
+    return _zero_error(np.diag(rho).real, n, declared_base_dim)
 
 
 def _roof_search(rho, objective, seed: int, restarts: int, max_evals: int):

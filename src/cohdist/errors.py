@@ -18,7 +18,7 @@ class DimMismatch(CohdistError):
 
 
 class CapExceeded(CohdistError):
-    """Requested dimension exceeds the configured cap."""
+    """Requested size exceeds one of the package's fixed bounds."""
 
 
 class NotDistribution(CohdistError):

@@ -59,16 +59,22 @@ def _as_complex_matrix(a) -> np.ndarray:
     return mat
 
 
+def _adjoint_and_defect(mat: np.ndarray) -> tuple[np.ndarray, float]:
+    """The adjoint of a square complex matrix and its Hermitian defect;
+    ``NumericalFailure`` on a non-finite entry."""
+    if not np.all(np.isfinite(mat)):
+        raise NumericalFailure("matrix has non-finite entries")
+    adj = mat.conj().T
+    return adj, float(np.max(np.abs(mat - adj))) if mat.size else 0.0
+
+
 def hermitian_defect(a) -> float:
     """Largest entrywise deviation |a_ij - conj(a_ji)|.
 
     A non-finite entry raises ``NumericalFailure``, since a NaN defect
     would pass every ``defect > tol`` gate.
     """
-    mat = _as_complex_matrix(a)
-    if not np.all(np.isfinite(mat)):
-        raise NumericalFailure("matrix has non-finite entries")
-    return float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
+    return _adjoint_and_defect(_as_complex_matrix(a))[1]
 
 
 def require_density(rho, *, check_psd: bool = True) -> np.ndarray:
@@ -113,11 +119,11 @@ def eig_hermitian(mat):
         if the entrywise symmetry defect exceeds 1e-9.
     """
     a = _as_complex_matrix(mat)
-    defect = hermitian_defect(a)
+    adj, defect = _adjoint_and_defect(a)
     if defect > _HERMITIAN_OP:
         raise NonHermitian(f"Hermitian defect {defect:.3e} exceeds {_HERMITIAN_OP:.0e}")
     try:
-        return np.linalg.eigh(0.5 * (a + a.conj().T))
+        return np.linalg.eigh(0.5 * (a + adj))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition did not converge: {exc}") from exc
 

@@ -300,13 +300,10 @@ class TestFigureCommand:
         q = 0.99 ** 20
         assert abs(f - (0.5 + np.sqrt(q * (1 - q)))) <= 1e-9
 
-    @pytest.mark.parametrize("copies, env_cap, code", [(21, None, 3), (13, "64", 3), (20, None, 0)])
-    def test_copies_cap(self, copies, env_cap, code, tmp_path, capsys, monkeypatch):
-        # the probability route holds 2^n entries, at most cap^2
-        if env_cap is None:
-            monkeypatch.delenv("COHDIST_CAP", raising=False)
-        else:
-            monkeypatch.setenv("COHDIST_CAP", env_cap)
+    @pytest.mark.parametrize("copies, code", [(20, 0), (5000, 0), (65536, 3)])
+    def test_copies_bound(self, copies, code, tmp_path, capsys):
+        # only the type-class route bounds the copies: a table of 2^17
+        # entries, 65535 qubit copies
         spec = tmp_path / "many.json"
         spec.write_text(json.dumps({"family": "diag", "p_grid": [0.9], "copies": [copies]}))
         assert main(["figure", str(spec), "--out", str(tmp_path / "many.csv")]) == code
@@ -366,14 +363,23 @@ class TestExitCodes:
         for cmd in ("fidelity", "rate", "decompose"):
             assert main([cmd, str(path)]) == code, cmd
 
-    def test_cap_exceeded(self, qubit64, capsys):
-        assert main(["rate", str(qubit64), "--copies", "20"]) == 3
+    @pytest.mark.parametrize("d, copies", [(2, 53), (3, 33)])
+    def test_copies_bound(self, d, copies, tmp_path, capsys):
+        # d^n up to 2^53, where m* and floor(1/q^n) are exact doubles
+        path = tmp_path / "base.json"
+        dump_state(random_density(d, np.random.default_rng(d)), path)
+        for cmd in ("fidelity", "rate"):
+            assert main([cmd, str(path), "--copies", str(copies)]) == 0, cmd
+            assert main([cmd, str(path), "--copies", str(copies + 1)]) == 3, cmd
+        assert main(["rate", str(path), "--eps", "0.05", "--copies", str(copies)]) == 0
 
-    def test_env_cap_and_flag_priority(self, qubit64, capsys, monkeypatch):
+    def test_no_cap_option(self, qubit64, capsys, monkeypatch):
         monkeypatch.setenv("COHDIST_CAP", "4")
-        assert main(["rate", str(qubit64), "--copies", "3"]) == 3
-        # explicit flag wins over the environment
-        assert main(["rate", str(qubit64), "--copies", "3", "--cap", "1024"]) == 0
+        assert main(["rate", str(qubit64), "--copies", "3"]) == 0
+        for cmd in ("fidelity", "rate"):
+            with pytest.raises(SystemExit) as exc:
+                main([cmd, str(qubit64), "--cap", "1024"])
+            assert exc.value.code == 2
 
 
 class TestSelftest:

@@ -30,7 +30,7 @@ from cohdist.ensembles import (
     random_decomposition,
     same_diagonal_decomposition,
 )
-from cohdist.errors import BadM, DimMismatch, NotPSD, NumericalFailure, ParseError
+from cohdist.errors import BadM, CapExceeded, DimMismatch, NotPSD, NumericalFailure, ParseError
 from cohdist.hermat import (
     maximally_coherent,
     random_density,
@@ -498,6 +498,84 @@ class TestTypeClasses:
         m = 10 ** 9
         l1_sq = (math.sqrt(0.6) + math.sqrt(0.4)) ** (2 * n)
         assert abs(assisted_fidelity_from_probs([0.6, 0.4], n, m) - l1_sq / m) <= 1e-12 * l1_sq / m
+
+
+def _fsum_fidelity(amps, m):
+    """The fidelity of a vector by water filling, each sum exactly rounded
+    (math.fsum): the split K is the first index with a_K^2 (m - K) <= S_K,
+    S_K the squared mass from K on, and the norm is
+    sum(a[:K]) + sqrt(S_K (m - K))."""
+    a = np.sort(amps)[::-1]
+    sq = a * a
+    tail = np.cumsum(sq[::-1])[::-1][:m]
+    split = np.flatnonzero(sq[:m] * (m - np.arange(tail.size)) <= tail)
+    k = int(split[0]) if split.size else a.size
+    value = math.fsum(a[:k]) + math.sqrt(math.fsum(sq[k:]) * (m - k))
+    return value * value / m
+
+
+class TestRateAboveTheCap:
+    """Above 1024 entries rate's level m* is bisected on the type classes of
+    the power; a bisection on the Kronecker vector is the reference."""
+
+    @pytest.mark.parametrize("d, copies", [(2, range(11, 19)), (3, range(7, 11)), (4, (6, 7))],
+                             ids=["qubit", "qutrit", "d4"])
+    def test_level_matches_kronecker_bisection(self, d, copies):
+        rng = np.random.default_rng(d)
+        for _ in range(3):
+            rho = random_density(d, rng)
+            probs = np.diag(rho).real
+            for n in copies:
+                amps = np.sqrt(np.clip(reduce(np.kron, [probs] * n), 0.0, None))
+                for eps in (0.0, 0.05, 0.2):
+                    lo, hi = 1, amps.size + 1
+                    while hi - lo > 1:
+                        mid = (lo + hi) // 2
+                        if pure_distillation_fidelity(amps, mid) >= 1.0 - eps - 1e-9:
+                            lo = mid
+                        else:
+                            hi = mid
+                    got = one_shot_rate(rho, eps, copies=n).m_requested
+                    if got != lo:
+                        # a tie closer than the sequential sums' drift over
+                        # 2^18 entries (~1e-12): exactly rounded sums decide
+                        target = 1.0 - eps - 1e-9
+                        assert (_fsum_fidelity(amps, got) >= target
+                                > _fsum_fidelity(amps, got + 1)), (n, eps, got, lo)
+
+    @pytest.mark.parametrize("p", [0.99, 0.98, 0.97, 0.96])
+    def test_level_at_fifty_copies_matches_decimal_reference(self, p):
+        # m* runs from 2 to 758 here; the fidelity is non-increasing in m,
+        # so m* passes and m* + 1 fails in 50-digit arithmetic
+        rho = np.diag([p, 1.0 - p]).astype(complex)
+        for eps in (0.05, 0.2):
+            m = one_shot_rate(rho, eps, copies=50).m_requested
+            assert (_decimal_fidelity([p, 1.0 - p], 50, m) >= 1.0 - eps - 1e-9
+                    > _decimal_fidelity([p, 1.0 - p], 50, m + 1)), eps
+
+
+class TestCopyBounds:
+    @pytest.mark.parametrize("d, copies", [(2, 53), (3, 33)])
+    def test_dimension_up_to_two_to_the_53(self, d, copies):
+        rho = random_density(d, np.random.default_rng(d))
+        calls = (lambda n: assisted_fidelity_bound(rho, 2, copies=n),
+                 lambda n: one_shot_rate(rho, 0.05, copies=n),
+                 lambda n: zero_error_rate(rho, copies=n))
+        for call in calls:
+            call(copies)
+            with pytest.raises(CapExceeded):
+                call(copies + 1)
+            with pytest.raises(CapExceeded):
+                call(10 ** 18)
+
+    @pytest.mark.parametrize("d, copies", [(2, 65535), (3, 294), (4, 56), (9, 8)])
+    def test_type_table_up_to_two_to_the_17(self, d, copies):
+        # the largest powers whose C(n+d-1, d-1) types of d counts fit in
+        # 2^17 entries
+        probs = np.arange(d, 0, -1) / (d * (d + 1) / 2)
+        assert 0.0 <= assisted_fidelity_from_probs(probs, copies, 2) <= 1.0
+        with pytest.raises(CapExceeded):
+            assisted_fidelity_from_probs(probs, copies + 1, 2)
 
 
 _NAN = float("nan")

@@ -24,6 +24,19 @@ def test_reconstruction_and_lapack_parity(n, rng):
         assert np.allclose(w, np.linalg.eigvalsh(a), atol=1e-11)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_symmetrized_solve_is_the_documented_formula(n, rng):
+    # the adjoint is formed once for the gate and the symmetrization; the
+    # eigenpairs stay those of eigh(0.5 * (a + a^dag)) exactly, also with a
+    # defect inside the 1e-9 gate
+    for defect in (0.0, 1e-12):
+        a = random_hermitian(n, rng)
+        a = a + defect * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        w, v = eig_hermitian(a)
+        w_ref, v_ref = np.linalg.eigh(0.5 * (a + a.conj().T))
+        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+
 def test_known_spectra():
     w, _ = eig_hermitian(np.eye(3, dtype=complex))
     assert np.allclose(w, [1, 1, 1])

@@ -49,7 +49,7 @@ from .errors import (
     ParseError,
 )
 from .hermat import random_density, shannon_entropy
-from .stateio import dump_state, load_state
+from .stateio import _read_json, dump_state, load_state
 
 __all__ = ["main"]
 
@@ -172,11 +172,8 @@ def cmd_decompose(args) -> int:
 
 
 def _family_probs(family: str, p: float) -> np.ndarray:
-    if family in ("diag", "offdiag"):
-        return np.array([p, 1.0 - p])
-    if family == "depolarized":
-        return np.array([0.5, 0.5])
-    raise ParseError(f"unknown family {family!r}; expected one of {_FAMILIES}")
+    # the family is one of _FAMILIES, checked by _parse_curve_specs
+    return np.array([0.5, 0.5]) if family == "depolarized" else np.array([p, 1.0 - p])
 
 
 def _parse_curve_specs(obj) -> list[dict]:
@@ -210,14 +207,7 @@ def _parse_curve_specs(obj) -> list[dict]:
 
 
 def cmd_figure(args) -> int:
-    try:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {args.spec}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {args.spec}: {exc}") from exc
-    specs = _parse_curve_specs(obj)
+    specs = _parse_curve_specs(_read_json(args.spec))
 
     rows = []
     for spec in specs:

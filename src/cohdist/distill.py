@@ -40,10 +40,15 @@ either one it raises ``CapExceeded``:
   and 43 MB, for the O(n^2) big-integer work of their exact binomials;
   memory and that work would otherwise grow without limit.
 
-Rates are reported in bits and quantized through ``logfloor``: the
-achievable target dimension is an integer, so every rate has the form
-``log2(floor(2^x))``.  A guard of 1e-9 inside the floor keeps rounding noise
-on exactly-integer reciprocals from losing a whole level.
+Rates are reported in bits as log2 of an integer, since the achievable
+target dimension is one: the one-shot rate is log2 of the level m*, the
+zero-error rate log2 of floor(1/q^n), q the largest diagonal entry.  A
+guard of 1e-9 inside that floor, and on the fidelity threshold 1 - eps
+that m* is bisected against, keeps rounding noise on exactly-integer
+reciprocals from losing a whole level.
+
+A one-dimensional state has d^n = 1 at every n, so no bound limits its
+copies; its one-entry power p^n is taken by ``pow``, in O(log n) steps.
 """
 
 import math
@@ -70,18 +75,12 @@ __all__ = [
     "assisted_fidelity_sdp",
     "coherence_of_assistance",
     "fidelity_certificate",
-    "logfloor",
     "one_shot_rate",
     "theta_upper",
     "zero_error_rate",
 ]
 
 _FLOOR_GUARD = 1e-9
-
-
-def logfloor(x: float) -> float:
-    """log2 of the floor of 2^x (with the anti-noise guard inside the floor)."""
-    return math.log2(max(1, math.floor(2.0 ** x + _FLOOR_GUARD)))
 
 
 def _floor_guarded(x: float) -> int:
@@ -161,7 +160,10 @@ def _kron_power(probs, copies: int) -> np.ndarray:
     # base diagonal; on vectors the flattened outer product forms the same
     # products in the same order as np.kron, bit for bit, without its
     # per-call set-up.  Clipping afterwards matches clipping the power's own
-    # diagonal.  copies is a checked count
+    # diagonal.  copies is a checked count; a single entry is raised by pow
+    # (see the module docstring on one-dimensional states)
+    if probs.size == 1:
+        return np.clip(probs ** copies, 0.0, None)
     power = reduce(lambda a, b: np.multiply.outer(a, b).ravel(), repeat(probs, copies))
     return np.clip(power, 0.0, None)
 
@@ -435,11 +437,13 @@ def one_shot_rate(rho, eps: float, declared_base_dim: int | None = None,
 def _zero_error(probs, n: int, declared_base_dim: int | None) -> ZeroErrorRate:
     # q^n as the left-to-right product q * q * ... * q: the products of the
     # Kronecker power are formed in that order and rounding is monotone, so
-    # this is its largest entry bit for bit, with no vector built
-    q = math.prod(repeat(float(np.max(probs)), n))
+    # this is its largest entry bit for bit, with no vector built.  A single
+    # entry is raised by pow, as in _kron_power
+    q = float(np.max(probs))
+    q_n = q ** n if probs.size == 1 else math.prod(repeat(q, n))
     return ZeroErrorRate(
-        one_shot_bits=math.log2(_floor_guarded(1.0 / q)),
-        asymptotic_bits_per_copy=-math.log2(q),
+        one_shot_bits=math.log2(_floor_guarded(1.0 / q_n)),
+        asymptotic_bits_per_copy=-math.log2(q_n),
         exact=probs.size <= 3 or (declared_base_dim is not None and declared_base_dim <= 3),
     )
 

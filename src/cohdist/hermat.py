@@ -1,9 +1,11 @@
 """Dense complex-Hermitian linear algebra primitives.
 
 All higher-level quantities in the package reduce to the handful of
-operations here: dephasing, Hermitian eigendecomposition (LAPACK through
-``numpy.linalg.eigh``), PSD square roots, Uhlmann fidelity, tensor powers,
-Shannon entropy and the diagonal-root vector.
+operations here: validation of density matrices, Hermitian
+eigendecomposition (LAPACK through ``numpy.linalg.eigh``) with its PSD
+gate, Shannon entropy and random density matrices.  Uhlmann fidelity and
+tensor powers are the materialized references the closed forms are
+tested against.
 
 Matrices and vectors are plain ``numpy`` arrays (complex128).  Validators
 raise the typed errors from :mod:`cohdist.errors`.  The validation gates
@@ -11,8 +13,8 @@ live here and nowhere else: a validated matrix is Hermitian to 1e-12
 entrywise with trace 1 to 1e-10, the eigensolver rejects a Hermitian
 defect above 1e-9, a probability vector sums to 1 to 1e-9, and the PSD
 floor is -1e-10: ``eig_psd`` is the one check of it, and eigenvalues in
-``[-1e-10, 0)`` count as zero.  ``TENSOR_DIM_CAP`` (1024) is the default
-cap on a materialized tensor-power dimension.
+``[-1e-10, 0)`` count as zero.  ``TENSOR_DIM_CAP`` (1024) is the fixed
+bound on a materialized tensor-power dimension.
 """
 
 import numpy as np
@@ -28,18 +30,13 @@ from .errors import (
 
 __all__ = [
     "TENSOR_DIM_CAP",
-    "dephase",
-    "delta_vector",
     "eig_hermitian",
     "eig_psd",
     "fidelity",
     "hermitian_defect",
-    "maximally_coherent",
     "random_density",
-    "random_statevector",
     "require_density",
     "shannon_entropy",
-    "sqrtm_psd",
     "tensor_power",
 ]
 
@@ -97,12 +94,6 @@ def require_density(rho, *, check_psd: bool = True) -> np.ndarray:
     return mat
 
 
-def dephase(rho) -> np.ndarray:
-    """Zero all off-diagonal entries (the fully dephasing channel)."""
-    mat = _as_complex_matrix(rho)
-    return np.diag(np.diag(mat).real).astype(np.complex128)
-
-
 def eig_hermitian(mat):
     """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
 
@@ -139,34 +130,25 @@ def eig_psd(mat):
     return w, v
 
 
-def sqrtm_psd(mat) -> np.ndarray:
-    """Hermitian PSD square root.
-
-    Eigenvalues inside ``[-1e-10, 0)`` are clamped to zero; anything more
-    negative raises ``NotPSD`` (``eig_psd``).
-    """
-    w, v = eig_psd(mat)
-    root = np.sqrt(np.clip(w, 0.0, None))
-    s = (v * root) @ v.conj().T
-    return 0.5 * (s + s.conj().T)
-
-
 def fidelity(rho, sigma) -> float:
     """Squared Uhlmann fidelity ``||sqrt(rho) sqrt(sigma)||_1^2``.
 
     The trace norm is evaluated through the Hermitian product
     ``sqrt(rho) sigma sqrt(rho)``: its eigenvalues are the squared
     singular values of ``sqrt(rho) sqrt(sigma)``, so the trace norm is
-    the sum of their square roots.  Tiny negative eigenvalues (above the
-    PSD floor -1e-10) are clamped to zero, and so is rounding above 1
-    up to 1e-9; a larger excess (unnormalized input) raises
-    ``NumericalFailure``.
+    the sum of their square roots.  ``sqrt(rho)`` is the PSD square root
+    from ``eig_psd``, so a ``rho`` below the PSD floor raises ``NotPSD``.
+    Tiny negative eigenvalues (above the floor -1e-10) are clamped to zero,
+    and so is rounding above 1 up to 1e-9; a larger excess (unnormalized
+    input) raises ``NumericalFailure``.
     """
     a = _as_complex_matrix(rho)
     b = _as_complex_matrix(sigma)
     if a.shape != b.shape:
         raise DimMismatch(f"dimension mismatch: {a.shape} vs {b.shape}")
-    ra = sqrtm_psd(a)
+    w, v = eig_psd(a)
+    ra = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    ra = 0.5 * (ra + ra.conj().T)
     prod = ra @ b @ ra
     w, _ = eig_hermitian(0.5 * (prod + prod.conj().T))
     # rounding noise below 1e-13 of the top eigenvalue is an exact zero of
@@ -178,16 +160,15 @@ def fidelity(rho, sigma) -> float:
     return min(max(val, 0.0), 1.0)
 
 
-def tensor_power(rho, n: int, *, cap: int | None = None) -> np.ndarray:
-    """n-fold Kronecker power of a matrix, capped at ``cap`` total dimension
-    (default ``TENSOR_DIM_CAP``)."""
+def tensor_power(rho, n: int) -> np.ndarray:
+    """n-fold Kronecker power of a matrix, at most ``TENSOR_DIM_CAP`` in
+    total dimension."""
     mat = _as_complex_matrix(rho)
     if n < 1 or int(n) != n:
         raise ValueError(f"copies must be a positive integer, got {n}")
-    limit = TENSOR_DIM_CAP if cap is None else cap
-    if mat.shape[0] ** n > limit:
+    if mat.shape[0] ** n > TENSOR_DIM_CAP:
         raise CapExceeded(
-            f"dim {mat.shape[0]}^{n} = {mat.shape[0] ** n} exceeds cap {limit}"
+            f"dim {mat.shape[0]}^{n} = {mat.shape[0] ** n} exceeds cap {TENSOR_DIM_CAP}"
         )
     out = mat
     for _ in range(int(n) - 1):
@@ -211,29 +192,10 @@ def shannon_entropy(diagonal):
     return float(h) if p.ndim == 1 else h
 
 
-def delta_vector(rho) -> np.ndarray:
-    """Entrywise square roots of the diagonal; real nonnegative, unit l2 norm."""
-    mat = _as_complex_matrix(rho)
-    d = np.clip(np.diag(mat).real, 0.0, None)
-    return np.sqrt(d)
 
 
-def maximally_coherent(m: int, dim: int | None = None) -> np.ndarray:
-    """Uniform superposition of the first ``m`` basis states (dimension ``dim``)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    d = m if dim is None else dim
-    if d < m:
-        raise DimMismatch(f"dim {d} smaller than m {m}")
-    vec = np.zeros(d, dtype=np.complex128)
-    vec[:m] = 1.0 / np.sqrt(m)
-    return vec
 
 
-def random_statevector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random pure state vector."""
-    g = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return g / np.linalg.norm(g)
 
 
 def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:

@@ -83,15 +83,20 @@ def parse_state(obj) -> tuple[np.ndarray, dict | None]:
     return rho, declared
 
 
-def load_state(path) -> tuple[np.ndarray, dict | None]:
+def _read_json(path):
+    """The decoded JSON document in a file; ``ParseError`` when the file
+    cannot be read or is not JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-    return parse_state(obj)
+
+
+def load_state(path) -> tuple[np.ndarray, dict | None]:
+    return parse_state(_read_json(path))
 
 
 def state_to_dict(rho, declared_base: dict | None = None) -> dict:

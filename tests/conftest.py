@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cohdist.distill import fidelity_certificate
-from cohdist.hermat import random_density, random_statevector
+from cohdist.hermat import random_density
 
 
 @pytest.fixture
@@ -50,4 +50,4 @@ def random_diag_dominant(dim, rng):
     return rho
 
 
-__all__ = ["random_density", "random_statevector", "random_diag_dominant"]
+__all__ = ["random_density", "random_diag_dominant"]

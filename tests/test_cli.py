@@ -3,6 +3,7 @@
 import json
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from cohdist.distill import (
     one_shot_rate,
     zero_error_rate,
 )
-from cohdist.hermat import maximally_coherent, random_density, tensor_power
+from cohdist.hermat import random_density, tensor_power
 from cohdist.stateio import dump_state, load_state
 
 
@@ -63,7 +64,7 @@ class TestFidelityCommand:
         assert abs(payload["fidelity_bound"] - 0.933013) < 1e-6
 
     def test_maximally_coherent_qutrit(self, tmp_path, capsys):
-        psi = maximally_coherent(3)
+        psi = np.full(3, 1 / np.sqrt(3))
         path = tmp_path / "psi3.json"
         dump_state(np.outer(psi, psi.conj()), path)
         assert main(["fidelity", str(path), "--m", "3", "--json"]) == 0
@@ -157,7 +158,7 @@ class TestCopies:
         path = tmp_path / "base.json"
         dump_state(random_density(d, np.random.default_rng(10 * d + rank), rank=rank), path)
         base, _ = load_state(path)
-        max_copies = {2: 10, 3: 6}[d]  # the largest d^n within the default cap 1024
+        max_copies = {2: 10, 3: 6}[d]  # the largest d^n within TENSOR_DIM_CAP (1024)
         for n in range(1, max_copies + 1):
             big = tensor_power(base, n)
             for m in (2, 3):
@@ -192,6 +193,22 @@ class TestCopies:
         assert main(["rate", str(qubit64), "--eps", "0.05", "--copies", "10"]) == 0
         assert main(["fidelity", str(qubit64), "--copies", "10"]) == 0
         assert shapes and max(shape[0] for shape in shapes) <= 2
+
+    @pytest.mark.parametrize("cmd", ["fidelity", "rate"])
+    def test_one_dimensional_state_in_constant_time(self, cmd, tmp_path, capsys):
+        # d^n = 1 never reaches the 2^53 bound, so the copies are unbounded:
+        # 10^7 of them cost no step each and report what one copy reports
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"dim": 1, "entries": [[[1.0, 0.0]]]}))
+        assert main([cmd, str(path), "--json"]) == 0
+        one = json.loads(capsys.readouterr().out)
+        start = time.perf_counter()
+        assert main([cmd, str(path), "--copies", "10000000", "--json"]) == 0
+        assert time.perf_counter() - start < 0.5
+        many = json.loads(capsys.readouterr().out)
+        assert many.pop("copies") == 10 ** 7
+        one.pop("copies")
+        assert many == one
 
 
 class TestDecomposeCommand:
@@ -307,6 +324,17 @@ class TestFigureCommand:
         spec = tmp_path / "many.json"
         spec.write_text(json.dumps({"family": "diag", "p_grid": [0.9], "copies": [copies]}))
         assert main(["figure", str(spec), "--out", str(tmp_path / "many.csv")]) == code
+
+    @pytest.mark.parametrize("content, message", [(None, "cannot read"),
+                                                  ("{not json", "invalid JSON in")],
+                             ids=["missing", "invalid"])
+    def test_unreadable_spec(self, content, message, tmp_path, capsys):
+        # the spec file is read as state files are, with the same messages
+        spec = tmp_path / "spec.json"
+        if content is not None:
+            spec.write_text(content)
+        assert main(["figure", str(spec), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"input error: {message} {spec}")
 
     def test_rejects_bad_family(self, tmp_path, capsys):
         spec = tmp_path / "bad.json"

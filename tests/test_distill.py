@@ -16,7 +16,6 @@ from cohdist.distill import (
     assisted_fidelity_sdp,
     coherence_of_assistance,
     fidelity_certificate,
-    logfloor,
     one_shot_rate,
     theta_upper,
     zero_error_rate,
@@ -32,12 +31,10 @@ from cohdist.ensembles import (
 )
 from cohdist.errors import BadM, CapExceeded, DimMismatch, NotPSD, NumericalFailure, ParseError
 from cohdist.hermat import (
-    maximally_coherent,
+    fidelity,
     random_density,
-    random_statevector,
     require_density,
     shannon_entropy,
-    sqrtm_psd,
     tensor_power,
 )
 from cohdist.stateio import parse_state, state_to_dict
@@ -80,12 +77,10 @@ class TestFidelityBound:
     def test_tensor_power_consistency(self, rng):
         # the bound of a tensor power can be computed from the Kronecker
         # power of the base diagonal-root vector without materializing it
-        from cohdist.hermat import delta_vector
-
         for _ in range(5):
             d = int(rng.integers(2, 4))
             sigma = random_density(d, rng)
-            delta = delta_vector(sigma)
+            delta = np.sqrt(np.diag(sigma).real)
             for n in (2, 3):
                 big = tensor_power(sigma, n)
                 direct = assisted_fidelity_bound(big, 2)
@@ -141,7 +136,7 @@ class TestFidelitySdp:
 
 class TestRates:
     def test_maximally_coherent_qutrit(self):
-        psi = maximally_coherent(3)
+        psi = np.full(3, 1 / np.sqrt(3))
         rep = one_shot_rate(np.outer(psi, psi.conj()), 0.0)
         assert rep.m_requested == 3
         assert abs(rep.one_shot_rate_bits - math.log2(3)) < 1e-12
@@ -170,7 +165,7 @@ class TestRates:
             with pytest.raises(ValueError):
                 one_shot_rate(rho, eps)
 
-    def test_rates_are_logfloor_values(self, rng):
+    def test_rates_are_log2_of_integers(self, rng):
         for _ in range(5):
             d = int(rng.integers(2, 5))
             rho = random_density(d, rng)
@@ -185,7 +180,8 @@ class TestRates:
         assert all(b >= a - 1e-12 for a, b in zip(rates, rates[1:]))
 
     def test_zero_error_examples(self):
-        z = zero_error_rate(np.outer(maximally_coherent(2), maximally_coherent(2)))
+        psi = np.full(2, 1 / np.sqrt(2))
+        z = zero_error_rate(np.outer(psi, psi))
         assert z.one_shot_bits == 1.0
         assert abs(z.asymptotic_bits_per_copy - 1.0) < 1e-12
         assert z.exact
@@ -248,16 +244,11 @@ class TestRates:
         got = ball_theta(rho, 0.0)
         assert abs(got - np.max(np.diag(rho).real)) <= 1e-7
 
-    def test_logfloor(self):
-        assert logfloor(math.log2(3)) == math.log2(3)
-        assert logfloor(1.9) == math.log2(3)  # 2^1.9 ~ 3.73 floors to 3
-        assert logfloor(0.3) == 0.0
-        assert logfloor(2.0) == 2.0
-
 
 class TestThetaUpper:
     def test_pure_state(self, rng):
-        psi = random_statevector(3, rng)
+        psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        psi /= np.linalg.norm(psi)
         t = theta_upper(np.outer(psi, psi.conj()))
         assert t.exact
         assert abs(t.value - np.max(np.abs(psi) ** 2)) < 1e-12
@@ -282,7 +273,8 @@ class TestCoherenceOfAssistance:
         assert ca.exact and ca.value_bits == 1.0
 
     def test_pure_state(self, rng):
-        psi = random_statevector(3, rng)
+        psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        psi /= np.linalg.norm(psi)
         ca = coherence_of_assistance(np.outer(psi, psi.conj()))
         assert abs(ca.value_bits - shannon_entropy(np.abs(psi) ** 2)) < 1e-9
 
@@ -577,6 +569,21 @@ class TestCopyBounds:
         with pytest.raises(CapExceeded):
             assisted_fidelity_from_probs(probs, copies + 1, 2)
 
+    def test_one_dimensional_copies_are_unbounded(self):
+        # d^n = 1 at every n: the one entry p^n is a single pow, so 10^18
+        # copies cost what one does.  A p off 1 inside the 1e-10 trace gate
+        # tells pow from a product of n factors
+        p, n = 1.0 - 1e-11, 10 ** 6
+        rho = np.full((1, 1), p, dtype=complex)
+        assert zero_error_rate(rho, copies=n).asymptotic_bits_per_copy == -math.log2(p ** n)
+        assert (assisted_fidelity_bound(rho, 1, copies=n)
+                == pure_distillation_fidelity(np.sqrt([p ** n]), 1))
+        one, n = np.ones((1, 1), dtype=complex), 10 ** 18
+        assert assisted_fidelity_bound(one, 1, copies=n) == 1.0
+        assert assisted_fidelity_from_probs([1.0], n, 2) == assisted_fidelity_bound(one, 2)
+        assert one_shot_rate(one, 0.05, copies=n) == one_shot_rate(one, 0.05)
+        assert zero_error_rate(one, copies=n) == zero_error_rate(one)
+
 
 _NAN = float("nan")
 
@@ -641,13 +648,13 @@ class TestRoofInputValidation:
     @pytest.mark.parametrize("d", [3, 4])
     @pytest.mark.parametrize("call", [
         require_density,
-        sqrtm_psd,
+        lambda rho: fidelity(rho, rho),
         purify,
         lambda rho: random_decomposition(rho, rho.shape[0] + 1),
         lambda rho: ensemble_search(rho, MaxAvgPureFidelity(2), rho.shape[0] + 1, **_SEARCH),
         lambda rho: theta_upper(rho, **_SEARCH),
         lambda rho: coherence_of_assistance(rho, **_SEARCH),
-    ], ids=["require_density", "sqrtm_psd", "purify", "random_decomposition",
+    ], ids=["require_density", "fidelity", "purify", "random_decomposition",
             "ensemble_search", "theta_upper", "coherence_of_assistance"])
     def test_floor_boundary(self, call, d):
         with pytest.raises(NotPSD, match="below -1e-10"):

@@ -17,7 +17,6 @@ from cohdist.dnorm import (
     waterfill_level,
 )
 from cohdist.errors import BadM
-from cohdist.hermat import maximally_coherent
 
 
 def normalized_abs(rng, d):
@@ -222,7 +221,7 @@ class TestAgainstSplitReference:
 class TestOracles:
     def test_dual_uniform_vector(self):
         for d in (2, 4, 6):
-            psi = np.abs(maximally_coherent(d))
+            psi = np.full(d, 1 / np.sqrt(d))
             for m in range(1, d + 1):
                 assert abs(mnorm_dual_oracle(psi, m) - np.sqrt(m)) < 1e-12
 
@@ -282,7 +281,7 @@ class TestOracles:
 class TestPureFidelity:
     def test_maximally_coherent_hits_one(self):
         for m in (2, 3, 5):
-            assert pure_distillation_fidelity(maximally_coherent(m), m) == 1.0
+            assert pure_distillation_fidelity(np.full(m, 1 / np.sqrt(m)), m) == 1.0
 
     def test_basis_state(self):
         assert abs(pure_distillation_fidelity([1.0, 0.0], 2) - 0.5) < 1e-15

@@ -12,7 +12,9 @@ and no option moves it: ``fidelity`` and ``rate`` accept an expanded
 dimension d^n up to 2^53 (53 qubit copies, 33 qutrit copies), and they and
 ``figure`` stop where the type-class route's table would pass 2^17
 entries (65535 qubit copies, the only bound on ``figure``).  Past either
-bound ``distill`` raises ``CapExceeded``, which exits 3.
+bound, or past the largest count a double holds (which only a
+one-dimensional state reaches), ``distill`` raises ``CapExceeded``, which
+exits 3.
 
 ``fidelity`` and ``rate`` report closed-form values only; their
 ``fidelity_sdp`` fields carry the closed form, which equals the SDP value in

@@ -47,11 +47,14 @@ guard of 1e-9 inside that floor, and on the fidelity threshold 1 - eps
 that m* is bisected against, keeps rounding noise on exactly-integer
 reciprocals from losing a whole level.
 
-A one-dimensional state has d^n = 1 at every n, so no bound limits its
-copies; its one-entry power p^n is taken by ``pow``, in O(log n) steps.
+A one-dimensional state has d^n = 1 at every n, so neither bound limits
+its copies; its one-entry power p^n is taken by ``pow``, in O(log n)
+steps.  Every entry point takes n as a double there, so a count past the
+largest double (about 1.8e308) raises ``CapExceeded`` too.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from itertools import repeat
@@ -141,6 +144,11 @@ class AssistanceBound:
 
 
 def _check_copies(copies) -> int:
+    """The copies count as an int; ``CapExceeded`` past the largest count a
+    double holds (about 1.8e308), since p^n and per-copy rates take n as a
+    double."""
+    if copies > sys.float_info.max:
+        raise CapExceeded(f"copies exceed the largest double, {sys.float_info.max:.6g}")
     if copies < 1 or int(copies) != copies:
         raise ValueError(f"copies must be a positive integer, got {copies}")
     return int(copies)
@@ -148,7 +156,8 @@ def _check_copies(copies) -> int:
 
 def _copies_dim(d: int, copies) -> tuple[int, int]:
     """The checked copies count n and the dimension d^n of n copies of a
-    d-dimensional state; ``CapExceeded`` past d^n = 2^53."""
+    d-dimensional state; ``CapExceeded`` past d^n = 2^53 or past the
+    largest count a double holds."""
     n = _check_copies(copies)
     if d ** min(n, 54) > 2 ** 53:  # any d >= 2 passes 2^53 by n = 54
         raise CapExceeded(f"{n} copies of dimension {d} exceed dimension 2^53")
@@ -161,9 +170,11 @@ def _kron_power(probs, copies: int) -> np.ndarray:
     # products in the same order as np.kron, bit for bit, without its
     # per-call set-up.  Clipping afterwards matches clipping the power's own
     # diagonal.  copies is a checked count; a single entry is raised by pow
-    # (see the module docstring on one-dimensional states)
+    # (see the module docstring on one-dimensional states), with copies as
+    # the double numpy 2 converts it to, since numpy 1.x makes an int past
+    # 2^64 an object array
     if probs.size == 1:
-        return np.clip(probs ** copies, 0.0, None)
+        return np.clip(probs ** float(copies), 0.0, None)
     power = reduce(lambda a, b: np.multiply.outer(a, b).ravel(), repeat(probs, copies))
     return np.clip(power, 0.0, None)
 
@@ -443,7 +454,7 @@ def _zero_error(probs, n: int, declared_base_dim: int | None) -> ZeroErrorRate:
     q_n = q ** n if probs.size == 1 else math.prod(repeat(q, n))
     return ZeroErrorRate(
         one_shot_bits=math.log2(_floor_guarded(1.0 / q_n)),
-        asymptotic_bits_per_copy=-math.log2(q_n),
+        asymptotic_bits_per_copy=0.0 - math.log2(q_n),  # +0.0, not -0.0, at q^n = 1
         exact=probs.size <= 3 or (declared_base_dim is not None and declared_base_dim <= 3),
     )
 

@@ -20,13 +20,15 @@ generator, so the reconstruction stays exact up to rounding (checked on
 the returned ensemble) and a candidate differs from its start in two rows
 only; one evaluation scores one rotated pair.  Random starts are random
 isometries applied to the eigen-ensemble, one QR each.  The search works
-on stacks: all restarts run in lockstep, each round adds up to sixteen
-candidates per live start, and the objectives score the whole round in
-one call, masking atoms below the weight floor instead of dropping them.
-Diagonal phases are free in this resource theory, so every shipped
-objective reads an ensemble only through its squared amplitudes
-w_i |psi_ij|^2: the search scores these real arrays and forms the complex
-``Ensemble`` for the returned decomposition alone.
+on stacks: all restarts run in lockstep and each round adds up to sixteen
+candidates per live start.  An objective is a sum or a maximum of
+per-atom terms, each read from one atom's row alone and masked to 0 below
+the weight floor instead of dropped, so one call scores the two rotated
+rows of every candidate of a round, and each candidate reuses its start's
+terms for the other rows.  Diagonal phases are free in this resource
+theory, so every shipped objective reads an ensemble only through its
+squared amplitudes w_i |psi_ij|^2: the search scores these real arrays
+and forms the complex ``Ensemble`` for the returned decomposition alone.
 """
 
 import math
@@ -265,12 +267,24 @@ def same_diagonal_decomposition(rho) -> Ensemble:
 # general ensemble search
 
 
-# Objectives take ``probs`` of shape (..., k, d), any leading batch axes,
-# with probs[..., i, j] = w_i |psi_ij|^2, and return one value per
-# ensemble.  Every shipped objective measures the coherence of a pure
-# state, which diagonal phases leave unchanged, so it reads atom i only
-# through these squared amplitudes.  Atoms at or below the weight floor
-# are masked out, never dropped, so a stack keeps its shape.
+# An objective scores an ensemble atom by atom.  ``terms(probs)`` takes
+# ``probs`` of shape (..., k, d), any leading batch axes, with
+# probs[..., i, j] = w_i |psi_ij|^2, and returns the (..., k) per-atom
+# terms, each computed from its atom's row alone and 0 for atoms at or
+# below the weight floor: masked, never dropped, so a stack keeps its
+# shape.  ``combine(terms, weights)`` reduces (..., k) terms and weights
+# w_i to one value per ensemble, and ``evaluate(probs)`` is
+# combine(terms(probs), probs.sum(-1)).  Every shipped objective measures
+# the coherence of a pure state, which diagonal phases leave unchanged, so
+# it reads atom i only through these squared amplitudes.
+
+
+def _evaluate(objective, probs):
+    # each objective class defines its own ``evaluate`` calling this, so
+    # that cohbench's tracer, which wraps the method in the class's own
+    # namespace, finds it
+    probs = np.asarray(probs, dtype=float)
+    return objective.combine(objective.terms(probs), probs.sum(axis=-1))
 
 
 @dataclass(frozen=True)
@@ -278,30 +292,44 @@ class MaxAvgPureFidelity:
     """Maximize the weighted average pure-state distillation fidelity at m.
 
     The m-norm is 1-homogeneous, so w_i F(psi_i) is the fidelity of the
-    unnormalized row sqrt(probs_i): ||sqrt(probs_i)||_(m)^2 / m.
+    unnormalized row sqrt(probs_i): ||sqrt(probs_i)||_(m)^2 / m.  The
+    terms are summed.
     """
 
     m: int
     sense: str = "max"
 
-    def evaluate(self, probs):
+    def terms(self, probs):
         probs = np.asarray(probs, dtype=float)
         scores = pure_distillation_fidelity(np.sqrt(probs), self.m)
-        return np.sum(np.where(probs.sum(axis=-1) > _WEIGHT_FLOOR, scores, 0.0), axis=-1)
+        return np.where(probs.sum(axis=-1) > _WEIGHT_FLOOR, scores, 0.0)
+
+    def combine(self, terms, weights):
+        return np.sum(terms, axis=-1)
+
+    def evaluate(self, probs):
+        return _evaluate(self, probs)
 
 
 @dataclass(frozen=True)
 class MinMaxInfNormSq:
-    """Minimize the largest squared amplitude over the atoms."""
+    """Minimize the largest squared amplitude over the atoms: each atom's
+    term is the largest |psi_ij|^2 of its normalized atom, and the terms'
+    maximum is taken."""
 
     sense: str = "min"
 
-    def evaluate(self, probs):
+    def terms(self, probs):
         probs = np.asarray(probs, dtype=float)
         weights = probs.sum(axis=-1)
-        peak = np.divide(np.max(probs, axis=-1), weights, out=np.zeros_like(weights),
+        return np.divide(np.max(probs, axis=-1), weights, out=np.zeros_like(weights),
                          where=weights > _WEIGHT_FLOOR)
-        return np.max(peak, axis=-1)
+
+    def combine(self, terms, weights):
+        return np.max(terms, axis=-1)
+
+    def evaluate(self, probs):
+        return _evaluate(self, probs)
 
 
 def _xlog2x(p):
@@ -313,21 +341,27 @@ def _xlog2x(p):
 class MaxAvgDiagEntropy:
     """Maximize the weighted average entropy of the atoms' diagonals,
     sum_i w_i H(|psi_i|^2) = sum_i (w_i log2 w_i - sum_j P_ij log2 P_ij)
-    with P = ``probs``.
+    with P = ``probs``; the terms are summed.
 
-    Raises ``NotDistribution`` unless the weights of every ensemble in the
-    stack sum to 1 within 1e-9 (NaN fails).
+    ``combine`` (and so ``evaluate``) raises ``NotDistribution`` unless the
+    weights of every ensemble in the stack sum to 1 within 1e-9 (NaN fails).
     """
 
     sense: str = "max"
 
-    def evaluate(self, probs):
+    def terms(self, probs):
         probs = np.asarray(probs, dtype=float)
         weights = probs.sum(axis=-1)
-        if not np.all(np.abs(weights.sum(axis=-1) - 1.0) <= _DISTRIBUTION):
-            raise NotDistribution(f"ensemble weights do not sum to 1 within {_DISTRIBUTION:.0e}")
         terms = _xlog2x(weights) - np.sum(_xlog2x(probs), axis=-1)
-        return np.sum(np.where(weights > _WEIGHT_FLOOR, terms, 0.0), axis=-1)
+        return np.where(weights > _WEIGHT_FLOOR, terms, 0.0)
+
+    def combine(self, terms, weights):
+        if not np.all(np.abs(np.sum(weights, axis=-1) - 1.0) <= _DISTRIBUTION):
+            raise NotDistribution(f"ensemble weights do not sum to 1 within {_DISTRIBUTION:.0e}")
+        return np.sum(terms, axis=-1)
+
+    def evaluate(self, probs):
+        return _evaluate(self, probs)
 
 
 def _eigen_basis(rho):
@@ -400,14 +434,19 @@ def ensemble_search(
     decomposition, which the theory makes optimal for all three shipped
     objectives, padded with zero rows up to ``atoms_cap``.
 
-    ``objective`` has a ``sense`` ("max" or "min") and an
-    ``evaluate(probs)`` that must accept leading batch axes: ``probs`` of
-    shape (..., k, d) holds the squared amplitudes w_i |psi_ij|^2 of each
-    ensemble, so its weights are ``probs.sum(-1)``, and one value per
-    ensemble is returned.  Atoms at or below the weight floor 1e-12 must
-    contribute nothing.  The objective is thereby blind to the phases of
-    the atoms' entries, as the shipped coherence measures are.  The search
-    scores its candidates in stacks.
+    ``objective`` has a ``sense`` ("max" or "min") and two pieces, both
+    accepting leading batch axes.  ``terms(probs)`` maps ``probs`` of
+    shape (..., k, d), the squared amplitudes w_i |psi_ij|^2 of each
+    ensemble, to (..., k) per-atom terms; each must be computed from its
+    atom's row alone, and atoms at or below the weight floor 1e-12 must
+    get 0.  ``combine(terms, weights)`` reduces (..., k) terms and weights
+    w_i = ``probs.sum(-1)`` to one value per ensemble.  The search calls
+    ``terms`` on (B, 2, d) stacks of rotated rows, so a term that looked
+    at other rows would be scored wrongly.  The returned value is
+    ``objective.evaluate`` on the returned ensemble, which the shipped
+    objectives define as combine(terms(probs), probs.sum(-1)).  The
+    objective is thereby blind to the phases of the atoms' entries, as the
+    shipped coherence measures are.
     """
     rho = require_density(rho, check_psd=False)
     d = rho.shape[0]
@@ -449,37 +488,47 @@ def _rotation_search(objective, amps0, budget, step0=0.3, step_min=1e-7):
     then phi = 0, pi/2, then +step, -step) of the rotation described in
     ``ensemble_search``.  Each start takes its first candidate better than
     its current point by 1e-15 and resumes its poll at the next (pair, phi);
-    a sweep with no move halves its step.  The first call scores every
-    start; then each round, every live start (evaluations below ``budget``,
-    step above ``step_min``) adds its next ``_POLL_CHUNK`` positions,
-    clipped at the sweep's end and at its remaining budget, and one
-    ``objective.evaluate`` call scores all of them: a candidate's squared
-    amplitudes are its start's with the two rotated rows replaced.  Each
-    start is charged only the candidates up to and including the one it
-    accepts, so its moves, halvings and budget match a one-at-a-time poll
-    of that start alone, and the calls number no more than its longest
-    start would make.
+    a sweep with no move halves its step.  The first ``objective.terms``
+    call scores every row of every start, and each start keeps its (k,)
+    terms and weights.  Then each round, every live start (evaluations
+    below ``budget``, step above ``step_min``) adds its next
+    ``_POLL_CHUNK`` positions, clipped at the sweep's end and at its
+    remaining budget, and one ``terms`` call scores the (B, 2, d) squared
+    rotated rows of all B of them.  A candidate's terms and weights are its
+    start's with those two columns replaced, and ``objective.combine``
+    gives its value, the same reduction over the same k values as on the
+    full stack, so bit for bit the same.  A move updates the two amplitude
+    rows and the start's terms and weights.  Each start is charged only the
+    candidates up to and including the one it accepts, so its moves,
+    halvings and budget match a one-at-a-time poll of that start alone, and
+    the calls number no more than its longest start would make.
     """
     sense = 1.0 if objective.sense == "min" else -1.0
     amps = np.array(amps0, dtype=np.complex128)
     probs = _squared(amps)
-    best = sense * objective.evaluate(probs)
+    # each start's per-atom terms and weights, kept up to date on its moves
+    terms, weights = objective.terms(probs), probs.sum(axis=-1)
+    best = sense * objective.combine(terms, weights)
     # per poll position, four per pair: the rotated rows (j, l) and the
     # factors of sin(step) that multiply a_l in row j and a_j in row l,
     # +-e^{i phi} and -+e^{-i phi} for phi = 0, pi/2 and the signs +, -
     pos_rows = np.repeat(np.transpose(np.triu_indices(amps.shape[1], 1)), 4, axis=0)
     n_pos = pos_rows.shape[0]
     pos_turn = np.tile([[1.0, -1.0], [-1.0, 1.0], [1j, 1j], [-1j, -1j]], (n_pos // 4, 1))
-    # the steps step0 / 2^level above step_min, with their cosines and sines
+    # the steps step0 / 2^level above step_min; per level, cos(step), cast to
+    # complex as numpy would cast it, and per level and poll position the
+    # two factors times sin(step)
     steps, step = [], float(step0)
     while step > step_min:
         steps.append(step)
         step *= 0.5
-    cos, sin = (np.array([f(t) for t in steps]) for f in (math.cos, math.sin))
+    cos = np.array([math.cos(t) for t in steps], dtype=np.complex128)
+    turns = np.array([math.sin(t) for t in steps])[:, None, None] * pos_turn
     evals = np.ones(best.size, dtype=np.int64)
     level, pos = np.zeros((2, best.size), dtype=np.int64)
     swept = best.copy()  # each start's cost when its sweep began
     chunk = np.arange(_POLL_CHUNK)
+    slots = np.arange(best.size * _POLL_CHUNK)[:, None]  # a round's candidates
     while True:
         live = (evals < budget) & (level < len(steps))
         if n_pos == 0 or not live.any():
@@ -491,19 +540,29 @@ def _rotation_search(objective, amps0, budget, step0=0.3, step_min=1e-7):
         rows = pos_rows[p]
         ajl = amps[owner[:, None], rows]  # (B, 2, d): a_j, a_l
         # each factor has one exactly zero part, so every product rounds once
-        new = cos[lev, None, None] * ajl + (sin[lev, None] * pos_turn[p])[..., None] * ajl[:, ::-1]
-        cands = probs[owner]
-        cands[np.arange(owner.size)[:, None], rows] = _squared(new)
-        costs = sense * objective.evaluate(cands)
+        new = cos[lev, None, None] * ajl + turns[lev, p][..., None] * ajl[:, ::-1]
+        sq = _squared(new)
+        # a candidate's terms and weights are its start's with two columns replaced
+        cand = slots[: owner.size]
+        cand_terms, cand_weights = terms[owner], weights[owner]
+        cand_terms[cand, rows] = objective.terms(sq)
+        cand_weights[cand, rows] = sq.sum(axis=-1)
+        costs = sense * objective.combine(cand_terms, cand_weights)
         hits = np.flatnonzero(costs < best[owner] - 1e-15)
-        first = hits[np.diff(owner[hits], prepend=-1) != 0]  # each start's first improvement
+        # each start's first improvement: owners are sorted, so a hit leads
+        # its start's hits when the hit before it has another owner
+        hit_owner = owner[hits]
+        lead = np.ones(hits.size, dtype=bool)
+        np.not_equal(hit_owner[1:], hit_owner[:-1], out=lead[1:])
+        first = hits[lead]
         moved = owner[first]
         evals += count
         evals[moved] += offset[first] + 1 - count[moved]
         pos += count
         pos[moved] = p[first] // 2 * 2 + 2  # the next pair or phase
         amps[moved[:, None], rows[first]] = new[first]
-        probs[moved], best[moved] = cands[first], costs[first]
+        terms[moved], weights[moved] = cand_terms[first], cand_weights[first]
+        best[moved] = costs[first]
         done = live & ((pos >= n_pos) | (evals >= budget))
         level[done & ~(best < swept)] += 1  # no move lowered the cost
         pos[done] = 0

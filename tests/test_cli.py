@@ -1,6 +1,7 @@
 """CLI surfaces: commands, exit codes, file formats, determinism."""
 
 import json
+import math
 import sys
 import threading
 import time
@@ -106,6 +107,28 @@ class TestRateCommand:
         assert payload["exact"]
         assert abs(payload["asymptotic_zero_error_bits_per_base_copy"] - 0.736966) < 1e-6
 
+    @pytest.mark.parametrize("state", ["one", "basis"])
+    def test_zero_error_of_a_certain_state_is_positive_zero(self, state, tmp_path, capsys):
+        # q = 1: the asymptotic rate is log2(1) negated, printed and carried
+        # as 0, never -0
+        path = tmp_path / f"{state}.json"
+        if state == "one":
+            path.write_text(json.dumps({"dim": 1, "entries": [[[1.0, 0.0]]]}))
+        else:
+            dump_state(np.diag([1.0, 0.0]).astype(complex), path)
+        for copies in ("1", "3"):
+            assert main(["rate", str(path), "--copies", copies]) == 0
+            text = capsys.readouterr().out
+            tail = "  (0 per base copy)" if copies == "3" else ""
+            assert text.endswith(f"asymptotic zero-error = 0 bits/copy{tail}\n")
+            assert main(["rate", str(path), "--copies", copies, "--json"]) == 0
+            raw = capsys.readouterr().out
+            assert ": -0.0" not in raw
+            payload = json.loads(raw)
+            for key in ("asymptotic_zero_error_bits_per_copy",
+                        "asymptotic_zero_error_bits_per_base_copy"):
+                assert payload[key] == 0.0 and math.copysign(1.0, payload[key]) == 1.0
+
 
 FIDELITY_KEYS = {"state", "dim", "copies", "expanded_dim", "m", "fidelity_bound",
                  "fidelity_sdp", "exact"}
@@ -209,6 +232,20 @@ class TestCopies:
         assert many.pop("copies") == 10 ** 7
         one.pop("copies")
         assert many == one
+
+    @pytest.mark.parametrize("cmd", ["fidelity", "rate"])
+    def test_copies_past_the_largest_double(self, cmd, tmp_path, capsys):
+        # p^n and the per-copy rate take n as a double, so a count past the
+        # largest double is a capacity error (exit 3), not an OverflowError
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"dim": 1, "entries": [[[1.0, 0.0]]]}))
+        assert main([cmd, str(path), "--copies", str(10 ** 400)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("capacity error: ") and "Traceback" not in err
+        # the largest count a double holds, and one past 2^64, still run
+        for n in (int(sys.float_info.max), 10 ** 30):
+            assert main([cmd, str(path), "--copies", str(n), "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["copies"] == n
 
 
 class TestDecomposeCommand:

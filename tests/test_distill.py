@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import sys
 import tracemalloc
 import warnings
 from functools import reduce
@@ -583,6 +584,25 @@ class TestCopyBounds:
         assert assisted_fidelity_from_probs([1.0], n, 2) == assisted_fidelity_bound(one, 2)
         assert one_shot_rate(one, 0.05, copies=n) == one_shot_rate(one, 0.05)
         assert zero_error_rate(one, copies=n) == zero_error_rate(one)
+
+    def test_copies_past_the_largest_double(self):
+        one = np.ones((1, 1), dtype=complex)
+        calls = (lambda n: assisted_fidelity_bound(one, 2, copies=n),
+                 lambda n: one_shot_rate(one, 0.05, copies=n),
+                 lambda n: zero_error_rate(one, copies=n),
+                 lambda n: assisted_fidelity_from_probs([1.0], n, 2))
+        for call in calls:
+            assert call(int(sys.float_info.max)) == call(1)
+            for n in (int(sys.float_info.max) + 1, 10 ** 400, math.inf):
+                with pytest.raises(CapExceeded):
+                    call(n)
+
+    @pytest.mark.parametrize("diag", [[1.0], [1.0, 0.0], [0.0, 0.0, 1.0]])
+    def test_certain_state_has_positive_zero_rate(self, diag):
+        rho = np.diag(diag).astype(complex)
+        for n in (1, 2, 5):
+            rate = zero_error_rate(rho, copies=n).asymptotic_bits_per_copy
+            assert rate == 0.0 and math.copysign(1.0, rate) == 1.0
 
 
 _NAN = float("nan")

@@ -332,6 +332,45 @@ class TestStackedEvaluation:
             with pytest.raises(NotDistribution):
                 objective.evaluate(bad)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("objective", OBJECTIVES, ids=repr)
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_row_terms_match_the_full_stack(self, rng, objective, d):
+        """An atom's term depends on its own row alone: the terms of every
+        (B, 2, d) slice of rotated-row pairs, as the search scores them,
+        are the matching columns of the full stack's terms, masked zero
+        and floor atoms and the all-floor ensemble included."""
+        _, probs = random_stack(rng, d, 6, normalized=isinstance(objective, MaxAvgDiagEntropy))
+        full = objective.terms(probs)
+        assert full.shape == (6, d + 1)
+        assert full[0, 1] == full[1, 2] == 0.0 and np.all(full[2] == 0.0)
+        pairs = np.transpose(np.triu_indices(d + 1, 1))
+        stack = np.arange(6)[:, None]
+        for i in range(pairs.shape[0]):
+            rows = pairs[(i + np.arange(6)) % pairs.shape[0]]  # each ensemble meets every pair
+            assert np.array_equal(objective.terms(probs[stack, rows]), full[stack, rows])
+
+    @pytest.mark.parametrize("objective", OBJECTIVES, ids=repr)
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_evaluate_is_combined_terms(self, rng, objective, d):
+        _, probs = random_stack(rng, d, 6, normalized=isinstance(objective, MaxAvgDiagEntropy))
+        for stack in (probs, probs.reshape(2, 3, d + 1, d), probs[4]):
+            terms, weights = objective.terms(stack), stack.sum(axis=-1)
+            combined = objective.combine(terms, weights)
+            assert np.array_equal(objective.evaluate(stack), combined)
+            assert np.shape(combined) == np.shape(stack)[:-2]
+
+    def test_entropy_combine_checks_every_ensemble(self, rng):
+        objective = MaxAvgDiagEntropy()
+        _, probs = random_stack(rng, 5, 6, normalized=True)
+        terms, weights = objective.terms(probs), probs.sum(axis=-1)
+        objective.combine(terms, weights)
+        for scale in (1.0 + 1e-8, 1.0 - 1e-8):
+            off = weights.copy()
+            off[3] *= scale
+            with pytest.raises(NotDistribution):
+                objective.combine(terms, off)
+
     @pytest.mark.parametrize("objective", OBJECTIVES, ids=repr)
     @pytest.mark.parametrize("d", [4, 5, 6])
     def test_search_value_is_the_returned_ensembles(self, rng, objective, d):
@@ -343,25 +382,41 @@ class TestStackedEvaluation:
 
 
 class Counted:
-    """An objective that records how many ensembles each evaluate call scores."""
+    """An objective that records, per call of its row scorer ``terms``, how
+    many ensembles it scores and how many rows each ensemble passes."""
 
     def __init__(self, objective):
-        self.objective, self.sense, self.sizes = objective, objective.sense, []
+        self.objective, self.sense, self.sizes, self.rows = objective, objective.sense, [], []
+
+    def terms(self, probs):
+        self.sizes.append(math.prod(np.shape(probs)[:-2]))
+        self.rows.append(np.shape(probs)[-2])
+        return self.objective.terms(probs)
+
+    def combine(self, terms, weights):
+        return self.objective.combine(terms, weights)
 
     def evaluate(self, probs):
-        self.sizes.append(math.prod(np.shape(probs)[:-2]))
-        return self.objective.evaluate(probs)
+        return self.combine(self.terms(probs), np.sum(probs, axis=-1))
 
 
 @dataclass(frozen=True)
 class Target:
-    """Squared distance of the squared amplitudes from a fixed (k, d) array."""
+    """Sum over the atoms of the squared distance from an atom's squared
+    amplitudes to the nearest row of a fixed (k, d) array: 0 exactly when
+    every atom is one of those rows, whatever the order."""
 
     probs: np.ndarray
     sense: str = "min"
 
+    def terms(self, probs):
+        return np.min(np.sum((probs[..., :, None, :] - self.probs) ** 2, axis=-1), axis=-1)
+
+    def combine(self, terms, weights):
+        return np.sum(terms, axis=-1)
+
     def evaluate(self, probs):
-        return np.sum((probs - self.probs) ** 2, axis=(-2, -1))
+        return self.combine(self.terms(probs), np.sum(probs, axis=-1))
 
 
 def sequential_rotation_poll(objective, amps0, budget, step0=0.3, step_min=1e-7):
@@ -435,6 +490,21 @@ class TestRotationPoll:
                 assert costs[s] == ref_cost
             # rotations keep the reconstruction: A^dag A = rho^T
             assert np.max(np.abs(np.einsum("sij,sik->sjk", amps.conj(), amps) - rho.T)) <= 1e-14
+
+    @pytest.mark.parametrize("objective", OBJECTIVES, ids=repr)
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_rounds_score_two_rows_per_candidate(self, rng, objective, d):
+        """The row scorer sees every row of the starts once, then at most
+        the two rotated rows of each candidate; the moves are those of the
+        unwrapped objective."""
+        rho = random_density(d, rng)
+        starts = random_amplitudes(rng, rho, d + 1, 3)
+        counted = Counted(objective)
+        amps, costs = _rotation_search(counted, starts, 400)
+        assert (counted.sizes[0], counted.rows[0]) == (3, d + 1)
+        assert len(counted.rows) > 1 and max(counted.rows[1:]) <= 2
+        ref_amps, ref_costs = _rotation_search(objective, starts, 400)
+        assert np.array_equal(amps, ref_amps) and np.array_equal(costs, ref_costs)
 
     def test_step_halving_to_the_floor(self, rng):
         rho = random_density(2, rng)
@@ -512,8 +582,14 @@ class TestRotationPoll:
         class Flat:
             sense = "min"
 
+            def terms(self, probs):
+                return np.zeros(np.shape(probs)[:-1])
+
+            def combine(self, terms, weights):
+                return np.sum(terms, axis=-1)
+
             def evaluate(self, probs):
-                return np.zeros(np.shape(probs)[:-2])
+                return self.combine(self.terms(probs), np.sum(probs, axis=-1))
 
         rho = random_density(3, rng)
         first = _ensemble(warm_amplitudes(rho, 4))

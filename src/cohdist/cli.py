@@ -51,7 +51,7 @@ from .errors import (
     ParseError,
 )
 from .hermat import random_density, shannon_entropy
-from .stateio import _read_json, dump_state, load_state
+from .stateio import _integer, _read_json, dump_state, load_state
 
 __all__ = ["main"]
 
@@ -151,8 +151,7 @@ def cmd_decompose(args) -> int:
     rho, declared = load_state(args.state)
     ens = ensembles.same_diagonal_decomposition(rho)
     recon = ens.reconstruction_residual(rho)
-    diag = np.diag(rho).real
-    diag_res = max(float(np.max(np.abs(np.abs(a) ** 2 - diag))) for a in ens.atoms)
+    diag_res = float(np.max(np.abs(np.abs(ens.atoms) ** 2 - np.diag(rho).real)))
 
     payload = {
         "state": str(args.state),
@@ -192,8 +191,8 @@ def _parse_curve_specs(obj) -> list[dict]:
         try:
             family = str(raw["family"])
             p_grid = [float(p) for p in raw["p_grid"]]
-            copies = [int(n) for n in raw["copies"]]
-            m = int(raw.get("m", 2))
+            copies = [_integer(n, "copies") for n in raw["copies"]]
+            m = _integer(raw.get("m", 2), "m")
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed curve spec: {exc}") from exc
         if family not in _FAMILIES:
@@ -287,6 +286,22 @@ def _selftest_checks(seed: int):
             worst = max(worst, ens.reconstruction_residual(rho))
         return worst, 1e-8
 
+    # random qubits and qutrits and near-rank-two qutrits, drawn from a
+    # stream of their own so that every other check draws what it drew
+    # before; their decompositions are exact in weight and diagonal
+    own = np.random.Generator(np.random.Philox(key=seed + 2 ** 64))
+    exact_battery = [random_density(2 + i % 2, own) for i in range(6)] + [
+        (1.0 - eps) * random_density(3, own, rank=2) + eps * random_density(3, own)
+        for eps in (1e-8, 1e-9, 1e-10, 1e-11)]
+
+    def same_diagonal_exactness(deviation):
+        def check():
+            worst = 0.0
+            for rho in exact_battery:
+                worst = max(worst, deviation(rho, ensembles.same_diagonal_decomposition(rho)))
+            return worst, 1e-12
+        return check
+
     def zero_error_anchors():
         z = distill.zero_error_rate(np.diag([0.6, 0.4]).astype(complex))
         worst = abs(z.one_shot_bits - 0.0)
@@ -338,6 +353,10 @@ def _selftest_checks(seed: int):
         ("m=2 closed form", closed_form_m2),
         ("sdp bracket = closed form d<=6", sdp_bracket),
         ("same-diagonal residuals", decomposition_residuals),
+        ("same-diagonal weight sums", same_diagonal_exactness(
+            lambda rho, ens: abs(float(ens.weights.sum()) - 1.0))),
+        ("same-diagonal atom diagonals", same_diagonal_exactness(
+            lambda rho, ens: float(np.max(np.abs(np.abs(ens.atoms) ** 2 - np.diag(rho).real))))),
         ("zero-error anchors", zero_error_anchors),
         ("figure spot values", figure_spots),
         ("type classes = Kronecker", type_classes),

@@ -3,13 +3,15 @@ steering measurements from a purification, and Monte Carlo protocol runs.
 
 The constructive heart is ``same_diagonal_decomposition``: for dimensions
 2 and 3 every state admits a pure-state ensemble whose atoms all share the
-state's diagonal.  Dimension 2 is a closed form.  Dimension 3 rescales the
-state to a correlation matrix (unit diagonal) and builds the ensemble
-exactly and deterministically, with at most 3 atoms: a complex correlation
-matrix of rank r can be extreme only if r^2 <= n (Li and Tam, SIAM J.
-Matrix Anal. Appl. 15, 1994), so walking inside a face of the elliptope
-ends at rank-one unimodular points, and these are peeled off one rank at a
-time.
+state's diagonal.  It rescales the state to a correlation matrix x (unit
+diagonal) and splits x in closed form into at most 3 weighted unimodular
+rank-one pieces, on one code path for both dimensions.  A full-rank x
+sheds the largest multiple of one unimodular v v^dag that keeps it PSD,
+which leaves unit diagonal and rank 2.  A rank-2 Gram factor with unit
+rows g_j in C^2 is rotated by the 2 x 2 unitary whose Bloch axis is
+orthogonal to every difference of the rows' Bloch vectors, so that each
+rotated column has entries of one magnitude; at most three rows always
+admit such an axis.
 
 ``ensemble_search`` explores general decompositions.  A decomposition
 into k atoms is a k x d amplitude matrix A, rows sqrt(w_i) psi_i, with
@@ -119,73 +121,49 @@ class SteeringMeasurement:
 # same-diagonal decompositions (d <= 3)
 
 
-def _face_points(basis, w):
-    """Unimodular vectors v whose v v^dag lie in the elliptope face through
-    the correlation matrix ``basis @ M @ basis^dag``, M = diag(w), with
-    orthonormal columns and positive ``w``.
+def _unimodular_atoms(x):
+    """Weights p (k,) and unimodular vectors V (k, s) with
+    x = sum_k p_k V_k V_k^dag, for a PSD unit-diagonal x of order s <= 3.
 
-    A Hermitian A with diag(basis A basis^dag) = 0 exists while r^2 exceeds
-    the row count n, so M lies between the PSD-boundary points M + t A,
-    t = -1 / (an extreme eigenvalue of M^-1/2 A M^-1/2), one on each side and
-    each of lower rank; the walk recurses on both down to rank one.
-    """
-    r = w.size
-    if r == 1:
-        return [basis[:, 0] * np.sqrt(w[0])]
-    # diag(basis A basis^dag) as a linear map of the real r x r matrix g with
-    # A = sym(g) + i antisym(g); its last right singular vector is in the kernel
-    p = np.einsum("ki,kj->kij", basis, basis.conj())
-    lin = ((1 + 1j) * p + (1 - 1j) * p.transpose(0, 2, 1)).real.reshape(-1, r * r)
-    g = np.linalg.svd(lin)[2][-1].reshape(r, r)
-    a = 0.5 * (g + g.T) + 0.5j * (g - g.T)
-    s = 1.0 / np.sqrt(w)
-    beta = eig_hermitian(a * np.outer(s, s))[0]
-    points = []
-    for t in (-1.0 / beta[0], -1.0 / beta[-1]):
-        wt, u = eig_hermitian(np.diag(w) + t * a)
-        keep = wt > _RANK_EIG_TOL
-        keep[0] = False  # the boundary point is singular by construction
-        points += _face_points(basis @ u[:, keep], wt[keep])
-    return points
-
-
-def _correlation_atoms(x):
-    """Split a unit-diagonal PSD matrix into at most rank-many weighted
-    unimodular rank-one pieces.
-
-    In range coordinates (x = basis @ M @ basis^dag, M = diag(w)), each step
-    peels off the face point v v^dag with the smallest extractable weight
-    1 / (c^dag M^-1 c), c = basis^dag v.  The remainder has one rank less and
-    is never a tiny piece rescaled back up to unit diagonal.
+    A full-rank x first sheds the unimodular v = e^{i arg u_min}, u_min its
+    eigenvector of the smallest eigenvalue, with the largest weight x
+    allows, lam = 1 / (v^dag x^-1 v) <= w_min: the remainder
+    (x - lam v v^dag) / (1 - lam) has unit diagonal and rank 2.  Otherwise
+    lam = 0, and ``_ensemble``'s weight floor drops that first atom.  A
+    rank-2 matrix g g^dag with unit rows g_j in C^2 splits by a 2 x 2
+    unitary E whose first column has Bloch vector n:
+    |(g E)_jk|^2 = (1 +- b_j . n) / 2, b_j the Bloch vector of conj(g_j),
+    which is the same for every j when n is orthogonal to every b_j - b_1.
+    Such an n exists for up to three rows, so each column of g E is a
+    unimodular vector times one magnitude.  For two rows the SVD's last
+    vector of the kernel plane is e_z when the difference has no z part,
+    as for the eigenvectors of a 2 x 2 correlation matrix, so E = I and a
+    qubit splits into weights (1 +- |x_01|) / 2.
     """
     w, u = eig_hermitian(x)
-    keep = w > _RANK_EIG_TOL
-    basis, w = u[:, keep], w[keep]
-    atoms = []
-    remaining = 1.0
-    while w.size > 1:
-        points = np.array(_face_points(basis, w))
-        c = points @ basis.conj()
-        q = np.sum(np.abs(c) ** 2 / w, axis=1)
-        i = int(np.argmax(q))
-        lam = 1.0 / q[i]
-        atoms.append((remaining * lam, points[i]))
-        w, u = eig_hermitian((np.diag(w) - lam * np.outer(c[i], c[i].conj())) / (1.0 - lam))
-        basis, w = basis @ u[:, 1:], w[1:]
-        remaining *= 1.0 - lam
-    atoms.append((remaining, basis[:, 0] * np.sqrt(w[0])))
-    return atoms
-
-
-def _qubit_same_diagonal(x):
-    """Closed form on the 2x2 correlation matrix [[1, c], [cbar, 1]]."""
-    c = x[0, 1]
-    mag = min(abs(c), 1.0)
-    theta = np.angle(c) if mag > 1e-15 else 0.0
-    plus = np.array([1.0, np.exp(-1j * theta)]) / np.sqrt(2.0)
-    minus = np.array([1.0, -np.exp(-1j * theta)]) / np.sqrt(2.0)
-    # atoms carry sqrt(2) so their entries are unimodular like in d=3
-    return [((1.0 + mag) / 2.0, plus * np.sqrt(2.0)), ((1.0 - mag) / 2.0, minus * np.sqrt(2.0))]
+    lam, v = 0.0, np.ones(x.shape[0])
+    if np.count_nonzero(w > _RANK_EIG_TOL) > 2:
+        v = np.exp(1j * np.angle(u[:, 0]))
+        lam = 1.0 / np.sum(_squared(v @ u.conj()) / w)
+        # by interlacing the remainder's two largest eigenvalues pass the
+        # rank tolerance, so only its third, zero in exact arithmetic, drops
+        w, u = eig_hermitian((x - lam * np.outer(v, v.conj())) / (1.0 - lam))
+    # Gram factor of the two largest eigenpairs, largest first, with rows
+    # renormalized to unit length so that every diagonal entry stays exact
+    top = w[:-3:-1]
+    g = np.zeros((x.shape[0], 2), dtype=np.complex128)
+    g[:, : top.size] = u[:, :-3:-1] * np.sqrt(np.where(top > _RANK_EIG_TOL, top, 0.0))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    # b_z = 1 - 2 |g_j1|^2 is exactly 1 on every row of a rank-1 x, whose
+    # differences then vanish and leave n on the z axis: one atom
+    cross = g[:, 0] * g[:, 1].conj()
+    b = np.column_stack([2.0 * cross.real, 2.0 * cross.imag, 1.0 - 2.0 * _squared(g[:, 1])])
+    n = np.linalg.svd(b[1:] - b[0])[2][-1]
+    n = -n if n[2] < 0.0 else n
+    z, c = n[0] + 1j * n[1], 1.0 + n[2]
+    a = g @ np.array([[c, -z.conjugate()], [z, c]]) / np.sqrt(2.0 * c)
+    weights = np.append(lam, (1.0 - lam) * np.mean(_squared(a), axis=0))
+    return weights, np.vstack([v, np.exp(1j * np.angle(a)).T])
 
 
 def same_diagonal_decomposition(rho) -> Ensemble:
@@ -202,12 +180,15 @@ def same_diagonal_decomposition(rho) -> Ensemble:
     every other state this step changes nothing.  Diagonal entries at or
     below 1e-18 are handled by restricting to the support and embedding
     back.
-    Dimension 2 is a closed form.  Dimension 3
-    is an exact, deterministic construction on the correlation matrix (the
-    state rescaled to unit diagonal): a complex correlation matrix of rank r
-    can be extreme only if r^2 <= n, so in n <= 3 every face of the
-    elliptope walks down to rank-one unimodular points, which are peeled off
-    one rank at a time.  The result has at most d atoms.
+    The construction works on the correlation matrix x (the state rescaled
+    to unit diagonal) and is closed-form, with one code path for qubits and
+    qutrits: a full-rank x sheds one unimodular rank-one piece, and the
+    rank-2 rest splits along a Bloch axis into two (see
+    ``_unimodular_atoms``).  Atom k is sqrt(rho_jj) e^{i phi_jk} for
+    unimodular columns e^{i phi_k} of x's split, so every atom's diagonal
+    is exact, and the result has at most d atoms.  Eigenvalues of x at or
+    below 1e-9 count as zero, which can cost up to about 1e-9 of
+    reconstruction.
 
     Raises
     ------
@@ -236,26 +217,13 @@ def same_diagonal_decomposition(rho) -> Ensemble:
     droot = np.sqrt(diag[support])
     x = _herm(rho[np.ix_(support, support)] / np.outer(droot, droot))
     np.fill_diagonal(x, 1.0)
-    atoms_s = _qubit_same_diagonal(x) if support.size == 2 else _correlation_atoms(x)
-
-    weights = []
-    atoms = []
-    for w, v in atoms_s:
-        if w < _WEIGHT_FLOOR:
-            continue
-        full = np.zeros(d, dtype=np.complex128)
-        full[support] = droot * v
-        nrm = np.linalg.norm(full)
-        if nrm <= 0.0:
-            continue
-        weights.append(w * nrm * nrm)
-        atoms.append(full / nrm)
-    ens = Ensemble(weights=np.array(weights), atoms=np.array(atoms))
+    weights, phases = _unimodular_atoms(x)
+    amps = np.zeros((weights.size, d), dtype=np.complex128)
+    amps[:, support] = np.sqrt(weights)[:, None] * droot * phases
+    ens = _ensemble(amps)
 
     recon = ens.reconstruction_residual(rho)
-    diag_dev = max(
-        float(np.max(np.abs(np.abs(a) ** 2 - diag))) for a in ens.atoms
-    )
+    diag_dev = float(np.max(np.abs(_squared(ens.atoms) - diag)))
     if recon > 1e-8 or diag_dev > 1e-8:
         raise NumericalFailure(
             f"residual targets missed: reconstruction {recon:.2e}, diagonal {diag_dev:.2e}"

@@ -9,8 +9,11 @@ Schema::
       "renormalize": false                               # optional
     }
 
-Parsing gates: finite entries, Hermiticity 1e-9 entrywise, trace within
-1e-8 of one (after the optional renormalization).  Accepted states are then
+``dim``, ``dim_sigma`` and ``copies`` are integers: a JSON integer, or a
+number with an integral value such as 2.0; booleans, strings and other
+numbers are a ``ParseError``, never truncated.  Parsing gates: finite
+entries, Hermiticity 1e-9 entrywise, trace within 1e-8 of one (after the
+optional renormalization).  Accepted states are then
 symmetrized and trace-normalized exactly, so the stricter internal
 Hermiticity and trace invariants hold downstream.  Normalization cannot
 repair a negative eigenvalue, so the PSD gate on the normalized state is
@@ -20,6 +23,7 @@ file that loaded.
 """
 
 import json
+import numbers
 
 import numpy as np
 
@@ -29,12 +33,23 @@ from .hermat import eig_psd, hermitian_defect
 __all__ = ["dump_state", "load_state", "parse_state", "state_to_dict"]
 
 
+def _integer(value, field: str) -> int:
+    """An integer field of a decoded document: an integer, or a number with
+    an integral value; ``ParseError`` for anything else, booleans included,
+    so that no value is truncated."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ParseError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
 def parse_state(obj) -> tuple[np.ndarray, dict | None]:
     """Validate a decoded state document; returns (rho, declared_base)."""
     if not isinstance(obj, dict):
         raise ParseError("state document must be a JSON object")
     try:
-        dim = int(obj["dim"])
+        dim = _integer(obj["dim"], "dim")
         entries = obj["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"missing or malformed field: {exc}") from exc
@@ -72,8 +87,8 @@ def parse_state(obj) -> tuple[np.ndarray, dict | None]:
     declared = obj.get("declared_base")
     if declared is not None:
         try:
-            declared = {"dim_sigma": int(declared["dim_sigma"]),
-                        "copies": int(declared["copies"])}
+            declared = {"dim_sigma": _integer(declared["dim_sigma"], "declared_base.dim_sigma"),
+                        "copies": _integer(declared["copies"], "declared_base.copies")}
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed declared_base: {exc}") from exc
         if declared["dim_sigma"] ** declared["copies"] != dim:

@@ -373,6 +373,23 @@ class TestFigureCommand:
         assert main(["figure", str(spec), "--out", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err.startswith(f"input error: {message} {spec}")
 
+    @pytest.mark.parametrize("field, bad", [("copies", [2.9]), ("copies", [True]),
+                                            ("copies", ["2"]), ("copies", "2"),
+                                            ("m", 2.5), ("m", True), ("m", "2")])
+    def test_rejects_non_integer_fields(self, field, bad, tmp_path, capsys):
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps({"family": "diag", "p_grid": [0.9], "copies": [2], field: bad}))
+        assert main(["figure", str(spec), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"input error: {field} must be an integer")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_integral_float_fields(self, tmp_path, capsys):
+        spec = tmp_path / "floats.json"
+        spec.write_text(json.dumps({"family": "diag", "p_grid": [0.9], "copies": [2.0], "m": 3.0}))
+        out = tmp_path / "floats.csv"
+        assert main(["figure", str(spec), "--out", str(out)]) == 0
+        assert out.read_text().split("\n")[1].startswith("diag,0.9,2,3,")
+
     def test_rejects_bad_family(self, tmp_path, capsys):
         spec = tmp_path / "bad.json"
         spec.write_text(json.dumps({"family": "nope", "p_grid": [0.5], "copies": [1]}))
@@ -437,6 +454,15 @@ class TestExitCodes:
             assert main([cmd, str(path), "--copies", str(copies)]) == 0, cmd
             assert main([cmd, str(path), "--copies", str(copies + 1)]) == 3, cmd
         assert main(["rate", str(path), "--eps", "0.05", "--copies", str(copies)]) == 0
+
+    def test_fractional_declared_base(self, tmp_path, capsys):
+        # dim_sigma 3.9 must not load as base 3, which would make 9 = 3^2
+        # and label the rate exact
+        path = tmp_path / "nine.json"
+        dump_state(random_density(9, np.random.default_rng(9)), path,
+                   declared_base={"dim_sigma": 3.9, "copies": 2})
+        assert main(["rate", str(path), "--json"]) == 2
+        assert "dim_sigma must be an integer" in capsys.readouterr().err
 
     def test_no_cap_option(self, qubit64, capsys, monkeypatch):
         monkeypatch.setenv("COHDIST_CAP", "4")

@@ -39,8 +39,7 @@ from cohdist.hermat import random_density, shannon_entropy
 
 
 def diag_residual(ens, rho):
-    diag = np.diag(rho).real
-    return max(float(np.max(np.abs(np.abs(a) ** 2 - diag))) for a in ens.atoms)
+    return float(np.max(np.abs(np.abs(ens.atoms) ** 2 - np.diag(rho).real)))
 
 
 def kernel_projector(kernel):
@@ -75,11 +74,37 @@ class TestSameDiagonalDecomposition:
         assert np.allclose(np.sort(overlaps), [0.0, 1.0], atol=1e-12)
 
     def test_pure_state_single_atom(self, rng):
-        psi = np.array([0.6, 0.8j, 0.0])
-        rho = np.outer(psi, psi.conj())
-        ens = same_diagonal_decomposition(rho)
-        assert len(ens.weights) == 1
-        assert ens.reconstruction_residual(rho) < 1e-10
+        states = [np.array([0.6, 0.8j, 0.0])]
+        for d in (2, 2, 3, 3):
+            psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            states.append(psi / np.linalg.norm(psi))
+        for psi in states:
+            rho = np.outer(psi, psi.conj())
+            ens = same_diagonal_decomposition(rho)
+            assert len(ens.weights) == 1
+            assert ens.reconstruction_residual(rho) < 1e-10
+
+    def test_qubit_weights_in_closed_form(self, rng):
+        """Every qubit splits into weights (1 +- |rho_01| / sqrt(rho_00 rho_11)) / 2."""
+        psi = np.array([0.6, 0.8j])
+        states = [np.eye(2, dtype=complex) / 2, np.outer(psi, psi.conj())]
+        for rho in states + [random_density(2, rng) for _ in range(200)]:
+            d = np.diag(rho).real
+            c = min(abs(rho[0, 1]) / np.sqrt(d[0] * d[1]), 1.0)
+            expect = np.array([(1 - c) / 2, (1 + c) / 2])
+            ens = same_diagonal_decomposition(rho)
+            np.testing.assert_allclose(np.sort(ens.weights), expect[expect > _WEIGHT_FLOOR],
+                                       rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-9, 1e-10, 1e-11])
+    def test_exact_weights_and_diagonals_near_rank_two(self, eps):
+        rng = np.random.default_rng(1)
+        for _ in range(100):
+            rho = (1 - eps) * random_density(3, rng, rank=2) + eps * random_density(3, rng)
+            ens = same_diagonal_decomposition(rho)
+            assert abs(ens.weights.sum() - 1.0) <= 1e-14
+            assert diag_residual(ens, rho) <= 1e-14
+            assert ens.reconstruction_residual(rho) <= 1e-9
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_random_residuals(self, dim, rng):

@@ -68,3 +68,37 @@ class TestParse:
     def test_not_an_object(self):
         with pytest.raises(ParseError):
             parse_state([1, 2, 3])
+
+
+class TestIntegerFields:
+    """Integer fields take integers and integral floats; a boolean, a string
+    or a fraction is an error, never truncated."""
+
+    # each bad value, truncated by int(), would match the entries' dimension
+
+    @pytest.mark.parametrize("dim, size", [(2.7, 2), ("2", 2), (True, 1)])
+    def test_dim(self, dim, size, rng):
+        with pytest.raises(ParseError, match="dim must be an integer"):
+            parse_state(doc_for(random_density(size, rng), dim=dim))
+
+    @pytest.mark.parametrize("dim_sigma, copies, size", [(3.9, 2, 9), ("3", 2, 9), (True, 5, 1)])
+    def test_declared_dim_sigma(self, dim_sigma, copies, size, rng):
+        doc = doc_for(random_density(size, rng),
+                      declared_base={"dim_sigma": dim_sigma, "copies": copies})
+        with pytest.raises(ParseError, match="dim_sigma must be an integer"):
+            parse_state(doc)
+
+    @pytest.mark.parametrize("dim_sigma, copies, size", [(3, 2.5, 9), (3, "2", 9), (2, True, 2)])
+    def test_declared_copies(self, dim_sigma, copies, size, rng):
+        doc = doc_for(random_density(size, rng),
+                      declared_base={"dim_sigma": dim_sigma, "copies": copies})
+        with pytest.raises(ParseError, match="copies must be an integer"):
+            parse_state(doc)
+
+    def test_integral_floats_load(self, rng):
+        rho = random_density(4, rng)
+        back, declared = parse_state(doc_for(rho, dim=4.0,
+                                             declared_base={"dim_sigma": 2.0, "copies": 2.0}))
+        assert np.max(np.abs(back - rho)) <= 1e-15
+        assert declared == {"dim_sigma": 2, "copies": 2}
+        assert all(type(v) is int for v in declared.values())

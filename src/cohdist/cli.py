@@ -51,7 +51,7 @@ from .errors import (
     ParseError,
 )
 from .hermat import random_density, shannon_entropy
-from .stateio import _integer, _read_json, dump_state, load_state
+from .stateio import _integer, _read_json, _real, dump_state, load_state
 
 __all__ = ["main"]
 
@@ -190,7 +190,7 @@ def _parse_curve_specs(obj) -> list[dict]:
             raise ParseError("each curve spec must be an object")
         try:
             family = str(raw["family"])
-            p_grid = [float(p) for p in raw["p_grid"]]
+            p_grid = [_real(p, "p_grid") for p in raw["p_grid"]]
             copies = [_integer(n, "copies") for n in raw["copies"]]
             m = _integer(raw.get("m", 2), "m")
         except (KeyError, TypeError, ValueError) as exc:

@@ -23,11 +23,14 @@ the returned ensemble) and a candidate differs from its start in two rows
 only; one evaluation scores one rotated pair.  Random starts are random
 isometries applied to the eigen-ensemble, one QR each.  The search works
 on stacks: all restarts run in lockstep and each round adds up to sixteen
-candidates per live start.  An objective is a sum or a maximum of
-per-atom terms, each read from one atom's row alone and masked to 0 below
-the weight floor instead of dropped, so one call scores the two rotated
-rows of every candidate of a round, and each candidate reuses its start's
-terms for the other rows.  Diagonal phases are free in this resource
+candidates per live start.  Each start's control state (evaluations used,
+poll position, step level, costs) is a few Python scalars, while the
+candidates of a round, of every start at once, are gathered, rotated,
+scored and compared in one stacked numpy pass.  An objective is a sum or
+a maximum of per-atom terms, each read from one atom's row alone and
+masked to 0 below the weight floor instead of dropped, so one call scores
+the two rotated rows of every candidate of a round, and each candidate
+reuses its start's terms for the other rows.  Diagonal phases are free in this resource
 theory, so every shipped objective reads an ensemble only through its
 squared amplitudes w_i |psi_ij|^2: the search scores these real arrays
 and forms the complex ``Ensemble`` for the returned decomposition alone.
@@ -302,7 +305,8 @@ class MinMaxInfNormSq:
 
 def _xlog2x(p):
     pos = p > 0.0
-    return np.where(pos, p * np.log2(np.where(pos, p, 1.0)), 0.0)
+    out = np.log2(p, out=np.zeros_like(p), where=pos)
+    return np.multiply(out, p, out=out, where=pos)
 
 
 @dataclass(frozen=True)
@@ -320,13 +324,15 @@ class MaxAvgDiagEntropy:
     def terms(self, probs):
         probs = np.asarray(probs, dtype=float)
         weights = probs.sum(axis=-1)
-        terms = _xlog2x(weights) - np.sum(_xlog2x(probs), axis=-1)
-        return np.where(weights > _WEIGHT_FLOOR, terms, 0.0)
+        terms = _xlog2x(weights)
+        terms -= _xlog2x(probs).sum(axis=-1)
+        terms[~(weights > _WEIGHT_FLOOR)] = 0.0  # NaN weights too
+        return terms
 
     def combine(self, terms, weights):
-        if not np.all(np.abs(np.sum(weights, axis=-1) - 1.0) <= _DISTRIBUTION):
+        if not (abs(weights.sum(axis=-1) - 1.0) <= _DISTRIBUTION).all():
             raise NotDistribution(f"ensemble weights do not sum to 1 within {_DISTRIBUTION:.0e}")
-        return np.sum(terms, axis=-1)
+        return terms.sum(axis=-1)
 
     def evaluate(self, probs):
         return _evaluate(self, probs)
@@ -456,27 +462,35 @@ def _rotation_search(objective, amps0, budget, step0=0.3, step_min=1e-7):
     then phi = 0, pi/2, then +step, -step) of the rotation described in
     ``ensemble_search``.  Each start takes its first candidate better than
     its current point by 1e-15 and resumes its poll at the next (pair, phi);
-    a sweep with no move halves its step.  The first ``objective.terms``
-    call scores every row of every start, and each start keeps its (k,)
-    terms and weights.  Then each round, every live start (evaluations
-    below ``budget``, step above ``step_min``) adds its next
-    ``_POLL_CHUNK`` positions, clipped at the sweep's end and at its
-    remaining budget, and one ``terms`` call scores the (B, 2, d) squared
-    rotated rows of all B of them.  A candidate's terms and weights are its
-    start's with those two columns replaced, and ``objective.combine``
-    gives its value, the same reduction over the same k values as on the
-    full stack, so bit for bit the same.  A move updates the two amplitude
-    rows and the start's terms and weights.  Each start is charged only the
-    candidates up to and including the one it accepts, so its moves,
-    halvings and budget match a one-at-a-time poll of that start alone, and
-    the calls number no more than its longest start would make.
+    a sweep with no move halves its step.
+
+    Each start's control state is Python scalars, one list entry per start:
+    evaluations used, poll position, step level, current cost and the cost
+    when its sweep began.  Everything of candidate scale is stacked numpy.
+    The first ``objective.terms`` call scores every row of every start, and
+    each start keeps its (k,) terms and weights.  Then each round, every
+    live start (evaluations below ``budget``, step above ``step_min``) adds
+    its next ``_POLL_CHUNK`` positions, clipped at the sweep's end and at
+    its remaining budget; the round's owner, position and level arrays are
+    built from the lists.  One pass gathers and rotates the (B, 2, d) row
+    pairs of all B candidates and squares them, one ``terms`` call scores
+    them, and a candidate's terms and weights are its start's with those
+    two columns replaced.  One ``objective.combine`` gives every candidate's
+    value, the same reduction over the same k values as on the full stack,
+    so bit for bit the same, and one comparison marks the improvements.  A
+    start's move is the first mark in its slice of the round; it updates
+    the two amplitude rows and the start's terms and weights.  Each start
+    is charged only the candidates up to and including the one it accepts,
+    so its moves, halvings and budget match a one-at-a-time poll of that
+    start alone, and the calls number no more than its longest start would
+    make.  The Python loop runs over the starts, for this control alone.
     """
     sense = 1.0 if objective.sense == "min" else -1.0
     amps = np.array(amps0, dtype=np.complex128)
     probs = _squared(amps)
     # each start's per-atom terms and weights, kept up to date on its moves
     terms, weights = objective.terms(probs), probs.sum(axis=-1)
-    best = sense * objective.combine(terms, weights)
+    cost = (sense * objective.combine(terms, weights)).tolist()
     # per poll position, four per pair: the rotated rows (j, l) and the
     # factors of sin(step) that multiply a_l in row j and a_j in row l,
     # +-e^{i phi} and -+e^{-i phi} for phi = 0, pi/2 and the signs +, -
@@ -492,19 +506,25 @@ def _rotation_search(objective, amps0, budget, step0=0.3, step_min=1e-7):
         step *= 0.5
     cos = np.array([math.cos(t) for t in steps], dtype=np.complex128)
     turns = np.array([math.sin(t) for t in steps])[:, None, None] * pos_turn
-    evals = np.ones(best.size, dtype=np.int64)
-    level, pos = np.zeros((2, best.size), dtype=np.int64)
-    swept = best.copy()  # each start's cost when its sweep began
-    chunk = np.arange(_POLL_CHUNK)
-    slots = np.arange(best.size * _POLL_CHUNK)[:, None]  # a round's candidates
+    n_starts = len(cost)
+    evals, pos, level, swept = [1] * n_starts, [0] * n_starts, [0] * n_starts, list(cost)
+    slots = np.arange(n_starts * _POLL_CHUNK)[:, None]  # a round's candidates
     while True:
-        live = (evals < budget) & (level < len(steps))
-        if n_pos == 0 or not live.any():
-            return amps, best
-        count = np.where(live, np.minimum(np.minimum(_POLL_CHUNK, n_pos - pos), budget - evals), 0)
-        # the start polling each row and the row's place in that start's chunk
-        owner, offset = np.nonzero(chunk < count[:, None])
-        p, lev = pos[owner] + offset, level[owner]
+        # per live start (pos < n_pos fails only when there is no pair):
+        # its place in the round and its count, then per candidate its
+        # start, poll position, step level and the cost it must beat
+        spans, owner, p, lev, bar = [], [], [], [], []
+        for s in range(n_starts):
+            if evals[s] < budget and level[s] < len(steps) and pos[s] < n_pos:
+                count = min(_POLL_CHUNK, n_pos - pos[s], budget - evals[s])
+                spans.append((s, len(p), count))
+                owner += [s] * count
+                p += range(pos[s], pos[s] + count)
+                lev += [level[s]] * count
+                bar += [cost[s] - 1e-15] * count
+        if not spans:
+            return amps, np.array(cost)
+        owner, p, lev = np.array(owner), np.array(p), np.array(lev)
         rows = pos_rows[p]
         ajl = amps[owner[:, None], rows]  # (B, 2, d): a_j, a_l
         # each factor has one exactly zero part, so every product rounds once
@@ -516,25 +536,23 @@ def _rotation_search(objective, amps0, budget, step0=0.3, step_min=1e-7):
         cand_terms[cand, rows] = objective.terms(sq)
         cand_weights[cand, rows] = sq.sum(axis=-1)
         costs = sense * objective.combine(cand_terms, cand_weights)
-        hits = np.flatnonzero(costs < best[owner] - 1e-15)
-        # each start's first improvement: owners are sorted, so a hit leads
-        # its start's hits when the hit before it has another owner
-        hit_owner = owner[hits]
-        lead = np.ones(hits.size, dtype=bool)
-        np.not_equal(hit_owner[1:], hit_owner[:-1], out=lead[1:])
-        first = hits[lead]
-        moved = owner[first]
-        evals += count
-        evals[moved] += offset[first] + 1 - count[moved]
-        pos += count
-        pos[moved] = p[first] // 2 * 2 + 2  # the next pair or phase
-        amps[moved[:, None], rows[first]] = new[first]
-        terms[moved], weights[moved] = cand_terms[first], cand_weights[first]
-        best[moved] = costs[first]
-        done = live & ((pos >= n_pos) | (evals >= budget))
-        level[done & ~(best < swept)] += 1  # no move lowered the cost
-        pos[done] = 0
-        swept[done] = best[done]
+        better = (costs < bar).tolist()
+        for s, i0, count in spans:
+            try:
+                i = better.index(True, i0, i0 + count)  # the start's first improvement
+            except ValueError:
+                evals[s] += count
+                pos[s] += count
+            else:
+                evals[s] += i - i0 + 1
+                pos[s] = (pos[s] + i - i0) // 2 * 2 + 2  # the next pair or phase
+                amps[s, rows[i]] = new[i]
+                terms[s], weights[s] = cand_terms[i], cand_weights[i]
+                cost[s] = float(costs[i])
+            if pos[s] >= n_pos or evals[s] >= budget:
+                if not cost[s] < swept[s]:  # no move lowered the cost
+                    level[s] += 1
+                pos[s], swept[s] = 0, cost[s]
 
 
 def random_decomposition(rho, n_atoms: int, seed: int = 0) -> Ensemble:

@@ -192,7 +192,7 @@ def shannon_entropy(diagonal):
     return float(h) if p.ndim == 1 else h
 
 
-def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
+def random_density(dim: int, rng: "np.random.Generator", rank: int | None = None) -> np.ndarray:
     """Random density matrix from a normalized Ginibre product G G^dag."""
     r = dim if rank is None else rank
     g = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))

@@ -11,7 +11,9 @@ Schema::
 
 ``dim``, ``dim_sigma`` and ``copies`` are integers: a JSON integer, or a
 number with an integral value such as 2.0; booleans, strings and other
-numbers are a ``ParseError``, never truncated.  Parsing gates: finite
+numbers are a ``ParseError``, never truncated.  A ``declared_base`` needs
+``dim_sigma`` and ``copies`` of at least 1 with dim_sigma ** copies == dim,
+checked in time bounded by log dim, whatever ``copies``.  Parsing gates: finite
 entries, Hermiticity 1e-9 entrywise, trace within 1e-8 of one (after the
 optional renormalization).  Accepted states are then
 symmetrized and trace-normalized exactly, so the stricter internal
@@ -42,6 +44,26 @@ def _integer(value, field: str) -> int:
     if isinstance(value, bool) or not integral:
         raise ParseError(f"{field} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(value, field: str) -> float:
+    """A real field of a decoded document: an integer or a float;
+    ``ParseError`` for anything else, booleans and strings included."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParseError(f"{field} must be a number, got {value!r}")
+    return float(value)
+
+
+def _is_power(base: int, exponent: int, target: int) -> bool:
+    """Whether base ** exponent == target, for base, exponent >= 1, by
+    repeated multiplication that stops once the product passes ``target``
+    (or stops changing, at base 1), so the time is bounded by log ``target``."""
+    power = base
+    for _ in range(exponent - 1):
+        if power > target or base == 1:
+            break
+        power *= base
+    return power == target
 
 
 def parse_state(obj) -> tuple[np.ndarray, dict | None]:
@@ -91,7 +113,9 @@ def parse_state(obj) -> tuple[np.ndarray, dict | None]:
                         "copies": _integer(declared["copies"], "declared_base.copies")}
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed declared_base: {exc}") from exc
-        if declared["dim_sigma"] ** declared["copies"] != dim:
+        if min(declared.values()) < 1:
+            raise ParseError(f"declared_base {declared} must have dim_sigma and copies >= 1")
+        if not _is_power(declared["dim_sigma"], declared["copies"], dim):
             raise ParseError(
                 f"declared_base {declared} inconsistent with dim {dim}"
             )

@@ -383,6 +383,22 @@ class TestFigureCommand:
         assert capsys.readouterr().err.startswith(f"input error: {field} must be an integer")
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("bad", [True, "0.5"], ids=["bool", "string"])
+    def test_rejects_non_real_p_grid(self, bad, tmp_path, capsys):
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps({"family": "diag", "p_grid": [bad, 0.5], "copies": [2]}))
+        assert main(["figure", str(spec), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith("input error: p_grid must be a number")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_integer_and_float_p_grid(self, tmp_path, capsys):
+        spec = tmp_path / "mixed.json"
+        spec.write_text(json.dumps({"family": "diag", "p_grid": [0, 0.5, 1], "copies": [2]}))
+        out = tmp_path / "mixed.csv"
+        assert main(["figure", str(spec), "--out", str(out)]) == 0
+        rows = out.read_text().strip().split("\n")[1:]
+        assert [row.split(",")[1] for row in rows] == ["0.0", "0.5", "1.0"]
+
     def test_integral_float_fields(self, tmp_path, capsys):
         spec = tmp_path / "floats.json"
         spec.write_text(json.dumps({"family": "diag", "p_grid": [0.9], "copies": [2.0], "m": 3.0}))
@@ -463,6 +479,24 @@ class TestExitCodes:
                    declared_base={"dim_sigma": 3.9, "copies": 2})
         assert main(["rate", str(path), "--json"]) == 2
         assert "dim_sigma must be an integer" in capsys.readouterr().err
+
+    def test_nonpositive_declared_copies(self, tmp_path, capsys):
+        # 1 ** -3 == 1, so a one-dimensional state passed the power check
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"dim": 1, "entries": [[[1.0, 0.0]]],
+                                    "declared_base": {"dim_sigma": 1, "copies": -3}}))
+        assert main(["rate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("input error: declared_base")
+
+    def test_huge_declared_copies_rejected_at_once(self, tmp_path, capsys):
+        # 3 ** (3 * 10^7) has 14 million digits; the check stops at 3 > 1
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"dim": 1, "entries": [[[1.0, 0.0]]],
+                                    "declared_base": {"dim_sigma": 3, "copies": 30_000_000}}))
+        start = time.perf_counter()
+        assert main(["rate", str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "inconsistent with dim 1" in capsys.readouterr().err
 
     def test_no_cap_option(self, qubit64, capsys, monkeypatch):
         monkeypatch.setenv("COHDIST_CAP", "4")

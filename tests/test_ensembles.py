@@ -572,6 +572,31 @@ class TestRotationPoll:
         assert lockstep_calls == max(lone_calls)
 
     @pytest.mark.parametrize("objective", OBJECTIVES, ids=repr)
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_eight_starts_one_at_its_optimum(self, rng, objective, d):
+        """Eight starts, the default ``restarts``, at budgets that are not
+        multiples of the chunk.  Start 3 is a decomposition whose atoms all
+        have rho's diagonal, optimal for every shipped objective, so no
+        candidate improves on it beyond rounding and its sweeps end in
+        other rounds than those of the moving starts.  Every start equals
+        the poll of that start alone."""
+        diag, weights = rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d + 1))
+        phases = np.exp(2j * np.pi * rng.random((d + 1, d)))
+        optimum = np.sqrt(weights)[:, None] * np.sqrt(diag) * phases
+        rho = optimum.T @ optimum.conj()
+        starts = random_amplitudes(rng, rho, d + 1, 8)
+        starts[3] = optimum
+        start_cost = _rotation_search(objective, starts, 1)[1]  # budget 1 scores no candidate
+        for budget in (77, 250, 401):
+            amps, costs = _rotation_search(objective, starts, budget)
+            for s in range(8):
+                ref_amps, ref_cost = sequential_rotation_poll(objective, starts[s], budget)
+                assert np.array_equal(amps[s], ref_amps)
+                assert costs[s] == ref_cost
+            assert abs(costs[3] - start_cost[3]) <= 1e-14
+            assert np.all(costs[np.arange(8) != 3] < start_cost[np.arange(8) != 3])
+
+    @pytest.mark.parametrize("objective", OBJECTIVES, ids=repr)
     def test_qutrit_search_matches_each_start_alone(self, rng, objective):
         """d = 3: the warm start and the random starts, searched in lockstep,
         give the ensemble a loop of one-at-a-time polls picks, in no more

@@ -35,6 +35,26 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_state(doc)
 
+    @pytest.mark.parametrize("dim_sigma, copies", [(1, -3), (1, 0), (0, 2), (-2, 2)])
+    def test_declared_base_below_one(self, dim_sigma, copies):
+        # (-2) ** 2 == 4 and 1 ** -3 == 1: the power alone would pass these
+        size = 1 if dim_sigma == 1 else 4
+        doc = doc_for(np.eye(size) / size, declared_base={"dim_sigma": dim_sigma, "copies": copies})
+        with pytest.raises(ParseError, match="must have dim_sigma and copies >= 1"):
+            parse_state(doc)
+
+    @pytest.mark.parametrize("dim_sigma, copies, dim, ok", [
+        (1, 1, 1, True), (1, 10 ** 6, 1, True), (2, 3, 8, True), (3, 2, 9, True),
+        (2, 2, 8, False), (2, 4, 8, False), (3, 10 ** 6, 1, False), (2, 10 ** 6, 8, False),
+        (9, 1, 9, True), (1, 5, 2, False)])
+    def test_declared_power(self, dim_sigma, copies, dim, ok):
+        doc = doc_for(np.eye(dim) / dim, declared_base={"dim_sigma": dim_sigma, "copies": copies})
+        if ok:
+            assert parse_state(doc)[1] == {"dim_sigma": dim_sigma, "copies": copies}
+        else:
+            with pytest.raises(ParseError, match="inconsistent with dim"):
+                parse_state(doc)
+
     def test_renormalize_flag(self, rng):
         rho = random_density(2, rng)
         doc = doc_for(1.7 * rho)

@@ -32,7 +32,7 @@ immutable scalar, so ``main`` may run from several threads at once.
 import argparse
 import json
 import sys
-from functools import cache
+from functools import cache, reduce
 
 import numpy as np
 
@@ -318,15 +318,15 @@ def _selftest_checks(seed: int):
         return worst, 1e-9
 
     def type_classes():
-        # above the tensor cap the fidelity, and rate's level m* with it,
-        # come from the types of the power; the Kronecker power of the
-        # diagonal is the reference, with m* bisected on it.  A largest
-        # entry q with q^n > 1/2 keeps every m short of fidelity 1
+        # at n >= 2 the fidelity, and rate's level m* with it, come from the
+        # types of the power; the Kronecker power of the diagonal, built
+        # here with np.kron, is the reference, with m* bisected on it.  A
+        # largest entry q with q^n > 1/2 keeps every m short of fidelity 1
         worst = 0.0
         for d, n in ((2, 11), (3, 7)):
             q = float(rng.uniform(0.94, 0.99))
             probs = np.concatenate([[q], (1.0 - q) * rng.dirichlet(np.ones(d - 1))])
-            amps = np.sqrt(distill._kron_power(probs, n))
+            amps = np.sqrt(np.clip(reduce(np.kron, [probs] * n), 0, None))
             for m in (2, 3, 5):
                 worst = max(worst, abs(distill.assisted_fidelity_from_probs(probs, n, m)
                                        - pure_distillation_fidelity(amps, m)))
@@ -440,7 +440,8 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         sys.stderr.write(f"numerical error: {exc}\n")
         return _EXIT_NUMERICAL
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # OSError: a path given for --out or --dump-state that cannot be written
         sys.stderr.write(f"input error: {exc}\n")
         return _EXIT_INPUT
 

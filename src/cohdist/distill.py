@@ -15,18 +15,18 @@ The closed forms read a state only through its diagonal, and n copies
 only through the n-fold power of that diagonal.  They take the base state
 and a ``copies`` count and never form the d^n x d^n matrix.  One evaluator
 of the power's fidelity, ``_power_fidelity``, is built once per call and
-serves every m the call asks for.  Up to ``hermat.TENSOR_DIM_CAP`` entries
-(and at n = 1) it holds the Kronecker product of the diagonal, which
-reproduces the materialized matrix path bit for bit.  Above it, it reads
+serves every m the call asks for.  At n = 1 it holds the diagonal itself,
+which reproduces the matrix path bit for bit.  At every n >= 2 it reads
 the power by its types: the C(n+d-1, d-1) distinct products
 prod_i p_i^k_i with their multinomial multiplicities (sums of logs of
 exact binomials, so no large logs cancel), formed in log space and handed
 to ``dnorm.class_distillation_fidelity`` as classes of equal entries for
 the norm's water-filling evaluator.  That costs O(classes) instead of
 O(d^n), whatever m is, so n in the thousands and m in the billions are
-cheap, and agrees with the Kronecker route within 1e-12; its sums run over
-classes, not entries, so it does not share that route's rounding drift
-over 2^19 entries (3e-12 at 19 qubit copies).
+cheap.  It agrees with the Kronecker power of the diagonal (the
+materialized matrix path) within 1e-12 and gives the same level m*; its
+sums run over classes, not entries, so it does not share the Kronecker
+vector's rounding drift over 2^19 entries (3e-12 at 19 qubit copies).
 
 Two fixed bounds, not options, limit the copies a call may take; past
 either one it raises ``CapExceeded``:
@@ -56,7 +56,7 @@ largest double (about 1.8e308) raises ``CapExceeded`` too.
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, partial
 from itertools import repeat
 
 import numpy as np
@@ -65,7 +65,7 @@ from . import ensembles
 from .dnorm import (_snapped_fidelity, class_distillation_fidelity, pure_distillation_fidelity,
                     waterfill_level)
 from .errors import BadM, CapExceeded, DimMismatch, NumericalFailure
-from .hermat import TENSOR_DIM_CAP, eig_psd, require_density, shannon_entropy
+from .hermat import eig_psd, require_density, shannon_entropy
 
 __all__ = [
     "AssistanceBound",
@@ -164,21 +164,6 @@ def _copies_dim(d: int, copies) -> tuple[int, int]:
     return n, d ** n
 
 
-def _kron_power(probs, copies: int) -> np.ndarray:
-    # the diagonal of a copies-fold tensor power is the Kronecker power of the
-    # base diagonal; on vectors the flattened outer product forms the same
-    # products in the same order as np.kron, bit for bit, without its
-    # per-call set-up.  Clipping afterwards matches clipping the power's own
-    # diagonal.  copies is a checked count; a single entry is raised by pow
-    # (see the module docstring on one-dimensional states), with copies as
-    # the double numpy 2 converts it to, since numpy 1.x makes an int past
-    # 2^64 an object array
-    if probs.size == 1:
-        return np.clip(probs ** float(copies), 0.0, None)
-    power = reduce(lambda a, b: np.multiply.outer(a, b).ravel(), repeat(probs, copies))
-    return np.clip(power, 0.0, None)
-
-
 @lru_cache(maxsize=16)
 def _types(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Every way of splitting n copies among d outcomes, one count vector
@@ -220,8 +205,9 @@ def _type_classes(probs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Log magnitudes, descending, and log multiplicities of the distinct
     nonzero entries of sqrt(clip(probs^(kron n))).  A product is clipped to
     zero when it has a zero factor or an odd number of negative ones; an
-    even number of negative factors leaves it positive, as in the Kronecker
-    route, which clips after powering."""
+    even number of negative factors leaves it positive, as clipping the
+    Kronecker power (the diagonal of the materialized tensor power) after
+    powering does."""
     k, log_mult = _types(n, probs.size)
     keep = ~((k[:, probs == 0] > 0).any(axis=1) | (k[:, probs < 0].sum(axis=1) % 2 == 1))
     k = k[keep]
@@ -262,28 +248,29 @@ def assisted_fidelity_bound(rho, m: int, copies: int = 1) -> float:
 
 def _power_fidelity(probs, n: int):
     """The assisted fidelity of the n-fold power of a diagonal ``probs`` as
-    a function of m, built once: the route is chosen and the power or its
-    types are formed here, not at each m.
+    a function of m, built once: the power's types are formed here, not at
+    each m.
 
-    Up to d^n = ``TENSOR_DIM_CAP`` entries (and at n = 1) the probabilities
-    are Kronecker-powered, clipped at zero and only then square-rooted,
-    which reproduces the materialized tensor-power path bit for bit in
-    O(d^n) memory.  Above that size the power is read by its types
-    (``_type_classes``) in O(C(n+d-1, d-1)), within 1e-12 of the Kronecker
-    route; a type table of more than 2^17 entries raises ``CapExceeded``
-    before it is built.  Neither route builds an array that grows with m.
+    Every n >= 2 with d >= 2 is read by its types (``_type_classes``) in
+    O(C(n+d-1, d-1)), within 1e-12 of the Kronecker power of ``probs``; a
+    type table of more than 2^17 entries raises ``CapExceeded`` before it
+    is built.  At n = 1, and for a single entry at any n, the vector
+    probs^n is clipped at zero and square-rooted, which at n = 1 is the
+    matrix path bit for bit.  Nothing built grows with m.
     """
     n = _check_copies(n)
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1:
         raise DimMismatch(f"probs must be a vector, got shape {probs.shape}")
     d = probs.size
-    if n > 1:
+    if n > 1 and d > 1:
         if math.comb(n + d - 1, d - 1) * d > 2 ** 17:
             raise CapExceeded(f"{n} copies of {d} outcomes need over 2^17 type-table entries")
-        if d ** n > TENSOR_DIM_CAP:
-            return partial(class_distillation_fidelity, *_type_classes(probs, n))
-    return partial(pure_distillation_fidelity, np.sqrt(_kron_power(probs, n)))
+        return partial(class_distillation_fidelity, *_type_classes(probs, n))
+    # n = 1, where x ** 1.0 == x, or one entry, whose n may pass what _types
+    # can index; n is the double numpy 2 converts it to, since numpy 1.x
+    # makes an int past 2^64 an object array
+    return partial(pure_distillation_fidelity, np.sqrt(np.clip(probs ** float(n), 0.0, None)))
 
 
 def assisted_fidelity_from_probs(probs, n: int, m: int) -> float:
@@ -291,13 +278,13 @@ def assisted_fidelity_from_probs(probs, n: int, m: int) -> float:
     diagonal ``probs``, computed from the probabilities alone.
 
     Every closed-form fidelity in the package, this one included, comes
-    from the evaluator ``_power_fidelity`` builds (see it for its two
-    routes).  A ``probs`` that is not one-dimensional raises
-    ``DimMismatch``; its entries are not validated.  An ``m`` that is not a
-    positive integer raises ``BadM``, a ``n`` that is not a positive
-    integer raises ``ValueError``, and a type table past 2^17 entries (more
-    than 65535 qubit copies) raises ``CapExceeded``; d^n itself is not
-    bounded here.
+    from the evaluator ``_power_fidelity`` builds: the type classes of the
+    power at every n >= 2 with d >= 2, the diagonal itself at n = 1.  A
+    ``probs`` that is not one-dimensional raises ``DimMismatch``; its
+    entries are not validated.  An ``m`` that is not a positive integer
+    raises ``BadM``, a ``n`` that is not a positive integer raises
+    ``ValueError``, and a type table past 2^17 entries (more than 65535
+    qubit copies) raises ``CapExceeded``; d^n itself is not bounded here.
     """
     return _power_fidelity(probs, n)(m)
 
@@ -415,10 +402,10 @@ def one_shot_rate(rho, eps: float, declared_base_dim: int | None = None,
     is non-increasing in real m, so m* is also floor(1/theta) of the
     diagonal-ball SDP (see ``assisted_fidelity_bound``); no SDP is solved.
     m* is found by bisection over [1, d^n] on one n-copy evaluator, the
-    one ``assisted_fidelity_from_probs`` uses: the Kronecker power up to
-    1024 entries, the type classes above.  The level is exact when
-    ``zero_error_rate``'s flag holds and an upper bound otherwise; the
-    zero-error fields are that function's too, from the same validation.
+    one ``assisted_fidelity_from_probs`` uses: the type classes of the
+    power at every n >= 2.  The level is exact when ``zero_error_rate``'s
+    flag holds and an upper bound otherwise; the zero-error fields are that
+    function's too, from the same validation.
     Tensor-power structure is never detected, only declared, by ``copies``
     or by ``declared_base_dim``.  Past d^n = 2^53, or past the type-class
     route's table of 2^17 entries, ``CapExceeded`` is raised.
@@ -447,9 +434,10 @@ def one_shot_rate(rho, eps: float, declared_base_dim: int | None = None,
 
 def _zero_error(probs, n: int, declared_base_dim: int | None) -> ZeroErrorRate:
     # q^n as the left-to-right product q * q * ... * q: the products of the
-    # Kronecker power are formed in that order and rounding is monotone, so
-    # this is its largest entry bit for bit, with no vector built.  A single
-    # entry is raised by pow, as in _kron_power
+    # Kronecker power (hermat.tensor_power's diagonal) are formed in that
+    # order and rounding is monotone, so this is its largest entry bit for
+    # bit, with no vector built.  A single entry is raised by pow, as in
+    # _power_fidelity
     q = float(np.max(probs))
     q_n = q ** n if probs.size == 1 else math.prod(repeat(q, n))
     return ZeroErrorRate(

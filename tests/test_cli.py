@@ -91,14 +91,14 @@ class TestRateCommand:
         import cohdist.distill as distill
 
         calls, powers = [], []
-        require, power = distill.require_density, distill._kron_power
+        require, power = distill.require_density, distill._type_classes
         monkeypatch.setattr(distill, "require_density",
                             lambda *a, **k: calls.append(1) or require(*a, **k))
-        monkeypatch.setattr(distill, "_kron_power",
+        monkeypatch.setattr(distill, "_type_classes",
                             lambda probs, n: powers.append(n) or power(probs, n))
         assert main(["rate", str(qubit64), "--eps", "0.05", "--copies", "10"]) == 0
         assert len(calls) == 1
-        assert [n for n in powers if n > 1] == [10]
+        assert powers == [10]
 
     def test_three_copies(self, qubit64, capsys):
         assert main(["rate", str(qubit64), "--eps", "0", "--copies", "3", "--json"]) == 0
@@ -178,18 +178,23 @@ class TestCopies:
 
     @pytest.mark.parametrize("d, rank", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
     def test_matches_matrix_route_bitwise(self, d, rank, tmp_path, capsys):
+        # n = 1 reads the diagonal itself, bit for bit.  At n >= 2 the type
+        # classes sum in another order than the d^n entries of the matrix
+        # route, so their fidelities agree within 1e-12, while the level m*
+        # and every field derived from it or from q^n stay equal
         path = tmp_path / "base.json"
         dump_state(random_density(d, np.random.default_rng(10 * d + rank), rank=rank), path)
         base, _ = load_state(path)
         max_copies = {2: 10, 3: 6}[d]  # the largest d^n within TENSOR_DIM_CAP (1024)
         for n in range(1, max_copies + 1):
             big = tensor_power(base, n)
+            tol = 0.0 if n == 1 else 1e-12
             for m in (2, 3):
                 argv = ["fidelity", str(path), "--m", str(m), "--copies", str(n), "--json"]
                 assert main(argv) == 0
                 payload = json.loads(capsys.readouterr().out)
                 assert payload["expanded_dim"] == d ** n
-                assert payload["fidelity_bound"] == assisted_fidelity_bound(big, m)
+                assert abs(payload["fidelity_bound"] - assisted_fidelity_bound(big, m)) <= tol
             for eps in (0.0, 0.05):
                 argv = ["rate", str(path), "--eps", str(eps), "--copies", str(n), "--json"]
                 assert main(argv) == 0
@@ -197,7 +202,7 @@ class TestCopies:
                 report = one_shot_rate(big, eps, declared_base_dim=d)
                 zero = zero_error_rate(big, declared_base_dim=d)
                 assert payload["m_star"] == report.m_requested
-                assert payload["fidelity_bound"] == report.fidelity_bound
+                assert abs(payload["fidelity_bound"] - report.fidelity_bound) <= tol
                 assert payload["one_shot_rate_bits"] == report.one_shot_rate_bits
                 assert payload["zero_error_bits"] == report.zero_error_bits
                 assert (payload["asymptotic_zero_error_bits_per_copy"]
@@ -335,7 +340,8 @@ class TestFigureCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_delta_route_matches_matrix_route_bitwise(self):
-        # n = 10 is the last qubit power within the tensor cap of 1024
+        # n = 10 is the last qubit power tensor_power materializes (1024);
+        # n = 1 is bit for bit, the type classes at n >= 2 within 1e-12
         for p in (0.3, 0.6, 0.9):
             for fam_probs in (np.array([p, 1 - p]), np.array([0.5, 0.5])):
                 rho = np.diag(fam_probs).astype(complex)
@@ -344,7 +350,8 @@ class TestFigureCommand:
                     for m in (2, 3):
                         via_matrix = assisted_fidelity_bound(big, m)
                         via_probs = assisted_fidelity_from_probs(fam_probs, n, m)
-                        assert via_matrix == via_probs, (p, n, m)
+                        tol = 0.0 if n == 1 else 1e-12
+                        assert abs(via_matrix - via_probs) <= tol, (p, n, m)
 
     def test_many_copies_stay_cheap(self):
         # the probability route never materializes the 2^n x 2^n matrix
@@ -497,6 +504,23 @@ class TestExitCodes:
         assert main(["rate", str(path)]) == 2
         assert time.perf_counter() - start < 1.0
         assert "inconsistent with dim 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd, flag, target", [
+        ("fidelity", "--out", "missing"),
+        ("fidelity", "--dump-state", "missing"),
+        ("figure", "--out", "missing"),
+        ("figure", "--out", "directory"),
+    ])
+    def test_unwritable_output_path(self, cmd, flag, target, qubit64, curves_spec,
+                                    tmp_path, capsys):
+        # a file in a missing directory, or a directory in place of a file,
+        # cannot be opened for writing: an input error, not a traceback
+        path = str(tmp_path / "missing" / "x.json" if target == "missing" else tmp_path)
+        source = curves_spec if cmd == "figure" else qubit64
+        assert main([cmd, str(source), flag, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and path in err
+        assert "Traceback" not in err
 
     def test_no_cap_option(self, qubit64, capsys, monkeypatch):
         monkeypatch.setenv("COHDIST_CAP", "4")

@@ -303,34 +303,34 @@ class TestCoherenceOfAssistance:
 
 
 class TestCopies:
-    """``copies`` reads the tensor power through the Kronecker power of the
-    base diagonal; the materialized ``tensor_power`` is the reference."""
+    """``copies`` reads the tensor power through the base diagonal: itself
+    at n = 1, its type classes at n >= 2.  The materialized
+    ``tensor_power`` is the reference."""
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_matches_tensor_power_bitwise(self, d, rng):
+        # bit for bit at n = 1; at n >= 2 the classes sum in another order
+        # than the d^n entries, so fidelities agree within 1e-12 while the
+        # level m* and the fields read from it or from q^n stay equal
         for rank in range(1, d + 1):
             rho = random_density(d, rng, rank=rank)
             for n in (1, 2, 3):
                 big = tensor_power(rho, n)
+                tol = 0.0 if n == 1 else 1e-12
                 for m in (2, 3):
-                    assert (assisted_fidelity_bound(rho, m, copies=n)
-                            == assisted_fidelity_bound(big, m))
+                    assert (abs(assisted_fidelity_bound(rho, m, copies=n)
+                                - assisted_fidelity_bound(big, m)) <= tol)
                 for eps in (0.0, 0.05):
-                    assert (one_shot_rate(rho, eps, copies=n)
-                            == one_shot_rate(big, eps, declared_base_dim=d))
+                    got = one_shot_rate(rho, eps, copies=n)
+                    want = one_shot_rate(big, eps, declared_base_dim=d)
+                    assert got.m_requested == want.m_requested
+                    assert abs(got.fidelity_bound - want.fidelity_bound) <= tol
+                    assert got.one_shot_rate_bits == want.one_shot_rate_bits
+                    assert got.zero_error_bits == want.zero_error_bits
+                    assert got.exact_flag == want.exact_flag
+                    assert (got.asymptotic_zero_error_bits_per_copy
+                            == want.asymptotic_zero_error_bits_per_copy)
                 assert zero_error_rate(rho, copies=n) == zero_error_rate(big, declared_base_dim=d)
-
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    def test_kron_power_is_the_kronecker_power_bytewise(self, d, rng):
-        # np.kron is the independent reference; an entry at -1e-12 leaves
-        # negative products for the clip
-        clipped = np.concatenate([rng.dirichlet(np.ones(d - 1)), [-1e-12]])
-        for probs in [rng.dirichlet(np.ones(d)) for _ in range(3)] + [clipped]:
-            n = 1
-            while d ** n <= 1024:
-                reference = np.clip(reduce(np.kron, [probs] * n), 0, None)
-                assert distill._kron_power(probs, n).tobytes() == reference.tobytes(), (probs, n)
-                n += 1
 
     def test_exactness_follows_the_base(self, rng):
         assert one_shot_rate(random_density(2, rng), 0.0, copies=4).exact_flag
@@ -345,7 +345,7 @@ class TestCopies:
                              ids=["0-d", "2-d"])
     @pytest.mark.parametrize("n", [1, 12])
     def test_probs_must_be_a_vector(self, probs, n):
-        # n = 1 takes the Kronecker route and n = 12 the type classes
+        # n = 1 reads the vector itself and n = 12 its type classes
         with pytest.raises(DimMismatch):
             assisted_fidelity_from_probs(probs, n, 2)
 
@@ -391,21 +391,21 @@ def _decimal_fidelity(probs, n, m):
 
 
 class TestTypeClasses:
-    """Above ``TENSOR_DIM_CAP`` entries the n-copy fidelity is read from the
-    types of the power; below it the Kronecker route is kept, bit for bit."""
+    """At every n >= 2 the n-copy fidelity is read from the types of the
+    power; the Kronecker power of the diagonal is the reference."""
 
-    # each diagonal with the copies just above the cap of 1024 entries
+    # each diagonal from two copies to a few past d^n = 1024 entries
     CASES = [
-        ([0.6, 0.4], range(11, 19)),
-        ([0.9, 0.1], range(11, 19)),
-        ([1.0, 0.0], range(11, 19)),
-        ([0.5, 0.5], range(11, 19)),
-        ([1.0 + 5e-11, -5e-11], range(11, 19)),
-        ([0.5, 0.3, 0.2], range(7, 11)),
-        ([0.7, 0.3, 0.0], range(7, 11)),
-        ([0.6, 0.4 + 5e-11, -5e-11], range(7, 11)),
-        ([0.4, 0.3, 0.2, 0.1], (6, 7)),
-        ([0.4, 0.3, 0.3, 0.0], (6, 7)),
+        ([0.6, 0.4], range(2, 19)),
+        ([0.9, 0.1], range(2, 19)),
+        ([1.0, 0.0], range(2, 19)),
+        ([0.5, 0.5], range(2, 19)),
+        ([1.0 + 5e-11, -5e-11], range(2, 19)),
+        ([0.5, 0.3, 0.2], range(2, 11)),
+        ([0.7, 0.3, 0.0], range(2, 11)),
+        ([0.6, 0.4 + 5e-11, -5e-11], range(2, 11)),
+        ([0.4, 0.3, 0.2, 0.1], range(2, 8)),
+        ([0.4, 0.3, 0.3, 0.0], range(2, 8)),
     ]
 
     @pytest.mark.parametrize("probs, copies", CASES, ids=[str(c[0]) for c in CASES])
@@ -434,16 +434,30 @@ class TestTypeClasses:
             if d ** n <= 2 ** 14:
                 assert abs(got - _kronecker_fidelity(probs, n, m)) <= 1e-12, (n, m)
 
-    def test_route_follows_the_cap(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("type-class route below the cap")
-
-        monkeypatch.setattr(distill, "class_distillation_fidelity", fail)
-        assisted_fidelity_from_probs([0.6, 0.4], 10, 2)
-        assisted_fidelity_from_probs([0.5, 0.3, 0.2], 6, 2)
-        assisted_fidelity_from_probs([0.6, 0.4], 1, 2000)
-        with pytest.raises(AssertionError, match="below the cap"):
-            assisted_fidelity_from_probs([0.6, 0.4], 11, 2)
+    def test_route_follows_n_and_d(self, monkeypatch):
+        # the vector probs^n at n = 1 and for a single entry at any n, the
+        # type classes at every other n >= 2, whatever d^n is
+        routes = []
+        monkeypatch.setattr(distill, "pure_distillation_fidelity",
+                            lambda *args: routes.append("vector") or 0.0)
+        monkeypatch.setattr(distill, "class_distillation_fidelity",
+                            lambda *args: routes.append("classes") or 0.0)
+        cases = [
+            ([0.6, 0.4], 1, "vector"),
+            ([0.5, 0.3, 0.2], 1, "vector"),
+            ([0.7], 1, "vector"),
+            ([0.7], 10 ** 6, "vector"),
+            ([0.6, 0.4], 2, "classes"),
+            ([0.6, 0.4], 10, "classes"),
+            ([0.6, 0.4], 11, "classes"),
+            ([0.5, 0.3, 0.2], 2, "classes"),
+            ([0.5, 0.3, 0.2], 6, "classes"),
+            ([0.4, 0.3, 0.2, 0.1], 2, "classes"),
+        ]
+        for probs, n, route in cases:
+            assisted_fidelity_from_probs(probs, n, 2)
+            assert routes == [route], (probs, n)
+            routes.clear()
 
     @pytest.mark.parametrize("n", [50, 300])
     @pytest.mark.parametrize("p", [0.99, 0.999, 0.9999])
@@ -507,9 +521,39 @@ def _fsum_fidelity(amps, m):
     return value * value / m
 
 
+def _kronecker_level(amps, eps):
+    """The largest m in [1, amps.size] whose fidelity on the vector ``amps``
+    reaches 1 - eps - 1e-9, by bisection."""
+    lo, hi = 1, amps.size + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pure_distillation_fidelity(amps, mid) >= 1.0 - eps - 1e-9:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 class TestRateAboveTheCap:
-    """Above 1024 entries rate's level m* is bisected on the type classes of
-    the power; a bisection on the Kronecker vector is the reference."""
+    """rate's level m* is bisected on the type classes of the power at every
+    n >= 2; a bisection on the Kronecker vector is the reference."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_level_matches_kronecker_bisection_up_to_1024_entries(self, d):
+        # every power of at most 1024 entries: the Kronecker vector's
+        # sequential sums are short enough that the type classes must give
+        # its m* exactly, with no tie to break
+        rng = np.random.default_rng(100 + d)
+        for _ in range(25):
+            probs = rng.dirichlet(np.ones(d))
+            rho = np.diag(probs).astype(complex)
+            n = 2
+            while d ** n <= 1024:
+                amps = np.sqrt(np.clip(reduce(np.kron, [probs] * n), 0.0, None))
+                for eps in (0.0, 0.05, 0.2, 0.5):
+                    assert (one_shot_rate(rho, eps, copies=n).m_requested
+                            == _kronecker_level(amps, eps)), (probs, n, eps)
+                n += 1
 
     @pytest.mark.parametrize("d, copies", [(2, range(11, 19)), (3, range(7, 11)), (4, (6, 7))],
                              ids=["qubit", "qutrit", "d4"])
@@ -521,13 +565,7 @@ class TestRateAboveTheCap:
             for n in copies:
                 amps = np.sqrt(np.clip(reduce(np.kron, [probs] * n), 0.0, None))
                 for eps in (0.0, 0.05, 0.2):
-                    lo, hi = 1, amps.size + 1
-                    while hi - lo > 1:
-                        mid = (lo + hi) // 2
-                        if pure_distillation_fidelity(amps, mid) >= 1.0 - eps - 1e-9:
-                            lo = mid
-                        else:
-                            hi = mid
+                    lo = _kronecker_level(amps, eps)
                     got = one_shot_rate(rho, eps, copies=n).m_requested
                     if got != lo:
                         # a tie closer than the sequential sums' drift over

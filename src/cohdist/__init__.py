@@ -11,7 +11,7 @@ distill
     Assisted fidelities and the fidelity SDP's checked optimal pair,
     one-shot and zero-error rates, coherence of assistance.
 ensembles
-    Same-diagonal decompositions, ensemble search, steering, Monte Carlo.
+    Same-diagonal decompositions, ensemble search, steering.
 cli
     Command-line front end (``cohdist`` entry point).
 """

@@ -125,7 +125,6 @@ def cmd_rate(args) -> int:
         "fidelity_bound": report.fidelity_bound,
         "fidelity_sdp": report.fidelity_bound,
         "one_shot_rate_bits": report.one_shot_rate_bits,
-        "relaxed_rate_bits": report.one_shot_rate_bits,
         "zero_error_bits": report.zero_error_bits,
         "asymptotic_zero_error_bits_per_copy": asymptotic,
         "asymptotic_zero_error_bits_per_base_copy": per_base,
@@ -138,7 +137,6 @@ def cmd_rate(args) -> int:
         f"m* = {report.m_requested}",
         f"fidelity_bound at m* = {_fmt(report.fidelity_bound)}",
         f"one_shot_rate_bits = {_fmt(report.one_shot_rate_bits)}  ({tag})",
-        f"relaxed_rate_bits  = {_fmt(report.one_shot_rate_bits)}",
         f"zero_error_bits    = {_fmt(report.zero_error_bits)}  ({tag})",
         f"asymptotic zero-error = {_fmt(asymptotic)} bits/copy"
         + (f"  ({_fmt(per_base)} per base copy)" if args.copies > 1 else ""),
@@ -391,9 +389,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, state=True):
-        if state:
-            p.add_argument("state", help="path to a state JSON file")
+    def add_common(p):
+        p.add_argument("state", help="path to a state JSON file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--out", help="write output to this path instead of stdout")
 

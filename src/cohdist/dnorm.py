@@ -58,18 +58,9 @@ _INTEGER_TOL = 1e-9
 
 @dataclass(frozen=True)
 class MNormResult:
-    """Value of the m-distillation norm together with diagnostics.
-
-    ``k_star`` is the split index m - K of the norm's split-index form, K
-    the number of capped entries (1 when every supported entry is capped,
-    None when m is not an integer); ``sorted_vector`` holds the entry
-    magnitudes in descending order, one per entry of the input whatever m
-    is (no zeros are appended when m exceeds the dimension).
-    """
+    """Value of the m-distillation norm."""
 
     value: float
-    k_star: int | None
-    sorted_vector: np.ndarray
 
 
 def _waterfill(l1, masses, counts, m):
@@ -146,10 +137,9 @@ def mnorm(v, m: float) -> MNormResult:
     water-filling evaluator at any real m >= 1 (an ``m`` within 1e-9 of an
     integer counts as that integer)."""
     m = _real_m(m)
-    integer = abs(m - round(m)) <= _INTEGER_TOL * max(1.0, m)
-    sorted_desc, value, tail, room = _vector_waterfill(np.ravel(v), round(m) if integer else m)
-    k_star = (int(room) if tail > 0.0 else 1) if integer else None
-    return MNormResult(value=float(value), k_star=k_star, sorted_vector=sorted_desc)
+    if abs(m - round(m)) <= _INTEGER_TOL * max(1.0, m):
+        m = round(m)
+    return MNormResult(value=float(_vector_waterfill(np.ravel(v), m)[1]))
 
 
 def mnorm_dual_oracle(v, m: float) -> float:

@@ -1,5 +1,5 @@
-"""Pure-state decompositions: same-diagonal constructions, ensemble search,
-steering measurements from a purification, and Monte Carlo protocol runs.
+"""Pure-state decompositions: same-diagonal constructions, ensemble search
+and steering measurements from a purification.
 
 The constructive heart is ``same_diagonal_decomposition``: for dimensions
 2 and 3 every state admits a pure-state ensemble whose atoms all share the
@@ -30,10 +30,11 @@ scored and compared in one stacked numpy pass.  An objective is a sum or
 a maximum of per-atom terms, each read from one atom's row alone and
 masked to 0 below the weight floor instead of dropped, so one call scores
 the two rotated rows of every candidate of a round, and each candidate
-reuses its start's terms for the other rows.  Diagonal phases are free in this resource
-theory, so every shipped objective reads an ensemble only through its
-squared amplitudes w_i |psi_ij|^2: the search scores these real arrays
-and forms the complex ``Ensemble`` for the returned decomposition alone.
+reuses its start's terms for the other rows.  Diagonal phases are free in
+this resource theory, so every shipped objective reads an ensemble only
+through its squared amplitudes w_i |psi_ij|^2: the search scores these
+real arrays and forms the complex ``Ensemble`` for the returned
+decomposition alone.
 """
 
 import math
@@ -60,9 +61,7 @@ __all__ = [
     "SteeringMeasurement",
     "ensemble_search",
     "purify",
-    "random_decomposition",
     "same_diagonal_decomposition",
-    "simulate_protocol",
     "steering_measurement",
 ]
 
@@ -268,7 +267,7 @@ class MaxAvgPureFidelity:
     """
 
     m: int
-    sense: str = "max"
+    sense = "max"
 
     def terms(self, probs):
         probs = np.asarray(probs, dtype=float)
@@ -288,7 +287,7 @@ class MinMaxInfNormSq:
     term is the largest |psi_ij|^2 of its normalized atom, and the terms'
     maximum is taken."""
 
-    sense: str = "min"
+    sense = "min"
 
     def terms(self, probs):
         probs = np.asarray(probs, dtype=float)
@@ -319,7 +318,7 @@ class MaxAvgDiagEntropy:
     weights of every ensemble in the stack sum to 1 within 1e-9 (NaN fails).
     """
 
-    sense: str = "max"
+    sense = "max"
 
     def terms(self, probs):
         probs = np.asarray(probs, dtype=float)
@@ -408,19 +407,20 @@ def ensemble_search(
     decomposition, which the theory makes optimal for all three shipped
     objectives, padded with zero rows up to ``atoms_cap``.
 
-    ``objective`` has a ``sense`` ("max" or "min") and two pieces, both
-    accepting leading batch axes.  ``terms(probs)`` maps ``probs`` of
-    shape (..., k, d), the squared amplitudes w_i |psi_ij|^2 of each
-    ensemble, to (..., k) per-atom terms; each must be computed from its
-    atom's row alone, and atoms at or below the weight floor 1e-12 must
-    get 0.  ``combine(terms, weights)`` reduces (..., k) terms and weights
-    w_i = ``probs.sum(-1)`` to one value per ensemble.  The search calls
-    ``terms`` on (B, 2, d) stacks of rotated rows, so a term that looked
-    at other rows would be scored wrongly.  The returned value is
-    ``objective.evaluate`` on the returned ensemble, which the shipped
-    objectives define as combine(terms(probs), probs.sum(-1)).  The
-    objective is thereby blind to the phases of the atoms' entries, as the
-    shipped coherence measures are.
+    ``objective`` has a ``sense``, "max" or "min" (any other value is a
+    ``ValueError``), and two pieces, both accepting leading batch axes.
+    ``terms(probs)`` maps ``probs`` of shape (..., k, d), the squared
+    amplitudes w_i |psi_ij|^2 of each ensemble, to (..., k) per-atom
+    terms; each must be computed from its atom's row alone, and atoms at or
+    below the weight floor 1e-12 must get 0.  ``combine(terms, weights)``
+    reduces (..., k) terms and weights w_i = ``probs.sum(-1)`` to one value
+    per ensemble.  The search calls ``terms`` on (B, 2, d) stacks of
+    rotated rows, so a term that looked at other rows would be scored
+    wrongly.  The returned value is ``objective.evaluate`` on the returned
+    ensemble, which the shipped objectives define as
+    combine(terms(probs), probs.sum(-1)).  The objective is thereby blind
+    to the phases of the atoms' entries, as the shipped coherence measures
+    are.
     """
     rho = require_density(rho, check_psd=False)
     d = rho.shape[0]
@@ -428,6 +428,8 @@ def ensemble_search(
     rank = basis.shape[1]
     if atoms_cap < rank:
         raise ValueError(f"atoms_cap {atoms_cap} below rank {rank}")
+    if objective.sense not in ("max", "min"):
+        raise ValueError(f"objective sense must be 'max' or 'min', got {objective.sense!r}")
 
     starts = []
     if d <= 3:
@@ -555,18 +557,6 @@ def _rotation_search(objective, amps0, budget, step0=0.3, step_min=1e-7):
                 pos[s], swept[s] = 0, cost[s]
 
 
-def random_decomposition(rho, n_atoms: int, seed: int = 0) -> Ensemble:
-    """Random exact pure-state decomposition with ``n_atoms`` atoms."""
-    rho = require_density(rho, check_psd=False)
-    basis = _eigen_basis(rho)
-    rank = basis.shape[1]
-    if n_atoms < rank:
-        raise ValueError(f"n_atoms {n_atoms} below rank {rank}")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    theta = rng.standard_normal((1, 2 * n_atoms * rank))
-    return _ensemble(_amplitudes(theta, n_atoms, basis)[0])
-
-
 # ---------------------------------------------------------------------------
 # steering
 
@@ -613,37 +603,9 @@ def steering_measurement(purification, target: Ensemble) -> SteeringMeasurement:
         raise IncompatibleEnsemble("an atom leaves the support of the reduced state")
     u_iso = coeff / np.sqrt(lam)[None, :]
 
-    operators = []
-    for i in range(u_iso.shape[0]):
-        m_vec = alice @ u_iso[i].conj()
-        operators.append(np.outer(m_vec, m_vec.conj()))
-    remainder = np.eye(da, dtype=np.complex128) - sum(operators)
-    remainder = _herm(remainder)
+    # row i is alice @ conj(u_iso[i]), the measurement vector of outcome i
+    operators = [np.outer(v, v.conj()) for v in u_iso.conj() @ alice.T]
+    remainder = _herm(np.eye(da, dtype=np.complex128) - sum(operators))
     if float(np.max(np.abs(remainder))) < 1e-12:
         remainder = None
     return SteeringMeasurement(operators=operators, remainder=remainder)
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo
-
-
-def simulate_protocol(rho, target: Ensemble, m: int, shots: int, seed: int):
-    """Sample the assisted protocol: draw an atom, score its distillation
-    fidelity at ``m``.  Returns ``(mean, standard_error)``; deterministic
-    for a fixed seed (counter-based generator)."""
-    rho = require_density(rho, check_psd=False)
-    if target.reconstruction_residual(rho) > 1e-8:
-        raise IncompatibleEnsemble("ensemble does not reconstruct the state")
-    if shots < 1:
-        raise ValueError("shots must be positive")
-    scores = pure_distillation_fidelity(target.atoms, m)
-    weights = target.weights / target.weights.sum()
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    counts = rng.multinomial(shots, weights)
-    mean = float(counts @ scores) / shots
-    if shots > 1:
-        var = float(counts @ (scores - mean) ** 2) / (shots - 1)
-    else:
-        var = 0.0
-    return mean, float(np.sqrt(max(var, 0.0) / shots))

@@ -13,15 +13,17 @@ Schema::
 number with an integral value such as 2.0; booleans, strings and other
 numbers are a ``ParseError``, never truncated.  A ``declared_base`` needs
 ``dim_sigma`` and ``copies`` of at least 1 with dim_sigma ** copies == dim,
-checked in time bounded by log dim, whatever ``copies``.  Parsing gates: finite
-entries, Hermiticity 1e-9 entrywise, trace within 1e-8 of one (after the
-optional renormalization).  Accepted states are then
-symmetrized and trace-normalized exactly, so the stricter internal
-Hermiticity and trace invariants hold downstream.  Normalization cannot
-repair a negative eigenvalue, so the PSD gate on the normalized state is
-the internal one, ``hermat.eig_psd`` (floor -1e-10), reported as a
-``ParseError`` with the same message, and no command rejects as non-PSD a
-file that loaded.
+checked in time bounded by log dim, whatever ``copies``.  Each entry part
+is a JSON integer or float and ``renormalize`` a JSON boolean; anything
+else, booleans and numeric strings included, is a ``ParseError``, never
+converted.  Parsing gates: finite entries, Hermiticity 1e-9 entrywise,
+trace within 1e-8 of one (after the optional renormalization).  Accepted
+states are then symmetrized and trace-normalized exactly, so the stricter
+internal Hermiticity and trace invariants hold downstream.  Normalization
+cannot repair a negative eigenvalue, so the PSD gate on the normalized
+state is the internal one, ``hermat.eig_psd`` (floor -1e-10), reported as
+a ``ParseError`` with the same message, and no command rejects as non-PSD
+a file that loaded.
 """
 
 import json
@@ -78,7 +80,9 @@ def parse_state(obj) -> tuple[np.ndarray, dict | None]:
     if dim < 1:
         raise ParseError(f"dim must be positive, got {dim}")
     try:
-        arr = np.asarray(entries, dtype=float)
+        # each entry part through _real, once: linear in the number of entries
+        arr = np.array([[[_real(x, "entries") for x in pair] for pair in row] for row in entries],
+                       dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"entries are not numeric: {exc}") from exc
     if arr.shape != (dim, dim, 2):
@@ -87,7 +91,10 @@ def parse_state(obj) -> tuple[np.ndarray, dict | None]:
         raise ParseError("entries must be finite numbers")
     rho = arr[..., 0] + 1j * arr[..., 1]
 
-    if obj.get("renormalize", False):
+    renormalize = obj.get("renormalize", False)
+    if not isinstance(renormalize, bool):
+        raise ParseError(f"renormalize must be true or false, got {renormalize!r}")
+    if renormalize:
         tr = np.trace(rho).real
         if abs(tr) < 1e-12:
             raise ParseError("cannot renormalize a traceless matrix")

@@ -24,15 +24,12 @@ from cohdist.dnorm import (
     mnorm,
     mnorm_dual_oracle,
     mnorm_primal_oracle,
-    pure_distillation_fidelity,
 )
 from cohdist.ensembles import (
     MaxAvgDiagEntropy,
     MaxAvgPureFidelity,
     ensemble_search,
-    random_decomposition,
     same_diagonal_decomposition,
-    simulate_protocol,
 )
 from cohdist.hermat import random_density, shannon_entropy, tensor_power
 
@@ -202,21 +199,6 @@ def test_figure_reproduction(tmp_path):
         pairs.sort()
         for (q1, f1), (q2, f2) in zip(pairs, pairs[1:]):
             assert f2 <= f1 + 1e-12
-
-
-def test_protocol_monte_carlo():
-    rng = np.random.default_rng(13)
-    with _Budget("protocol Monte Carlo vs analytic averages", 60.0):
-        for trial in range(10):
-            d = 2 if trial % 2 == 0 else 3
-            rho = random_density(d, rng)
-            ens = random_decomposition(rho, d + 1, seed=100 + trial)
-            analytic = sum(
-                w * pure_distillation_fidelity(a, 2)
-                for w, a in zip(ens.weights, ens.atoms)
-            )
-            mean, se = simulate_protocol(rho, ens, 2, 10 ** 5, seed=trial)
-            assert abs(mean - analytic) <= max(4.0 * se, 1e-12)
 
 
 def _bracket_gap(rho, m, bound):

@@ -133,7 +133,7 @@ class TestRateCommand:
 FIDELITY_KEYS = {"state", "dim", "copies", "expanded_dim", "m", "fidelity_bound",
                  "fidelity_sdp", "exact"}
 RATE_KEYS = {"state", "dim", "copies", "eps", "m_star", "fidelity_bound", "fidelity_sdp",
-             "one_shot_rate_bits", "relaxed_rate_bits", "zero_error_bits",
+             "one_shot_rate_bits", "zero_error_bits",
              "asymptotic_zero_error_bits_per_copy",
              "asymptotic_zero_error_bits_per_base_copy", "exact"}
 
@@ -165,7 +165,6 @@ class TestNoSdpSolve:
             payload = json.loads(capsys.readouterr().out)
             assert set(payload) == RATE_KEYS
             assert payload["fidelity_sdp"] == payload["fidelity_bound"]
-            assert payload["relaxed_rate_bits"] == payload["one_shot_rate_bits"]
 
     def test_rate_on_eight_qubit_copies(self, qubit64, capsys):
         assert main(["rate", str(qubit64), "--eps", "0.05", "--copies", "8", "--json"]) == 0
@@ -446,6 +445,19 @@ class TestExitCodes:
         bad.write_text('{"dim": 2, "entries": [[[0.5, 0], [NaN, 0]], [[NaN, 0], [0.5, 0]]]}')
         assert main(["decompose", str(bad)]) == 2
         assert main(["fidelity", str(bad)]) == 2
+
+    @pytest.mark.parametrize("doc", [
+        '{"dim": 2, "entries": [[["0.75", 0], [0, 0]], [[0, 0], [0.25, 0]]]}',
+        '{"dim": 2, "entries": [[[true, 0], [0, 0]], [[0, 0], [false, 0]]]}',
+        '{"dim": 2, "entries": [[[1.5, 0], [0, 0]], [[0, 0], [0.5, 0]]], "renormalize": "false"}',
+    ], ids=["string-entry", "boolean-entries", "string-renormalize"])
+    def test_non_numeric_values(self, doc, tmp_path, capsys):
+        # each loaded (exit 0) when its values were converted
+        bad = tmp_path / "bad.json"
+        bad.write_text(doc)
+        for cmd in ("fidelity", "rate", "decompose"):
+            assert main([cmd, str(bad)]) == 2, cmd
+        assert "input error: " in capsys.readouterr().err
 
     def test_eigensolver_failure(self, qubit64, capsys, monkeypatch):
         def fail(a):

@@ -27,7 +27,6 @@ from cohdist.ensembles import (
     MaxAvgPureFidelity,
     ensemble_search,
     purify,
-    random_decomposition,
     same_diagonal_decomposition,
 )
 from cohdist.errors import BadM, CapExceeded, DimMismatch, NotPSD, NumericalFailure, ParseError
@@ -708,12 +707,11 @@ class TestRoofInputValidation:
         require_density,
         lambda rho: fidelity(rho, rho),
         purify,
-        lambda rho: random_decomposition(rho, rho.shape[0] + 1),
         lambda rho: ensemble_search(rho, MaxAvgPureFidelity(2), rho.shape[0] + 1, **_SEARCH),
         lambda rho: theta_upper(rho, **_SEARCH),
         lambda rho: coherence_of_assistance(rho, **_SEARCH),
-    ], ids=["require_density", "fidelity", "purify", "random_decomposition",
-            "ensemble_search", "theta_upper", "coherence_of_assistance"])
+    ], ids=["require_density", "fidelity", "purify", "ensemble_search", "theta_upper",
+            "coherence_of_assistance"])
     def test_floor_boundary(self, call, d):
         with pytest.raises(NotPSD, match="below -1e-10"):
             call(_min_eigenvalue(d, -5e-10))

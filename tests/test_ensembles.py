@@ -1,7 +1,7 @@
-"""Decompositions, search, steering, and the protocol Monte Carlo."""
+"""Decompositions, search and steering."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -23,9 +23,7 @@ from cohdist.ensembles import (
     _squared,
     ensemble_search,
     purify,
-    random_decomposition,
     same_diagonal_decomposition,
-    simulate_protocol,
     steering_measurement,
 )
 from cohdist.errors import (
@@ -670,6 +668,26 @@ class TestRotationPoll:
         with pytest.raises(NumericalFailure):
             ensemble_search(rho, MinMaxInfNormSq(), 5, restarts=2, max_evals=200)
 
+    @pytest.mark.parametrize("sense", ["minimize", "Max", "", None])
+    def test_unknown_sense_is_rejected(self, rng, sense):
+        """Only "max" and "min" are senses: any other value, a misspelt
+        "minimize" included, would be searched as "max"."""
+        counted = Counted(MinMaxInfNormSq())
+        counted.sense = sense
+        with pytest.raises(ValueError, match="sense must be 'max' or 'min'"):
+            ensemble_search(random_density(3, rng), counted, 4, restarts=2, max_evals=200)
+        assert counted.sizes == []  # rejected before anything is scored
+
+    def test_shipped_senses_are_fixed(self):
+        """The shipped objectives' sense belongs to the class: it is not a
+        field, so it can be neither passed nor replaced."""
+        assert [f.name for f in fields(MaxAvgPureFidelity)] == ["m"]
+        assert fields(MinMaxInfNormSq) == fields(MaxAvgDiagEntropy) == ()
+        assert (MaxAvgPureFidelity(2).sense, MinMaxInfNormSq().sense,
+                MaxAvgDiagEntropy().sense) == ("max", "min", "max")
+        with pytest.raises(TypeError):
+            MaxAvgPureFidelity(2, sense="min")
+
 
 class TestSearchInvariants:
     def test_long_search_keeps_the_reconstruction(self, rng):
@@ -752,50 +770,3 @@ class TestSteering:
         target = same_diagonal_decomposition(other)
         with pytest.raises(IncompatibleEnsemble):
             steering_measurement(purify(rho), target)
-
-
-class TestSimulateProtocol:
-    def test_single_atom_exact(self):
-        psi = np.array([0.8, 0.6])
-        ens = Ensemble(weights=np.array([1.0]), atoms=psi[None, :])
-        mean, se = simulate_protocol(np.outer(psi, psi.conj()), ens, 2, 1000, seed=1)
-        assert mean == pure_distillation_fidelity(psi, 2)
-        assert se == 0.0
-
-    def test_maximally_mixed_scores_one(self):
-        rho = np.eye(2, dtype=complex) / 2
-        ens = same_diagonal_decomposition(rho)
-        mean, se = simulate_protocol(rho, ens, 2, 10 ** 5, seed=3)
-        assert mean == 1.0
-        assert se == 0.0
-
-    def test_same_diagonal_matches_closed_form(self):
-        rho = np.diag([0.75, 0.25]).astype(complex)
-        ens = same_diagonal_decomposition(rho)
-        mean, se = simulate_protocol(rho, ens, 2, 10 ** 5, seed=5)
-        assert abs(mean - (2 + np.sqrt(3)) / 4) <= max(3 * se, 1e-12)
-
-    def test_seed_determinism(self, rng):
-        rho = random_density(3, rng)
-        ens = random_decomposition(rho, 4, seed=2)
-        a = simulate_protocol(rho, ens, 2, 10 ** 4, seed=11)
-        b = simulate_protocol(rho, ens, 2, 10 ** 4, seed=11)
-        assert a == b
-
-    def test_converges_to_ensemble_average(self, rng):
-        for trial in range(4):
-            d = 2 if trial % 2 == 0 else 3
-            rho = random_density(d, rng)
-            ens = random_decomposition(rho, d + 1, seed=trial)
-            analytic = sum(
-                w * pure_distillation_fidelity(a, 2)
-                for w, a in zip(ens.weights, ens.atoms)
-            )
-            mean, se = simulate_protocol(rho, ens, 2, 10 ** 6, seed=trial)
-            assert abs(mean - analytic) <= max(4 * se, 1e-12)
-
-    def test_rejects_mismatched_ensemble(self, rng):
-        rho = random_density(2, rng)
-        ens = same_diagonal_decomposition(random_density(2, rng))
-        with pytest.raises(IncompatibleEnsemble):
-            simulate_protocol(rho, ens, 2, 100, seed=0)

@@ -122,3 +122,41 @@ class TestIntegerFields:
         assert np.max(np.abs(back - rho)) <= 1e-15
         assert declared == {"dim_sigma": 2, "copies": 2}
         assert all(type(v) is int for v in declared.values())
+
+
+
+class TestStrictValues:
+    """Each entry part is a JSON integer or float and ``renormalize`` a JSON
+    boolean; any other value is an error, never converted.  Converted, each
+    bad document below would load as a valid state."""
+
+    @pytest.mark.parametrize("diag, replace", [
+        ([0.75, 0.25], {(0, 0, 0): "0.75"}),
+        ([0.75, 0.25], {(0, 1, 1): "0"}),
+        ([1.0, 0.0], {(0, 0, 0): True, (1, 1, 0): False}),
+        ([1.0, 0.0], {(1, 0, 1): False}),
+    ], ids=["numeric-string", "string-zero", "booleans", "false-imaginary-part"])
+    def test_entries_must_be_numbers(self, diag, replace):
+        doc = doc_for(np.diag(diag).astype(complex))
+        for (i, j, part), value in replace.items():
+            doc["entries"][i][j][part] = value
+        with pytest.raises(ParseError, match="entries must be a number"):
+            parse_state(doc)
+
+    def test_integer_entries_load(self):
+        back, _ = parse_state({"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]})
+        assert np.array_equal(back, np.diag([1.0, 0.0]))
+
+    @pytest.mark.parametrize("flag, renormalized", [
+        ("false", False), ("true", True), (0, False), (1, True), (None, False)])
+    def test_renormalize_must_be_boolean(self, flag, renormalized):
+        # a trace-2 state: renormalized it loads, as given it does not
+        doc = doc_for(np.diag([1.5, 0.5]).astype(complex), renormalize=flag)
+        with pytest.raises(ParseError, match="renormalize must be true or false"):
+            parse_state(doc)
+        doc["renormalize"] = renormalized
+        if renormalized:
+            assert np.array_equal(parse_state(doc)[0], np.diag([0.75, 0.25]))
+        else:
+            with pytest.raises(ParseError, match="trace 2.0 differs from 1"):
+                parse_state(doc)

@@ -3,7 +3,12 @@
 Subcommands: ``fidelity``, ``rate``, ``decompose``, ``figure``,
 ``selftest``.  States are read from JSON files (see :mod:`cohdist.stateio`);
 ``figure`` turns a curve-specification file into a CSV of assisted-fidelity
-curves over (family, p, n) grids.
+curves over (family, p, n) grids.  Each curve is one stack of its points'
+diagonals, evaluated with one water-filling call per chunk of at most 2^17
+class entries (points times the largest point's classes times d), so 64
+points to 1023 qubit copies are one call and 65535 copies one point a
+call; each value is the one ``distill.assisted_fidelity_from_probs``
+gives the point alone.
 
 Exit codes: 0 success, 2 input error, 3 capacity, 4 numerical failure.
 Human tables print 6 significant digits; CSV and JSON carry full doubles.
@@ -170,9 +175,6 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def _family_probs(family: str, p: float) -> np.ndarray:
-    # the family is one of _FAMILIES, checked by _parse_curve_specs
-    return np.array([0.5, 0.5]) if family == "depolarized" else np.array([p, 1.0 - p])
 
 
 def _parse_curve_specs(obj) -> list[dict]:
@@ -206,15 +208,24 @@ def _parse_curve_specs(obj) -> list[dict]:
 
 
 def cmd_figure(args) -> int:
+    """Write each curve's F(n, p) over its copies x p_grid points, sorted by
+    family, n and p.  A curve's points are one stack of qubit diagonals
+    (p, 1 - p), or (1/2, 1/2) for ``depolarized``, evaluated by
+    ``distill._curve_fidelity``: one type-class build and one
+    water-filling call per chunk of at most 2^17 class entries.  A curve
+    with no points adds no rows and evaluates nothing."""
     specs = _parse_curve_specs(_read_json(args.spec))
 
     rows = []
     for spec in specs:
-        for n in spec["copies"]:
-            for p in spec["p_grid"]:
-                probs = _family_probs(spec["family"], p)
-                f = distill.assisted_fidelity_from_probs(probs, n, spec["m"])
-                rows.append((spec["family"], p, n, spec["m"], f))
+        family, m = spec["family"], spec["m"]
+        points = [(n, p) for n in spec["copies"] for p in spec["p_grid"]]
+        if not points:
+            continue
+        probs = np.array([[0.5, 0.5] if family == "depolarized" else [p, 1.0 - p]
+                          for _, p in points])
+        fids = distill._curve_fidelity(probs, [n for n, _ in points], m)
+        rows += [(family, p, n, m, f) for (n, p), f in zip(points, fids.tolist())]
     rows.sort(key=lambda r: (r[0], r[2], r[1]))
 
     out_lines = ["family,p,n,m,F_assisted"]

@@ -15,18 +15,21 @@ The closed forms read a state only through its diagonal, and n copies
 only through the n-fold power of that diagonal.  They take the base state
 and a ``copies`` count and never form the d^n x d^n matrix.  One evaluator
 of the power's fidelity, ``_power_fidelity``, is built once per call and
-serves every m the call asks for.  At n = 1 it holds the diagonal itself,
-which reproduces the matrix path bit for bit.  At every n >= 2 it reads
-the power by its types: the C(n+d-1, d-1) distinct products
+serves every m the call asks for.  It takes a stack of diagonals, each
+with its own n: a single state is a stack of one, and a ``figure`` curve
+is one stack of all its (n, p) points.  At n = 1 a row holds the diagonal
+itself, which reproduces the matrix path bit for bit.  At every n >= 2 it
+reads the power by its types: the C(n+d-1, d-1) distinct products
 prod_i p_i^k_i with their multinomial multiplicities (sums of logs of
-exact binomials, so no large logs cancel), formed in log space and handed
-to ``dnorm.class_distillation_fidelity`` as classes of equal entries for
-the norm's water-filling evaluator.  That costs O(classes) instead of
-O(d^n), whatever m is, so n in the thousands and m in the billions are
-cheap.  It agrees with the Kronecker power of the diagonal (the
-materialized matrix path) within 1e-12 and gives the same level m*; its
-sums run over classes, not entries, so it does not share the Kronecker
-vector's rounding drift over 2^19 entries (3e-12 at 19 qubit copies).
+exact binomials, so no large logs cancel), formed in log space for every
+such row at once and handed to the norm's water-filling evaluator as
+classes of equal entries, all rows in one call.  That costs O(classes)
+instead of O(d^n), whatever m is, so n in the thousands and m in the
+billions are cheap.  It agrees with the Kronecker power of the diagonal
+(the materialized matrix path) within 1e-12 and gives the same level m*;
+its sums run over classes, not entries, so it does not share the
+Kronecker vector's rounding drift over 2^19 entries (3e-12 at 19 qubit
+copies).  A row's value does not depend on the other rows of its stack.
 
 Two fixed bounds, not options, limit the copies a call may take; past
 either one it raises ``CapExceeded``:
@@ -40,7 +43,9 @@ either one it raises ``CapExceeded``:
   and a peak resident memory of 39 MB for a whole ``figure`` process
   (Python 3.11, numpy 2.4), for the O(n^2) big-integer work of their
   exact binomials; memory and that work would otherwise grow without
-  limit.
+  limit.  ``figure`` evaluates a curve in chunks of at most 2^17 class
+  entries (``_curve_fidelity``), so a curve never holds more than its
+  largest point's table: 32 points at 65535 qubit copies peak at 38 MB.
 
 Rates are reported in bits as log2 of an integer, since the achievable
 target dimension is one: the one-shot rate is log2 of the level m*, the
@@ -59,13 +64,12 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import repeat
+from itertools import groupby, repeat
 
 import numpy as np
 
 from . import ensembles
-from .dnorm import (_snapped_fidelity, class_distillation_fidelity, pure_distillation_fidelity,
-                    waterfill_level)
+from .dnorm import _class_fidelity, _snapped_fidelity, waterfill_level
 from .errors import BadM, CapExceeded, DimMismatch, NumericalFailure
 from .hermat import eig_psd, require_density, shannon_entropy
 
@@ -203,20 +207,49 @@ def _types(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return k, log_mult
 
 
-def _type_classes(probs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Log magnitudes, descending, and log multiplicities of the distinct
-    nonzero entries of sqrt(clip(probs^(kron n))).  A product is clipped to
-    zero when it has a zero factor or an odd number of negative ones; an
-    even number of negative factors leaves it positive, as clipping the
-    Kronecker power (the diagonal of the materialized tensor power) after
-    powering does."""
-    k, log_mult = _types(n, probs.size)
-    keep = ~((k[:, probs == 0] > 0).any(axis=1) | (k[:, probs < 0].sum(axis=1) % 2 == 1))
-    k = k[keep]
-    nonzero = probs != 0
-    log_mags = 0.5 * (k[:, nonzero] @ np.log(np.abs(probs[nonzero])))
-    order = np.argsort(-log_mags, kind="stable")
-    return log_mags[order], log_mult[keep][order]
+def _class_count(n: int, d: int) -> int:
+    """Classes in a row of the n-fold power of a d-outcome diagonal: the
+    C(n+d-1, d-1) types at n >= 2 with d >= 2, the d entries otherwise."""
+    return math.comb(n + d - 1, d - 1) if n > 1 and d > 1 else d
+
+
+def _type_classes(probs: np.ndarray, copies) -> tuple[np.ndarray, np.ndarray]:
+    """Log magnitudes and log multiplicities of the entries of
+    sqrt(clip(p^(kron n))) for each row p of a stack ``probs`` (R, d) and
+    its count n = copies[i] >= 2: one class per type of ``_types(n, d)``,
+    each row in descending order of magnitude (a stable sort of the
+    table's order).
+
+    A product is clipped to zero when it has a zero factor or an odd number
+    of negative ones; an even number of negative factors leaves it
+    positive, as clipping the Kronecker power (the diagonal of the
+    materialized tensor power) after powering does.  A clipped class keeps
+    its place in the table with log magnitude -inf, so it sorts after the
+    row's other classes, and rows of fewer types are padded with such
+    classes, so every row has the width of the largest table.  A class's
+    log magnitude is half the product of its counts with the row's
+    log |p_i| (log 1 for a zero p_i, whose classes are clipped): one
+    matrix-vector product per row, the one a row alone gets.
+    """
+    d = probs.shape[-1]
+    runs = [(_types(n, d), len(list(run))) for n, run in groupby(copies)]
+    width = max(len(types) for (types, _), _ in runs)
+    k = np.zeros((len(probs), width, d))
+    log_mult = np.zeros((len(probs), width))
+    padding = np.ones((len(probs), width), dtype=bool)
+    lo = 0
+    for (types, mult), count in runs:
+        k[lo:lo + count, :len(types)] = types
+        log_mult[lo:lo + count, :len(types)] = mult
+        padding[lo:lo + count, :len(types)] = False
+        lo += count
+    logs = np.log(np.abs(np.where(probs == 0.0, 1.0, probs)))
+    log_mags = 0.5 * np.matmul(k, logs[..., None])[..., 0]
+    log_mags[padding | (np.matmul(k, (probs == 0.0)[..., None])[..., 0] > 0)
+             | (np.matmul(k, (probs < 0.0)[..., None])[..., 0] % 2 == 1)] = -np.inf
+    order = np.argsort(-log_mags, axis=-1, kind="stable")
+    rows = np.arange(len(order))[:, None]
+    return log_mags[rows, order], log_mult[rows, order]
 
 
 def assisted_fidelity_bound(rho, m: int, copies: int = 1) -> float:
@@ -245,34 +278,83 @@ def assisted_fidelity_bound(rho, m: int, copies: int = 1) -> float:
     """
     rho = require_density(rho, check_psd=False)
     n, _ = _copies_dim(rho.shape[0], copies)
-    return _power_fidelity(np.diag(rho).real, n)(m)
+    return float(_power_fidelity(np.diag(rho).real, n)(m))
 
 
-def _power_fidelity(probs, n: int):
-    """The assisted fidelity of the n-fold power of a diagonal ``probs`` as
-    a function of m, built once: the power's types are formed here, not at
-    each m.
+def _power_fidelity(probs, copies):
+    """The assisted fidelity of the n-fold power of each diagonal in
+    ``probs`` (..., d), as a function of m that returns one value per
+    diagonal, built once: the powers' classes are formed here, not at each
+    m.  ``copies`` holds n: an int for a single diagonal, else one n per
+    diagonal of the stack, in row order.
 
-    Every n >= 2 with d >= 2 is read by its types (``_type_classes``) in
-    O(C(n+d-1, d-1)), within 1e-12 of the Kronecker power of ``probs``; a
-    type table of more than 2^17 entries raises ``CapExceeded`` before it
-    is built.  At n = 1, and for a single entry at any n, the vector
-    probs^n is clipped at zero and square-rooted, which at n = 1 is the
-    matrix path bit for bit.  Nothing built grows with m.
+    Every diagonal with n >= 2 and d >= 2 is read by its types, all of them
+    in one ``_type_classes`` build, in O(C(n+d-1, d-1)) each and within
+    1e-12 of the Kronecker power; a type table of more than 2^17 entries
+    raises ``CapExceeded`` before anything is built.  At n = 1, and for a
+    single entry at any n, a diagonal's classes are the entries of the
+    vector p^n, clipped at zero and square-rooted, each a class of one: at
+    n = 1 that is the matrix path bit for bit.  Rows of fewer classes end
+    in zero classes, which change no value, and every m evaluates all
+    diagonals with one water-filling call; each value is the one its
+    diagonal gets alone.  Nothing built grows with m.
     """
-    n = _check_copies(n)
-    probs = np.asarray(probs, dtype=float)
-    if probs.ndim != 1:
-        raise DimMismatch(f"probs must be a vector, got shape {probs.shape}")
-    d = probs.size
-    if n > 1 and d > 1:
-        if math.comb(n + d - 1, d - 1) * d > 2 ** 17:
-            raise CapExceeded(f"{n} copies of {d} outcomes need over 2^17 type-table entries")
-        return partial(class_distillation_fidelity, *_type_classes(probs, n))
-    # n = 1, where x ** 1.0 == x, or one entry, whose n may pass what _types
-    # can index; n is the double numpy 2 converts it to, since numpy 1.x
-    # makes an int past 2^64 an object array
-    return partial(pure_distillation_fidelity, np.sqrt(np.clip(probs ** float(n), 0.0, None)))
+    shape, d = probs.shape[:-1], probs.shape[-1]
+    if d == 0:
+        raise BadM("empty vector")
+    copies = [_check_copies(n) for n in (copies if shape else [copies])]
+    probs = probs.reshape(-1, d)
+    typed, vector = [], {}
+    for i, n in enumerate(copies):
+        if n > 1 and d > 1:
+            if _class_count(n, d) * d > 2 ** 17:
+                raise CapExceeded(f"{n} copies of {d} outcomes need over 2^17 type-table entries")
+            typed.append(i)
+        else:
+            vector.setdefault(n, []).append(i)
+
+    def rows_of(rows):  # a copy only for some of the rows
+        return probs if len(rows) == len(copies) else probs[rows]
+
+    parts = []
+    if typed:
+        log_mags, log_counts = _type_classes(rows_of(typed), [copies[i] for i in typed])
+        parts.append((typed, np.exp(log_mags), np.exp(log_counts + 2.0 * log_mags), log_counts))
+    for n, rows in vector.items():
+        # n = 1, where x ** 1.0 == x, or one entry, whose n may pass what
+        # _types can index; n is the double numpy 2 converts it to, since
+        # numpy 1.x makes an int past 2^64 an object array
+        a = np.sqrt(np.maximum(rows_of(rows) ** float(n), 0.0))
+        a.sort(axis=-1)
+        a = a[..., ::-1]
+        parts.append((rows, a, a * a, np.zeros(a.shape)))
+    if len(parts) == 1:  # its rows are all rows, in order
+        planes = parts[0][1:]
+    else:
+        planes = np.zeros((3, len(copies), max(part[1].shape[-1] for part in parts)))
+        for rows, *part in parts:
+            for plane, values in zip(planes, part):
+                plane[rows, :values.shape[-1]] = values
+    # back to the leading axes of probs: one diagonal is a vector of classes
+    return partial(_class_fidelity, *(x.reshape(shape + x.shape[-1:]) for x in planes))
+
+
+def _curve_fidelity(probs, copies, m: int) -> np.ndarray:
+    """``_power_fidelity`` of a stack at one m, evaluated in consecutive
+    chunks of rows.  A chunk holds at most 2^17 class entries (its rows
+    times the widest row's classes times d), the bound on one type table,
+    so a curve's memory is that of its largest point: 65535 qubit copies
+    take one row at a time."""
+    d, bounds, widest = probs.shape[-1], [0], 0
+    for i, n in enumerate(copies):
+        width = _class_count(n, d) * d
+        widest = max(widest, width)
+        if i > bounds[-1] and (i + 1 - bounds[-1]) * widest > 2 ** 17:
+            bounds.append(i)
+            widest = width
+    bounds.append(len(copies))
+    return np.concatenate([_power_fidelity(probs[lo:hi], copies[lo:hi])(m)
+                           for lo, hi in zip(bounds, bounds[1:])])
 
 
 def assisted_fidelity_from_probs(probs, n: int, m: int) -> float:
@@ -280,15 +362,20 @@ def assisted_fidelity_from_probs(probs, n: int, m: int) -> float:
     diagonal ``probs``, computed from the probabilities alone.
 
     Every closed-form fidelity in the package, this one included, comes
-    from the evaluator ``_power_fidelity`` builds: the type classes of the
-    power at every n >= 2 with d >= 2, the diagonal itself at n = 1.  A
-    ``probs`` that is not one-dimensional raises ``DimMismatch``; its
-    entries are not validated.  An ``m`` that is not a positive integer
-    raises ``BadM``, a ``n`` that is not a positive integer raises
-    ``ValueError``, and a type table past 2^17 entries (more than 65535
-    qubit copies) raises ``CapExceeded``; d^n itself is not bounded here.
+    from the evaluator ``_power_fidelity`` builds, here for one diagonal:
+    the type classes of the power at every n >= 2 with d >= 2, the
+    diagonal itself at n = 1.  A ``probs`` that is not one-dimensional
+    raises ``DimMismatch``; its entries are not validated.  An ``m`` that
+    is not a positive integer raises ``BadM``, a ``n`` that is not a
+    positive integer raises ``ValueError``, and a type table past 2^17
+    entries (more than 65535 qubit copies) raises ``CapExceeded``; d^n
+    itself is not bounded here.
     """
-    return _power_fidelity(probs, n)(m)
+    n = _check_copies(n)
+    probs = np.asarray(probs, dtype=float)
+    if probs.ndim != 1:
+        raise DimMismatch(f"probs must be a vector, got shape {probs.shape}")
+    return float(_power_fidelity(probs, n)(m))
 
 
 @dataclass(frozen=True)
@@ -426,7 +513,7 @@ def one_shot_rate(rho, eps: float, declared_base_dim: int | None = None,
     zero = _zero_error(probs, n, declared_base_dim)
     return RateReport(
         m_requested=m_star,
-        fidelity_bound=fidelity(m_star),
+        fidelity_bound=float(fidelity(m_star)),
         one_shot_rate_bits=math.log2(m_star),
         zero_error_bits=zero.one_shot_bits,
         exact_flag=zero.exact,

@@ -21,9 +21,12 @@ O(classes) per row for any real m >= 1.
 
 A plain vector is the case c_j = 1 and a stack is more rows: ``mnorm``,
 ``waterfill_level`` and ``pure_distillation_fidelity`` sort magnitudes
-and call the evaluator, and ``class_distillation_fidelity`` turns a
-tensor power's type classes, given in log space, into counts capped at m
-and masses for it.  Two oracles bracket the norm from opposite sides:
+and call the evaluator with one row of counts shared by every row.
+``_class_fidelity`` hands it rows of classes with counts of their own,
+capped at m: a stack of tensor powers' type classes (``distill``), rows of
+fewer classes ending in zero classes, which change no row's value;
+``class_distillation_fidelity`` forms such rows from classes given in log
+space.  Two oracles bracket the norm from opposite sides:
 
 * ``mnorm_dual_oracle`` is ``<v, w>`` at the feasible dual point
   ``w = min(1, v / l)``, that is H_j + S_j / l, the evaluator's value: a
@@ -68,13 +71,17 @@ def _waterfill(l1, masses, counts, m):
 
     Each row lists its classes in descending order of magnitude a, by l1
     mass c a in ``l1`` and squared mass c a^2 in ``masses``; ``counts``
-    holds the multiplicities c, shared by every row.  Returns, per row,
-    the norm H + sqrt(m - K) sqrt(S) at the first class boundary K with
+    holds the multiplicities c, either shared by every row (one axis) or
+    one row of them per row (the shape of ``l1``).  Returns, per row, the
+    norm H + sqrt(m - K) sqrt(S) at the first class boundary K with
     a^2 (m - K) <= S, the squared mass S past it and the room m - K > 0.
+    Zero-mass classes after a row's last class change none of the three:
+    the split stops at the first of them, as at the zero class the
+    evaluator appends.
     """
     shape, c = l1.shape[:-1], l1.shape[-1]
-    starts = np.zeros(c + 1)
-    np.add.accumulate(counts, out=starts[1:])
+    starts = np.zeros(counts.shape[:-1] + (c + 1,))
+    np.add.accumulate(counts, axis=-1, out=starts[..., 1:])
     # squared mass from each boundary on and l1 sum before it, for the c
     # classes and the zero class after them
     tail, head = cols = np.zeros((2,) + shape + (c + 1,))
@@ -84,10 +91,12 @@ def _waterfill(l1, masses, counts, m):
     # end, a_j^2 (m - K_(j+1)) <= S_(j+1): for the class that reaches m the
     # left side is <= 0, so the split never passes it, whatever the rounding
     split = np.ones(shape + (c + 1,), dtype=bool)
-    np.less_equal(masses * ((m - starts[1:]) / counts), tail[..., 1:], out=split[..., :c])
+    np.less_equal(masses * ((m - starts[..., 1:]) / counts), tail[..., 1:], out=split[..., :c])
     j = split.argmax(axis=-1)
-    tail, head = cols.reshape(2, -1)[:, j.ravel() + np.arange(0, j.size * (c + 1), c + 1)]
-    tail, room = tail.reshape(shape), m - starts[j]
+    at = j.ravel() + np.arange(0, j.size * (c + 1), c + 1)
+    tail, head = cols.reshape(2, -1)[:, at]
+    start = starts[j] if starts.ndim == 1 else starts.reshape(-1)[at].reshape(shape)
+    tail, room = tail.reshape(shape), m - start
     return head.reshape(shape) + np.sqrt(room) * np.sqrt(tail), tail, room
 
 
@@ -182,23 +191,35 @@ def pure_distillation_fidelity(psi, m: int):
     return float(fid) if np.ndim(psi) <= 1 else fid
 
 
-def class_distillation_fidelity(log_mags, log_counts, m: int) -> float:
+def _class_fidelity(mags, masses, log_counts, m):
+    """Fidelity of each row of a stack of classes, descending per row:
+    class j of a row holds exp(log_counts[j]) entries of magnitude
+    mags[j], with squared mass masses[j] (their count times the square).
+
+    Counts are capped at m before they are recovered from their logs by
+    rounding: the split comes before m entries, so larger counts only
+    place boundaries that are never reached.  O(classes) per row, whatever
+    m is.  Rows may end in zero classes (zero magnitude, zero mass, any
+    count) to share one width.
+    """
+    m = _integer_m(m)
+    counts = np.rint(np.exp(np.minimum(log_counts, math.log(m))))
+    return _snapped_fidelity(_waterfill(counts * mags, masses, counts, m)[0], m)
+
+
+def class_distillation_fidelity(log_mags, log_counts, m: int):
     """``pure_distillation_fidelity`` of a vector given by classes of equal
     entries: class j holds exp(log_counts[j]) entries of magnitude
-    exp(log_mags[j]), with ``log_mags`` descending.
+    exp(log_mags[j]), with ``log_mags`` descending along the last axis.
 
     The evaluator reads each class's magnitude, its squared mass
     exp(log_counts + 2 log_mags), which stays in range when the count and
     the magnitude do not (n in the thousands for a tensor power's
-    diagonal), and its count capped at m: the split comes before m
-    entries, so larger counts only place boundaries that are never
-    reached.  Counts up to m are integers, recovered from their logs by
-    rounding.  O(classes), whatever m is.
+    diagonal), and its count capped at m (see ``_class_fidelity``).  Both
+    arguments may carry leading axes, one row of classes per vector; the
+    result is then one fidelity per row, and a float for one row.
     """
-    m = _integer_m(m)
     log_mags = np.asarray(log_mags, dtype=float)
     log_counts = np.asarray(log_counts, dtype=float)
-    counts = np.rint(np.exp(np.minimum(log_counts, math.log(m))))
-    value, _, _ = _waterfill(counts * np.exp(log_mags), np.exp(log_counts + 2.0 * log_mags),
-                             counts, m)
-    return float(_snapped_fidelity(value, m))
+    fid = _class_fidelity(np.exp(log_mags), np.exp(log_counts + 2.0 * log_mags), log_counts, m)
+    return float(fid) if log_mags.ndim <= 1 else fid

@@ -98,7 +98,7 @@ class TestRateCommand:
                             lambda probs, n: powers.append(n) or power(probs, n))
         assert main(["rate", str(qubit64), "--eps", "0.05", "--copies", "10"]) == 0
         assert len(calls) == 1
-        assert powers == [10]
+        assert powers == [[10]]
 
     def test_three_copies(self, qubit64, capsys):
         assert main(["rate", str(qubit64), "--eps", "0", "--copies", "3", "--json"]) == 0
@@ -367,6 +367,53 @@ class TestFigureCommand:
         spec = tmp_path / "many.json"
         spec.write_text(json.dumps({"family": "diag", "p_grid": [0.9], "copies": [copies]}))
         assert main(["figure", str(spec), "--out", str(tmp_path / "many.csv")]) == code
+
+    def test_every_point_equals_the_one_point_evaluator(self, tmp_path, capsys):
+        # a curve is evaluated as one stack of its (n, p) points, with rows
+        # of smaller n padded to the widest; each value must still be the
+        # one assisted_fidelity_from_probs gives the point alone, bit for bit
+        p_grid, copies = [0, 0.05, 0.5, 0.95, 1], [1, 2, 3, 10, 17, 1000]
+        curves = [{"family": family, "p_grid": p_grid, "copies": copies, "m": m}
+                  for family in ("diag", "offdiag", "depolarized")
+                  for m in (1, 2, 3, 7, 10 ** 9)]
+        spec, out = tmp_path / "all.json", tmp_path / "all.csv"
+        spec.write_text(json.dumps({"curves": curves}))
+        assert main(["figure", str(spec), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+        assert len(rows) == len(curves) * len(p_grid) * len(copies)
+        for family, p, n, m, fid in rows:
+            p, n, m = float(p), int(n), int(m)
+            probs = [0.5, 0.5] if family == "depolarized" else [p, 1.0 - p]
+            assert float(fid) == assisted_fidelity_from_probs(probs, n, m), (family, p, n, m)
+
+    @pytest.mark.parametrize("field", ["p_grid", "copies"])
+    def test_empty_grid_writes_header_only(self, field, tmp_path, capsys, monkeypatch):
+        # a curve with no points adds no rows and calls no evaluator
+        import cohdist.dnorm as dnorm
+
+        calls = []
+        evaluate = dnorm._waterfill
+        monkeypatch.setattr(dnorm, "_waterfill", lambda *a: calls.append(1) or evaluate(*a))
+        empty = {"family": "diag", "p_grid": [0.9], "copies": [2], field: []}
+        spec, out = tmp_path / "empty.json", tmp_path / "empty.csv"
+        spec.write_text(json.dumps(empty))
+        assert main(["figure", str(spec), "--out", str(out)]) == 0
+        assert out.read_text() == "family,p,n,m,F_assisted\n"
+        assert calls == []
+        spec.write_text(json.dumps([empty, {"family": "offdiag", "p_grid": [0.9], "copies": [2]}]))
+        assert main(["figure", str(spec), "--out", str(out)]) == 0
+        assert out.read_text().split("\n")[1:] == [
+            f"offdiag,0.9,2,2,{assisted_fidelity_from_probs([0.9, 1.0 - 0.9], 2, 2)!r}", ""]
+
+    def test_curve_past_the_table_bound_among_valid_curves(self, tmp_path, capsys):
+        curves = [{"family": "diag", "p_grid": [0.5, 0.9], "copies": [1, 2, 20]},
+                  {"family": "offdiag", "p_grid": [0.3], "copies": [3, 65536, 4]},
+                  {"family": "depolarized", "p_grid": [0.1], "copies": [2]}]
+        spec, out = tmp_path / "past.json", tmp_path / "past.csv"
+        spec.write_text(json.dumps(curves))
+        assert main(["figure", str(spec), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("capacity error: 65536 copies")
+        assert not out.exists()
 
     @pytest.mark.parametrize("content, message", [(None, "cannot read"),
                                                   ("{not json", "invalid JSON in")],

@@ -433,14 +433,33 @@ class TestTypeClasses:
             if d ** n <= 2 ** 14:
                 assert abs(got - _kronecker_fidelity(probs, n, m)) <= 1e-12, (n, m)
 
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_stack_matches_rows_alone(self, d):
+        # one type-class build and one water filling for a stack whose rows
+        # clip different classes (zero and negative entries in different
+        # places), and for rows of several n padded to one width: each
+        # value is the one the row gets alone, and the Kronecker power's
+        rows = [probs for probs, _ in self.CASES if len(probs) == d]
+        rows += [probs[::-1] for probs in rows]
+        stack = np.array(rows)
+        for m in (1, 2, 3, 5, 17):
+            for n in (2, 3, 7):
+                got = distill._power_fidelity(stack, [n] * len(rows))(m)
+                assert got.tolist() == [assisted_fidelity_from_probs(p, n, m) for p in rows]
+                assert max(abs(f - _kronecker_fidelity(p, n, m))
+                           for f, p in zip(got, rows)) <= 1e-12, (n, m)
+            copies = [7, 1, 2, 3, 2, 7, 1, 3, 7, 2][:len(rows)]
+            got = distill._power_fidelity(stack, copies)(m)
+            assert got.tolist() == [assisted_fidelity_from_probs(p, n, m)
+                                    for p, n in zip(rows, copies)], m
+
     def test_route_follows_n_and_d(self, monkeypatch):
         # the vector probs^n at n = 1 and for a single entry at any n, the
         # type classes at every other n >= 2, whatever d^n is
-        routes = []
-        monkeypatch.setattr(distill, "pure_distillation_fidelity",
-                            lambda *args: routes.append("vector") or 0.0)
-        monkeypatch.setattr(distill, "class_distillation_fidelity",
-                            lambda *args: routes.append("classes") or 0.0)
+        built = []
+        type_classes = distill._type_classes
+        monkeypatch.setattr(distill, "_type_classes",
+                            lambda probs, n: built.append(n) or type_classes(probs, n))
         cases = [
             ([0.6, 0.4], 1, "vector"),
             ([0.5, 0.3, 0.2], 1, "vector"),
@@ -455,8 +474,8 @@ class TestTypeClasses:
         ]
         for probs, n, route in cases:
             assisted_fidelity_from_probs(probs, n, 2)
-            assert routes == [route], (probs, n)
-            routes.clear()
+            assert ("classes" if built else "vector") == route, (probs, n)
+            built.clear()
 
     @pytest.mark.parametrize("n", [50, 300])
     @pytest.mark.parametrize("p", [0.99, 0.999, 0.9999])

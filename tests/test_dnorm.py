@@ -210,6 +210,23 @@ class TestAgainstSplitReference:
                 assert abs(got - min(ref * ref / m, 1.0)) <= 1e-12, (counts, m)
 
 
+    def test_class_stacks_match_rows_alone(self):
+        # rows of classes with counts of their own, padded with zero classes
+        # to one width: one call gives each row's value alone, bit for bit
+        rng = np.random.default_rng(80)
+        log_mags, log_counts = np.full((6, 5), -np.inf), np.zeros((6, 5))
+        for row in range(6):
+            k = int(rng.integers(1, 6))
+            log_mags[row, :k] = np.sort(np.log(rng.random(k) + 1e-3))[::-1]
+            log_counts[row, :k] = np.log(rng.integers(1, 6, k))
+        for m in (1, 2, 3, 7, 40):
+            got = class_distillation_fidelity(log_mags, log_counts, m)
+            alone = [class_distillation_fidelity(log_mags[row, :k], log_counts[row, :k], m)
+                     for row, k in enumerate(np.isfinite(log_mags).sum(axis=1))]
+            assert isinstance(alone[0], float)
+            assert got.tolist() == alone, m
+
+
 class TestOracles:
     def test_dual_uniform_vector(self):
         for d in (2, 4, 6):

@@ -12,14 +12,10 @@ gives the point alone.
 
 Exit codes: 0 success, 2 input error, 3 capacity, 4 numerical failure.
 Human tables print 6 significant digits; CSV and JSON carry full doubles.
-How many copies a command may take is decided in ``distill``, not here,
-and no option moves it: ``fidelity`` and ``rate`` accept an expanded
-dimension d^n up to 2^53 (53 qubit copies, 33 qutrit copies), and they and
-``figure`` stop where the type-class route's table would pass 2^17
-entries (65535 qubit copies, the only bound on ``figure``).  Past either
-bound, or past the largest count a double holds (which only a
-one-dimensional state reaches), ``distill`` raises ``CapExceeded``, which
-exits 3.
+How many copies a command may take is decided in ``distill`` (see its
+module docstring), not here, and no option moves it: past a bound
+``distill`` raises ``CapExceeded``, which exits 3.  An ``m`` past the
+largest double is ``BadM`` from ``dnorm``, an input error.
 
 ``fidelity`` and ``rate`` report closed-form values only; their
 ``fidelity_sdp`` fields carry the closed form, which equals the SDP value in

@@ -18,7 +18,8 @@ of the power's fidelity, ``_power_fidelity``, is built once per call and
 serves every m the call asks for.  It takes a stack of diagonals, each
 with its own n: a single state is a stack of one, and a ``figure`` curve
 is one stack of all its (n, p) points.  At n = 1 a row holds the diagonal
-itself, which reproduces the matrix path bit for bit.  At every n >= 2 it
+itself, which reproduces the matrix path bit for bit, and a single entry
+p holds p^n at any n.  At every other n >= 2 it
 reads the power by its types: the C(n+d-1, d-1) distinct products
 prod_i p_i^k_i with their multinomial multiplicities (sums of logs of
 exact binomials, so no large logs cancel), formed in log space for every
@@ -57,7 +58,9 @@ reciprocals from losing a whole level.
 A one-dimensional state has d^n = 1 at every n, so neither bound limits
 its copies; its one-entry power p^n is taken by ``pow``, in O(log n)
 steps.  Every entry point takes n as a double there, so a count past the
-largest double (about 1.8e308) raises ``CapExceeded`` too.
+largest double (about 1.8e308) raises ``CapExceeded`` too, as do the
+zero-error rates of a p^n below 1 / (largest double), whose floor(1/p^n)
+is no double.
 """
 
 import math
@@ -69,7 +72,7 @@ from itertools import groupby, repeat
 import numpy as np
 
 from . import ensembles
-from .dnorm import _class_fidelity, _snapped_fidelity, waterfill_level
+from .dnorm import _class_fidelity, _real_m, _snapped_fidelity, waterfill_level
 from .errors import BadM, CapExceeded, DimMismatch, NumericalFailure
 from .hermat import eig_psd, require_density, shannon_entropy
 
@@ -288,53 +291,45 @@ def _power_fidelity(probs, copies):
     m.  ``copies`` holds n: an int for a single diagonal, else one n per
     diagonal of the stack, in row order.
 
-    Every diagonal with n >= 2 and d >= 2 is read by its types, all of them
-    in one ``_type_classes`` build, in O(C(n+d-1, d-1)) each and within
-    1e-12 of the Kronecker power; a type table of more than 2^17 entries
-    raises ``CapExceeded`` before anything is built.  At n = 1, and for a
-    single entry at any n, a diagonal's classes are the entries of the
-    vector p^n, clipped at zero and square-rooted, each a class of one: at
-    n = 1 that is the matrix path bit for bit.  Rows of fewer classes end
-    in zero classes, which change no value, and every m evaluates all
-    diagonals with one water-filling call; each value is the one its
-    diagonal gets alone.  Nothing built grows with m.
+    The rows fall into two parts.  Every diagonal with n >= 2 and d >= 2
+    is read by its types, all of them in one ``_type_classes`` build, in
+    O(C(n+d-1, d-1)) each and within 1e-12 of the Kronecker power; a type
+    table of more than 2^17 entries raises ``CapExceeded`` before anything
+    is built.  The rest, diagonals at n = 1 and single entries at any n,
+    are one vector part: each row is raised to its own n by a column of
+    exponents, clipped at zero and square-rooted, and each entry is a
+    class of one.  At n = 1 that is the matrix path bit for bit.  Rows of
+    fewer classes end in zero classes, which change no value, and every m
+    evaluates all diagonals with one water-filling call; each value is the
+    one its diagonal gets alone.  Nothing built grows with m.
     """
     shape, d = probs.shape[:-1], probs.shape[-1]
     if d == 0:
         raise BadM("empty vector")
     copies = [_check_copies(n) for n in (copies if shape else [copies])]
     probs = probs.reshape(-1, d)
-    typed, vector = [], {}
-    for i, n in enumerate(copies):
-        if n > 1 and d > 1:
-            if _class_count(n, d) * d > 2 ** 17:
-                raise CapExceeded(f"{n} copies of {d} outcomes need over 2^17 type-table entries")
-            typed.append(i)
-        else:
-            vector.setdefault(n, []).append(i)
-
-    def rows_of(rows):  # a copy only for some of the rows
-        return probs if len(rows) == len(copies) else probs[rows]
-
+    typed = [i for i, n in enumerate(copies) if n > 1 and d > 1]
+    vector = [i for i, n in enumerate(copies) if n == 1 or d == 1]
+    for n in (copies[i] for i in typed):
+        if _class_count(n, d) * d > 2 ** 17:
+            raise CapExceeded(f"{n} copies of {d} outcomes need over 2^17 type-table entries")
     parts = []
     if typed:
-        log_mags, log_counts = _type_classes(rows_of(typed), [copies[i] for i in typed])
+        log_mags, log_counts = _type_classes(probs.take(typed, axis=0), [copies[i] for i in typed])
         parts.append((typed, np.exp(log_mags), np.exp(log_counts + 2.0 * log_mags), log_counts))
-    for n, rows in vector.items():
-        # n = 1, where x ** 1.0 == x, or one entry, whose n may pass what
-        # _types can index; n is the double numpy 2 converts it to, since
-        # numpy 1.x makes an int past 2^64 an object array
-        a = np.sqrt(np.maximum(rows_of(rows) ** float(n), 0.0))
-        a.sort(axis=-1)
-        a = a[..., ::-1]
-        parts.append((rows, a, a * a, np.zeros(a.shape)))
+    if vector:
+        # each row to its own n, a double: x ** 1.0 == x, and a single
+        # entry's n may pass what _types can index (numpy 1.x makes an int
+        # past 2^64 an object array)
+        powers = probs.take(vector, axis=0) ** np.array([[float(copies[i])] for i in vector])
+        a = np.sort(np.sqrt(np.maximum(powers, 0.0)), axis=-1)[..., ::-1]
+        parts.append((vector, a, a * a, np.zeros(a.shape)))
     if len(parts) == 1:  # its rows are all rows, in order
         planes = parts[0][1:]
-    else:
-        planes = np.zeros((3, len(copies), max(part[1].shape[-1] for part in parts)))
+    else:  # the typed rows are the widest; zero classes pad the vector rows
+        planes = np.zeros((3, len(copies), parts[0][1].shape[-1]))
         for rows, *part in parts:
-            for plane, values in zip(planes, part):
-                plane[rows, :values.shape[-1]] = values
+            planes[:, rows, :part[0].shape[-1]] = part
     # back to the leading axes of probs: one diagonal is a vector of classes
     return partial(_class_fidelity, *(x.reshape(shape + x.shape[-1:]) for x in planes))
 
@@ -366,12 +361,11 @@ def assisted_fidelity_from_probs(probs, n: int, m: int) -> float:
     the type classes of the power at every n >= 2 with d >= 2, the
     diagonal itself at n = 1.  A ``probs`` that is not one-dimensional
     raises ``DimMismatch``; its entries are not validated.  An ``m`` that
-    is not a positive integer raises ``BadM``, a ``n`` that is not a
-    positive integer raises ``ValueError``, and a type table past 2^17
-    entries (more than 65535 qubit copies) raises ``CapExceeded``; d^n
-    itself is not bounded here.
+    is not a positive integer or passes the largest double raises
+    ``BadM``, an ``n`` that is not a positive integer raises
+    ``ValueError``, and a type table past 2^17 entries (more than 65535
+    qubit copies) raises ``CapExceeded``; d^n itself is not bounded here.
     """
-    n = _check_copies(n)
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1:
         raise DimMismatch(f"probs must be a vector, got shape {probs.shape}")
@@ -421,9 +415,7 @@ def fidelity_certificate(rho, m) -> FidelityCertificate:
     """
     rho = require_density(rho, check_psd=False)
     d = rho.shape[0]
-    if not np.isfinite(m) or m < 1.0:
-        raise BadM(f"m must be >= 1, got {m}")
-    if m > d * (1.0 + 1e-12):
+    if _real_m(m) > d * (1.0 + 1e-12):
         raise BadM(f"no {d}-dimensional state has all diagonal entries <= 1/{m}")
     w, u = eig_psd(rho)
     v = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
@@ -529,6 +521,9 @@ def _zero_error(probs, n: int, declared_base_dim: int | None) -> ZeroErrorRate:
     # _power_fidelity
     q = float(np.max(probs))
     q_n = q ** n if probs.size == 1 else math.prod(repeat(q, n))
+    # only a one-entry power gets here: d^n <= 2^53 keeps q^n >= 2^-53
+    if q_n == 0.0 or 1.0 / q_n == math.inf:
+        raise CapExceeded(f"q^n = {q_n!r} at {n} copies: 1/q^n is past the largest double")
     return ZeroErrorRate(
         one_shot_bits=math.log2(_floor_guarded(1.0 / q_n)),
         asymptotic_bits_per_copy=0.0 - math.log2(q_n),  # +0.0, not -0.0, at q^n = 1
@@ -542,7 +537,8 @@ def zero_error_rate(rho, declared_base_dim: int | None = None,
     diagonal entry q^n of their tensor power, q the largest diagonal entry
     of ``rho``: one-shot log2(floor(1/q^n)) bits and asymptotically
     -log2(q^n) bits per copy of that power.  q^n is taken as a product of
-    n factors; no power is formed, and past d^n = 2^53 ``CapExceeded`` is
+    n factors; no power is formed, and past d^n = 2^53, or where 1/q^n
+    passes the largest double (a one-entry power only), ``CapExceeded`` is
     raised.  Exact when ``rho`` has dimension <= 3 or is a declared power
     of such a base (``declared_base_dim``); upper bounds otherwise."""
     rho = require_density(rho, check_psd=False)

@@ -17,16 +17,17 @@ test reads a^2 (m - K_j - c_j) <= S_(j+1) however many of its entries are
 capped, so the split falls on a class boundary.  A zero class after the
 last covers a support of at most m entries (then S_j = 0 and the norm is
 the l1 norm), so nothing is padded to m entries and the cost is
-O(classes) per row for any real m >= 1.
+O(classes) per row for any real m >= 1.  The evaluator reads m as a
+double: an m below 1, past the largest double (about 1.8e308) or not a
+number raises ``BadM``.
 
 A plain vector is the case c_j = 1 and a stack is more rows: ``mnorm``,
 ``waterfill_level`` and ``pure_distillation_fidelity`` sort magnitudes
 and call the evaluator with one row of counts shared by every row.
 ``_class_fidelity`` hands it rows of classes with counts of their own,
-capped at m: a stack of tensor powers' type classes (``distill``), rows of
-fewer classes ending in zero classes, which change no row's value;
-``class_distillation_fidelity`` forms such rows from classes given in log
-space.  Two oracles bracket the norm from opposite sides:
+capped at m: the stack ``distill`` builds of tensor powers' type classes
+and plain vectors, rows of fewer classes ending in zero classes, which
+change no row's value.  Two oracles bracket the norm from opposite sides:
 
 * ``mnorm_dual_oracle`` is ``<v, w>`` at the feasible dual point
   ``w = min(1, v / l)``, that is H_j + S_j / l, the evaluator's value: a
@@ -40,6 +41,7 @@ which certifies the level and the value.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +50,6 @@ from .errors import BadM
 
 __all__ = [
     "MNormResult",
-    "class_distillation_fidelity",
     "mnorm",
     "mnorm_dual_oracle",
     "mnorm_primal_oracle",
@@ -113,9 +114,17 @@ def _vector_waterfill(v, m):
     return (a, *_waterfill(a, a * a, np.ones(a.shape[-1]), m))
 
 
+def _bad_m(kind: str, m) -> BadM:
+    # an m past the largest double is not printed: str() of an int of more
+    # than 4300 digits raises ValueError
+    got = "a value past it" if m > sys.float_info.max else m
+    return BadM(f"m must be {kind} from 1 to the largest double, got {got}")
+
+
 def _real_m(m) -> float:
-    if not np.isfinite(m) or m < 1.0:
-        raise BadM(f"m must be >= 1, got {m}")
+    """``m`` as a double; ``BadM`` unless 1 <= m <= the largest double."""
+    if not 1.0 <= m <= sys.float_info.max:
+        raise _bad_m("a real number", m)
     return float(m)
 
 
@@ -169,8 +178,10 @@ def mnorm_primal_oracle(v, m: float) -> float:
 
 
 def _integer_m(m) -> int:
-    if m < 1 or abs(m - round(m)) > _INTEGER_TOL:
-        raise BadM(f"m must be a positive integer, got {m}")
+    """``m`` as an int; ``BadM`` unless it is within 1e-9 of an integer
+    from 1 to the largest double."""
+    if not 1 <= m <= sys.float_info.max or abs(m - round(m)) > _INTEGER_TOL:
+        raise _bad_m("an integer", m)
     return int(round(m))
 
 
@@ -206,20 +217,3 @@ def _class_fidelity(mags, masses, log_counts, m):
     counts = np.rint(np.exp(np.minimum(log_counts, math.log(m))))
     return _snapped_fidelity(_waterfill(counts * mags, masses, counts, m)[0], m)
 
-
-def class_distillation_fidelity(log_mags, log_counts, m: int):
-    """``pure_distillation_fidelity`` of a vector given by classes of equal
-    entries: class j holds exp(log_counts[j]) entries of magnitude
-    exp(log_mags[j]), with ``log_mags`` descending along the last axis.
-
-    The evaluator reads each class's magnitude, its squared mass
-    exp(log_counts + 2 log_mags), which stays in range when the count and
-    the magnitude do not (n in the thousands for a tensor power's
-    diagonal), and its count capped at m (see ``_class_fidelity``).  Both
-    arguments may carry leading axes, one row of classes per vector; the
-    result is then one fidelity per row, and a float for one row.
-    """
-    log_mags = np.asarray(log_mags, dtype=float)
-    log_counts = np.asarray(log_counts, dtype=float)
-    fid = _class_fidelity(np.exp(log_mags), np.exp(log_counts + 2.0 * log_mags), log_counts, m)
-    return float(fid) if log_mags.ndim <= 1 else fid

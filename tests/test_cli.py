@@ -513,6 +513,26 @@ class TestExitCodes:
         monkeypatch.setattr(np.linalg, "eigh", fail)
         assert main(["fidelity", str(qubit64)]) == 4
 
+    def test_m_past_the_largest_double(self, qubit64, tmp_path, capsys):
+        # an m no double holds is an input error, not an OverflowError, and
+        # figure writes no CSV; the largest m a double holds still evaluates
+        spec, out = tmp_path / "m.json", tmp_path / "m.csv"
+        curve = {"family": "diag", "p_grid": [0.6], "copies": [1, 3]}
+        spec.write_text(json.dumps({**curve, "m": 10 ** 400}))
+        assert main(["fidelity", str(qubit64), "--m", str(10 ** 400)]) == 2
+        assert main(["figure", str(spec), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("input error: m must be") == 2 and "Traceback" not in err
+        m = int(sys.float_info.max)
+        spec.write_text(json.dumps({**curve, "m": m}))
+        assert main(["fidelity", str(qubit64), "--m", str(m), "--json"]) == 0
+        bound = json.loads(capsys.readouterr().out)["fidelity_bound"]
+        assert bound == assisted_fidelity_from_probs([0.6, 0.4], 1, m) > 0.0
+        assert main(["figure", str(spec), "--out", str(out)]) == 0
+        assert [row.split(",")[-1] for row in out.read_text().split()[1:]] == [
+            repr(assisted_fidelity_from_probs([0.6, 0.4], n, m)) for n in (1, 3)]
+
     def test_nonpositive_copies(self, qubit64, capsys):
         for cmd in ("fidelity", "rate"):
             assert main([cmd, str(qubit64), "--copies", "0"]) == 2

@@ -74,6 +74,25 @@ class TestFidelityBound:
         with pytest.raises(BadM):  # on the type-class route too
             assisted_fidelity_bound(random_density(2, rng), 1.5, copies=20)
 
+    @pytest.mark.parametrize("m", [10 ** 400, math.inf, math.nan], ids=["1e400", "inf", "nan"])
+    def test_m_past_the_largest_double(self, m):
+        rho = np.diag([0.6, 0.4]).astype(complex)
+        calls = (lambda: assisted_fidelity_from_probs([0.6, 0.4], 1, m),
+                 lambda: assisted_fidelity_from_probs([0.6, 0.4], 3, m),
+                 lambda: assisted_fidelity_bound(rho, m, copies=2),
+                 lambda: fidelity_certificate(rho, m))
+        for call in calls:
+            with pytest.raises(BadM):
+                call()
+
+    def test_largest_double_m(self):
+        # every class is capped: the fidelity is the squared l1 norm over m
+        m = int(sys.float_info.max)
+        for n in (1, 3):
+            l1 = (math.sqrt(0.6) + math.sqrt(0.4)) ** n
+            got = assisted_fidelity_from_probs([0.6, 0.4], n, m)
+            assert abs(got - l1 * l1 / m) <= 1e-12 * l1 * l1 / m, n
+
     def test_tensor_power_consistency(self, rng):
         # the bound of a tensor power can be computed from the Kronecker
         # power of the base diagonal-root vector without materializing it
@@ -433,13 +452,18 @@ class TestTypeClasses:
             if d ** n <= 2 ** 14:
                 assert abs(got - _kronecker_fidelity(probs, n, m)) <= 1e-12, (n, m)
 
-    @pytest.mark.parametrize("d", [3, 4])
+    # single entries, which take the vector part at every n
+    ONE_ENTRY = [[0.7], [1.0], [0.3], [1.0 + 5e-11], [-5e-11]]
+
+    @pytest.mark.parametrize("d", [1, 3, 4])
     def test_stack_matches_rows_alone(self, d):
         # one type-class build and one water filling for a stack whose rows
         # clip different classes (zero and negative entries in different
         # places), and for rows of several n padded to one width: each
-        # value is the one the row gets alone, and the Kronecker power's
-        rows = [probs for probs, _ in self.CASES if len(probs) == d]
+        # value is the one the row gets alone, and the Kronecker power's.
+        # Single entries of several n in one stack are each raised to their
+        # own n
+        rows = self.ONE_ENTRY if d == 1 else [probs for probs, _ in self.CASES if len(probs) == d]
         rows += [probs[::-1] for probs in rows]
         stack = np.array(rows)
         for m in (1, 2, 3, 5, 17):
@@ -640,6 +664,21 @@ class TestCopyBounds:
         assert assisted_fidelity_from_probs([1.0], n, 2) == assisted_fidelity_bound(one, 2)
         assert one_shot_rate(one, 0.05, copies=n) == one_shot_rate(one, 0.05)
         assert zero_error_rate(one, copies=n) == zero_error_rate(one)
+
+    @pytest.mark.parametrize("n", [72 * 10 ** 12, 10 ** 14], ids=["subnormal", "zero"])
+    def test_one_dimensional_power_past_the_smallest_double(self, n):
+        # (1 - 1e-11)^n is about e^-720, below 1 / (largest double), and
+        # e^-1000, which is 0.0: floor(1/q^n) is then no double, a capacity
+        # error as for copies past the largest double.  The fidelity has no
+        # such quotient and keeps its value
+        rho = np.full((1, 1), 1.0 - 1e-11, dtype=complex)
+        with pytest.raises(CapExceeded):
+            zero_error_rate(rho, copies=n)
+        with pytest.raises(CapExceeded):
+            one_shot_rate(rho, 0.05, copies=n)
+        assert 0.0 <= assisted_fidelity_bound(rho, 1, copies=n) < 1e-300
+        if n == 10 ** 14:
+            assert assisted_fidelity_bound(rho, 1, copies=n) == 0.0
 
     def test_copies_past_the_largest_double(self):
         one = np.ones((1, 1), dtype=complex)

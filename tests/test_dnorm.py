@@ -2,14 +2,16 @@
 classes, against a brute-force split-index reference and the primal/dual
 bracket."""
 
+import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from cohdist.dnorm import (
+    _class_fidelity,
     _vector_waterfill,
-    class_distillation_fidelity,
     mnorm,
     mnorm_dual_oracle,
     mnorm_primal_oracle,
@@ -117,6 +119,23 @@ class TestMnorm:
         with pytest.raises(BadM):
             mnorm_dual_oracle([1.0], 0.0)
 
+    @pytest.mark.parametrize("m", [10 ** 400, 10 ** 5000, math.inf, math.nan],
+                             ids=["1e400", "1e5000", "inf", "nan"])
+    def test_m_past_the_largest_double(self, m):
+        # the evaluator takes m as a double, so an m no double holds is BadM,
+        # not a TypeError or OverflowError from the conversion, and the
+        # message does not print an int too long for str()
+        for call in (mnorm, mnorm_dual_oracle, mnorm_primal_oracle, waterfill_level,
+                     pure_distillation_fidelity):
+            with pytest.raises(BadM):
+                call([0.6, 0.8], m)
+
+    def test_largest_double_m(self):
+        # every entry is capped: the norm is the l1 norm
+        m = int(sys.float_info.max)
+        assert mnorm([0.6, 0.8], m).value == mnorm_dual_oracle([0.6, 0.8], m) == 0.6 + 0.8
+        assert pure_distillation_fidelity([0.6, 0.8], m) == (0.6 + 0.8) ** 2 / m
+
 
 class TestRowBatchedScan:
     @staticmethod
@@ -206,24 +225,23 @@ class TestAgainstSplitReference:
             mags, v = mags / np.linalg.norm(v), v / np.linalg.norm(v)
             for m in range(1, v.size + 3):
                 ref = split_reference(v, m)
-                got = class_distillation_fidelity(np.log(mags), np.log(counts), m)
+                got = _class_fidelity(mags, counts * mags ** 2, np.log(counts), m)
                 assert abs(got - min(ref * ref / m, 1.0)) <= 1e-12, (counts, m)
-
 
     def test_class_stacks_match_rows_alone(self):
         # rows of classes with counts of their own, padded with zero classes
         # to one width: one call gives each row's value alone, bit for bit
         rng = np.random.default_rng(80)
-        log_mags, log_counts = np.full((6, 5), -np.inf), np.zeros((6, 5))
+        mags, counts = np.zeros((6, 5)), np.ones((6, 5))
         for row in range(6):
             k = int(rng.integers(1, 6))
-            log_mags[row, :k] = np.sort(np.log(rng.random(k) + 1e-3))[::-1]
-            log_counts[row, :k] = np.log(rng.integers(1, 6, k))
+            mags[row, :k] = np.sort(rng.random(k) + 1e-3)[::-1]
+            counts[row, :k] = rng.integers(1, 6, k)
+        masses, log_counts = counts * mags ** 2, np.log(counts)
         for m in (1, 2, 3, 7, 40):
-            got = class_distillation_fidelity(log_mags, log_counts, m)
-            alone = [class_distillation_fidelity(log_mags[row, :k], log_counts[row, :k], m)
-                     for row, k in enumerate(np.isfinite(log_mags).sum(axis=1))]
-            assert isinstance(alone[0], float)
+            got = _class_fidelity(mags, masses, log_counts, m)
+            alone = [float(_class_fidelity(mags[row, :k], masses[row, :k], log_counts[row, :k], m))
+                     for row, k in enumerate(np.count_nonzero(mags, axis=1))]
             assert got.tolist() == alone, m
 
 

@@ -13,10 +13,14 @@ distill
 ensembles
     Same-diagonal decompositions, ensemble search, steering.
 cli
-    Command-line front end (``cohdist`` entry point).
+    Command-line front end (``cohdist`` entry point, or
+    ``python -m cohdist.cli``).  ``import cohdist`` does not load it: the
+    first read of ``cohdist.cli`` imports it.
 """
 
-from . import cli, distill, dnorm, ensembles, errors, hermat, stateio
+import importlib
+
+from . import distill, dnorm, ensembles, errors, hermat, stateio
 
 __version__ = "0.1.0"
 
@@ -30,3 +34,11 @@ __all__ = [
     "stateio",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # PEP 562: only names not found in the module land here.  Importing the
+    # submodule binds it as an attribute, so this runs once per process
+    if name == "cli":
+        return importlib.import_module(__name__ + ".cli")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -24,10 +24,13 @@ they read n copies through the power of the base state's diagonal (the
 evaluator behind ``distill.assisted_fidelity_from_probs``, which ``rate``
 also bisects m* on) and never form the d^n x d^n matrix.
 
-The argument parser is built once per process, on the first ``main`` call
-(importing the package builds nothing), and every later call parses with
-it.  Parsing does not mutate an argparse parser and every default is an
-immutable scalar, so ``main`` may run from several threads at once.
+``import cohdist`` does not load this module; the first read of
+``cohdist.cli`` does, and ``python -m cohdist.cli`` runs it once, as
+``__main__``.  The argument parser is built once per process, on the first
+``main`` call (importing the module builds nothing), and every later call
+parses with it.  Parsing does not mutate an argparse parser and every
+default is an immutable scalar, so ``main`` may run from several threads
+at once.
 """
 
 import argparse

@@ -225,14 +225,14 @@ def _type_classes(probs: np.ndarray, copies) -> tuple[np.ndarray, np.ndarray]:
 
     A product is clipped to zero when it has a zero factor or an odd number
     of negative ones; an even number of negative factors leaves it
-    positive, as clipping the Kronecker power (the diagonal of the
-    materialized tensor power) after powering does.  A clipped class keeps
-    its place in the table with log magnitude -inf, so it sorts after the
-    row's other classes, and rows of fewer types are padded with such
-    classes, so every row has the width of the largest table.  A class's
-    log magnitude is half the product of its counts with the row's
-    log |p_i| (log 1 for a zero p_i, whose classes are clipped): one
-    matrix-vector product per row, the one a row alone gets.
+    positive, as clipping the Kronecker power's diagonal after powering
+    does.  A clipped class keeps its place in the table with log magnitude
+    -inf, so it sorts after the row's other classes, and rows of fewer
+    types are padded with such classes, so every row has the width of the
+    largest table.  A class's log magnitude is half the product of its
+    counts with the row's log |p_i| (log 1 for a zero p_i, whose classes
+    are clipped): one matrix-vector product per row, the one a row alone
+    gets.
     """
     d = probs.shape[-1]
     runs = [(_types(n, d), len(list(run))) for n, run in groupby(copies)]
@@ -515,7 +515,7 @@ def one_shot_rate(rho, eps: float, declared_base_dim: int | None = None,
 
 def _zero_error(probs, n: int, declared_base_dim: int | None) -> ZeroErrorRate:
     # q^n as the left-to-right product q * q * ... * q: the products of the
-    # Kronecker power (hermat.tensor_power's diagonal) are formed in that
+    # Kronecker power's diagonal, folded left to right, are formed in that
     # order and rounding is monotone, so this is its largest entry bit for
     # bit, with no vector built.  A single entry is raised by pow, as in
     # _power_fidelity

@@ -60,6 +60,7 @@ __all__ = [
     "MinMaxInfNormSq",
     "SteeringMeasurement",
     "ensemble_search",
+    "evaluate",
     "purify",
     "same_diagonal_decomposition",
     "steering_measurement",
@@ -243,16 +244,14 @@ def same_diagonal_decomposition(rho) -> Ensemble:
 # terms, each computed from its atom's row alone and 0 for atoms at or
 # below the weight floor: masked, never dropped, so a stack keeps its
 # shape.  ``combine(terms, weights)`` reduces (..., k) terms and weights
-# w_i to one value per ensemble, and ``evaluate(probs)`` is
-# combine(terms(probs), probs.sum(-1)).  Every shipped objective measures
-# the coherence of a pure state, which diagonal phases leave unchanged, so
-# it reads atom i only through these squared amplitudes.
+# w_i to one value per ensemble.  Every shipped objective measures the
+# coherence of a pure state, which diagonal phases leave unchanged, so it
+# reads atom i only through these squared amplitudes.
 
 
-def _evaluate(objective, probs):
-    # each objective class defines its own ``evaluate`` calling this, so
-    # that cohbench's tracer, which wraps the method in the class's own
-    # namespace, finds it
+def evaluate(objective, probs):
+    """An objective's value on ``probs`` of shape (..., k, d), one value per
+    ensemble: ``combine(terms(probs), probs.sum(-1))``."""
     probs = np.asarray(probs, dtype=float)
     return objective.combine(objective.terms(probs), probs.sum(axis=-1))
 
@@ -277,9 +276,6 @@ class MaxAvgPureFidelity:
     def combine(self, terms, weights):
         return np.sum(terms, axis=-1)
 
-    def evaluate(self, probs):
-        return _evaluate(self, probs)
-
 
 @dataclass(frozen=True)
 class MinMaxInfNormSq:
@@ -297,9 +293,6 @@ class MinMaxInfNormSq:
 
     def combine(self, terms, weights):
         return np.max(terms, axis=-1)
-
-    def evaluate(self, probs):
-        return _evaluate(self, probs)
 
 
 def _xlog2x(p):
@@ -332,9 +325,6 @@ class MaxAvgDiagEntropy:
         if not (abs(weights.sum(axis=-1) - 1.0) <= _DISTRIBUTION).all():
             raise NotDistribution(f"ensemble weights do not sum to 1 within {_DISTRIBUTION:.0e}")
         return terms.sum(axis=-1)
-
-    def evaluate(self, probs):
-        return _evaluate(self, probs)
 
 
 def _eigen_basis(rho):
@@ -416,11 +406,11 @@ def ensemble_search(
     reduces (..., k) terms and weights w_i = ``probs.sum(-1)`` to one value
     per ensemble.  The search calls ``terms`` on (B, 2, d) stacks of
     rotated rows, so a term that looked at other rows would be scored
-    wrongly.  The returned value is ``objective.evaluate`` on the returned
-    ensemble, which the shipped objectives define as
-    combine(terms(probs), probs.sum(-1)).  The objective is thereby blind
-    to the phases of the atoms' entries, as the shipped coherence measures
-    are.
+    wrongly.  The returned value is ``evaluate(objective, probs)``,
+    combine(terms(probs), probs.sum(-1)), on the returned ensemble, so
+    ``sense``, ``terms`` and ``combine`` are the whole contract.  Reading
+    only squared amplitudes, the objective is blind to the phases of the
+    atoms' entries, as the shipped coherence measures are.
     """
     rho = require_density(rho, check_psd=False)
     d = rho.shape[0]
@@ -452,7 +442,7 @@ def ensemble_search(
     ens = _ensemble(amps[np.argmin(costs)])  # the first minimum, as a strict scan keeps
     if not (residual := ens.reconstruction_residual(rho)) <= 1e-8:
         raise NumericalFailure(f"searched ensemble misses rho by {residual:.2e}")
-    return ens, float(objective.evaluate(ens.weights[:, None] * _squared(ens.atoms)))
+    return ens, float(evaluate(objective, ens.weights[:, None] * _squared(ens.atoms)))
 
 
 def _rotation_search(objective, amps0, budget, step0=0.3, step_min=1e-7):

@@ -3,9 +3,8 @@
 All higher-level quantities in the package reduce to the handful of
 operations here: validation of density matrices, Hermitian
 eigendecomposition (LAPACK through ``numpy.linalg.eigh``) with its PSD
-gate, Shannon entropy and random density matrices.  Uhlmann fidelity and
-tensor powers are the materialized references the closed forms are
-tested against.
+gate, Shannon entropy and random density matrices.  Nothing here forms a
+tensor power: the closed forms read n copies from the base diagonal.
 
 Matrices and vectors are plain ``numpy`` arrays (complex128).  Validators
 raise the typed errors from :mod:`cohdist.errors`.  The validation gates
@@ -13,14 +12,12 @@ live here and nowhere else: a validated matrix is Hermitian to 1e-12
 entrywise with trace 1 to 1e-10, the eigensolver rejects a Hermitian
 defect above 1e-9, a probability vector sums to 1 to 1e-9, and the PSD
 floor is -1e-10: ``eig_psd`` is the one check of it, and eigenvalues in
-``[-1e-10, 0)`` count as zero.  ``TENSOR_DIM_CAP`` (1024) is the fixed
-bound on a materialized tensor-power dimension.
+``[-1e-10, 0)`` count as zero.
 """
 
 import numpy as np
 
 from .errors import (
-    CapExceeded,
     DimMismatch,
     NonHermitian,
     NotDistribution,
@@ -29,15 +26,12 @@ from .errors import (
 )
 
 __all__ = [
-    "TENSOR_DIM_CAP",
     "eig_hermitian",
     "eig_psd",
-    "fidelity",
     "hermitian_defect",
     "random_density",
     "require_density",
     "shannon_entropy",
-    "tensor_power",
 ]
 
 _HERMITIAN_ENTRY = 1e-12   # |a_ij - conj(a_ji)| for validated matrices
@@ -45,8 +39,6 @@ _HERMITIAN_OP = 1e-9       # eigensolver rejects beyond this defect
 _PSD_EIG_FLOOR = -1e-10    # eigenvalues above this are clamped to 0
 _TRACE_ONE = 1e-10
 _DISTRIBUTION = 1e-9
-
-TENSOR_DIM_CAP = 1024      # largest materialized tensor-power dimension
 
 
 def _as_complex_matrix(a) -> np.ndarray:
@@ -128,52 +120,6 @@ def eig_psd(mat):
     if w[0] < _PSD_EIG_FLOOR:
         raise NotPSD(f"minimum eigenvalue {w[0]:.3e} below {_PSD_EIG_FLOOR:.0e}")
     return w, v
-
-
-def fidelity(rho, sigma) -> float:
-    """Squared Uhlmann fidelity ``||sqrt(rho) sqrt(sigma)||_1^2``.
-
-    The trace norm is evaluated through the Hermitian product
-    ``sqrt(rho) sigma sqrt(rho)``: its eigenvalues are the squared
-    singular values of ``sqrt(rho) sqrt(sigma)``, so the trace norm is
-    the sum of their square roots.  ``sqrt(rho)`` is the PSD square root
-    from ``eig_psd``, so a ``rho`` below the PSD floor raises ``NotPSD``.
-    Tiny negative eigenvalues (above the floor -1e-10) are clamped to zero,
-    and so is rounding above 1 up to 1e-9; a larger excess (unnormalized
-    input) raises ``NumericalFailure``.
-    """
-    a = _as_complex_matrix(rho)
-    b = _as_complex_matrix(sigma)
-    if a.shape != b.shape:
-        raise DimMismatch(f"dimension mismatch: {a.shape} vs {b.shape}")
-    w, v = eig_psd(a)
-    ra = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    ra = 0.5 * (ra + ra.conj().T)
-    prod = ra @ b @ ra
-    w, _ = eig_hermitian(0.5 * (prod + prod.conj().T))
-    # rounding noise below 1e-13 of the top eigenvalue is an exact zero of
-    # the product; sqrt would otherwise amplify it to ~1e-7
-    w[w < 1e-13 * max(float(w[-1]), 1e-30)] = 0.0
-    val = float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
-    if val > 1.0 + 1e-9:
-        raise NumericalFailure(f"fidelity {val!r} exceeds 1 by more than rounding")
-    return min(max(val, 0.0), 1.0)
-
-
-def tensor_power(rho, n: int) -> np.ndarray:
-    """n-fold Kronecker power of a matrix, at most ``TENSOR_DIM_CAP`` in
-    total dimension."""
-    mat = _as_complex_matrix(rho)
-    if n < 1 or int(n) != n:
-        raise ValueError(f"copies must be a positive integer, got {n}")
-    if mat.shape[0] ** n > TENSOR_DIM_CAP:
-        raise CapExceeded(
-            f"dim {mat.shape[0]}^{n} = {mat.shape[0] ** n} exceeds cap {TENSOR_DIM_CAP}"
-        )
-    out = mat
-    for _ in range(int(n) - 1):
-        out = np.kron(out, mat)
-    return out
 
 
 def shannon_entropy(diagonal):

@@ -16,14 +16,14 @@ numbers are a ``ParseError``, never truncated.  A ``declared_base`` needs
 checked in time bounded by log dim, whatever ``copies``.  Each entry part
 is a JSON integer or float and ``renormalize`` a JSON boolean; anything
 else, booleans and numeric strings included, is a ``ParseError``, never
-converted.  Parsing gates: finite entries, Hermiticity 1e-9 entrywise,
-trace within 1e-8 of one (after the optional renormalization).  Accepted
-states are then symmetrized and trace-normalized exactly, so the stricter
-internal Hermiticity and trace invariants hold downstream.  Normalization
-cannot repair a negative eigenvalue, so the PSD gate on the normalized
-state is the internal one, ``hermat.eig_psd`` (floor -1e-10), reported as
-a ``ParseError`` with the same message, and no command rejects as non-PSD
-a file that loaded.
+converted.  Parsing gates: finite entries and a finite trace, Hermiticity
+1e-9 entrywise, trace within 1e-8 of one (after the optional
+renormalization).  Accepted states are then symmetrized and
+trace-normalized exactly, so the stricter internal Hermiticity and trace
+invariants hold downstream.  Normalization cannot repair a negative
+eigenvalue, so the PSD gate on the normalized state is the internal one,
+``hermat.eig_psd`` (floor -1e-10), reported as a ``ParseError`` with the
+same message, and no command rejects as non-PSD a file that loaded.
 """
 
 import json
@@ -94,8 +94,11 @@ def parse_state(obj) -> tuple[np.ndarray, dict | None]:
     renormalize = obj.get("renormalize", False)
     if not isinstance(renormalize, bool):
         raise ParseError(f"renormalize must be true or false, got {renormalize!r}")
-    if renormalize:
+    with np.errstate(over="ignore"):  # finite entries can sum past the largest double
         tr = np.trace(rho).real
+    if not np.isfinite(tr):
+        raise ParseError("trace is not finite: the diagonal sums past the largest double")
+    if renormalize:
         if abs(tr) < 1e-12:
             raise ParseError("cannot renormalize a traceless matrix")
         rho = rho / tr

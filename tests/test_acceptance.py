@@ -31,7 +31,9 @@ from cohdist.ensembles import (
     ensemble_search,
     same_diagonal_decomposition,
 )
-from cohdist.hermat import random_density, shannon_entropy, tensor_power
+from cohdist.hermat import random_density, shannon_entropy
+
+from reference import tensor_power
 
 
 class _Budget:

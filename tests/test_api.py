@@ -1,5 +1,6 @@
-"""Every name in a module's ``__all__`` resolves (``errors`` has none), and
-importing the package leaves ``numpy.random`` unloaded."""
+"""Every name in a module's ``__all__`` resolves (``errors`` has none),
+importing the package leaves ``numpy.random`` and the command line
+unloaded, and ``python -m cohdist.cli`` runs the module once."""
 
 import inspect
 import os
@@ -11,8 +12,15 @@ import pytest
 
 import cohdist
 
-MODULES = [cohdist] + [module for module in map(cohdist.__dict__.get, cohdist.__all__)
+# getattr, not the package's __dict__: it loads ``cli``, which the package
+# imports on first use
+MODULES = [cohdist] + [module for module in (getattr(cohdist, name) for name in cohdist.__all__)
                        if inspect.ismodule(module) and hasattr(module, "__all__")]
+ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cohdist.__file__))}
+
+
+def run_python(*args):
+    return subprocess.run([sys.executable, *args], env=ENV, capture_output=True, text=True)
 
 
 @pytest.mark.parametrize("module", MODULES, ids=[m.__name__ for m in MODULES])
@@ -24,8 +32,21 @@ def test_all_names_resolve(module):
                     reason="numpy 1.x imports numpy.random itself")
 def test_import_leaves_numpy_random_unloaded():
     # only the commands and helpers that draw random numbers need it
-    code = "import sys, numpy, cohdist; print('numpy.random' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cohdist.__file__))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+    out = run_python("-c", "import sys, numpy, cohdist; print('numpy.random' in sys.modules)")
+    assert (out.returncode, out.stdout.strip()) == (0, "False")
+
+
+def test_import_leaves_the_command_line_unloaded():
+    # argparse counts only if the package loads it, not numpy
+    code = ("import sys, numpy; before = set(sys.modules); import cohdist;"
+            " new = set(sys.modules) - before; print('argparse' in new, 'cohdist.cli' in new);"
+            " print(cohdist.cli.main.__module__)")
+    out = run_python("-c", code)
+    assert (out.returncode, out.stdout.split("\n")[:2]) == (0, ["False False", "cohdist.cli"])
+
+
+def test_module_route_runs_without_warnings():
+    # runpy warns when the package has already imported the module it runs
+    out = run_python("-W", "error::RuntimeWarning", "-m", "cohdist.cli", "--help")
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.startswith("usage: ")

@@ -14,7 +14,9 @@ import pytest
 from cohdist.distill import assisted_fidelity_sdp, fidelity_certificate, one_shot_rate
 from cohdist.dnorm import mnorm, pure_distillation_fidelity
 from cohdist.errors import BadM, NonHermitian, NumericalFailure
-from cohdist.hermat import fidelity, random_density
+from cohdist.hermat import random_density
+
+from reference import fidelity
 
 
 def gram(cert):

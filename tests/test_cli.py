@@ -17,8 +17,10 @@ from cohdist.distill import (
     one_shot_rate,
     zero_error_rate,
 )
-from cohdist.hermat import random_density, tensor_power
+from cohdist.hermat import random_density
 from cohdist.stateio import dump_state, load_state
+
+from reference import tensor_power
 
 
 @pytest.fixture
@@ -184,7 +186,7 @@ class TestCopies:
         path = tmp_path / "base.json"
         dump_state(random_density(d, np.random.default_rng(10 * d + rank), rank=rank), path)
         base, _ = load_state(path)
-        max_copies = {2: 10, 3: 6}[d]  # the largest d^n within TENSOR_DIM_CAP (1024)
+        max_copies = {2: 10, 3: 6}[d]  # the largest d^n of at most 1024 entries
         for n in range(1, max_copies + 1):
             big = tensor_power(base, n)
             tol = 0.0 if n == 1 else 1e-12
@@ -339,7 +341,7 @@ class TestFigureCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_delta_route_matches_matrix_route_bitwise(self):
-        # n = 10 is the last qubit power tensor_power materializes (1024);
+        # up to n = 10, a materialized qubit power of 1024 entries;
         # n = 1 is bit for bit, the type classes at n >= 2 within 1e-12
         for p in (0.3, 0.6, 0.9):
             for fam_probs in (np.array([p, 1 - p]), np.array([0.5, 0.5])):

@@ -30,14 +30,10 @@ from cohdist.ensembles import (
     same_diagonal_decomposition,
 )
 from cohdist.errors import BadM, CapExceeded, DimMismatch, NotPSD, NumericalFailure, ParseError
-from cohdist.hermat import (
-    fidelity,
-    random_density,
-    require_density,
-    shannon_entropy,
-    tensor_power,
-)
+from cohdist.hermat import random_density, require_density, shannon_entropy
 from cohdist.stateio import parse_state, state_to_dict
+
+from reference import fidelity, tensor_power
 
 
 def m2_closed_form(q):

@@ -328,13 +328,13 @@ class TestStackedEvaluation:
     def test_stack_matches_each_ensemble(self, rng, objective, d):
         amps, probs = random_stack(rng, d, 6,
                                    normalized=isinstance(objective, MaxAvgDiagEntropy))
-        values = objective.evaluate(probs)
+        values = ensembles.evaluate(objective, probs)
         assert values.shape == (6,)
-        nested = objective.evaluate(probs.reshape(2, 3, d + 1, d))
+        nested = ensembles.evaluate(objective, probs.reshape(2, 3, d + 1, d))
         assert np.array_equal(nested.ravel(), values)
         assert values[2] == 0.0
         for b in range(6):
-            assert objective.evaluate(probs[b]) == values[b]
+            assert ensembles.evaluate(objective, probs[b]) == values[b]
             # fewer than 8 atoms: numpy sums them in order, as the loop does
             assert loop_evaluate(objective, probs[b]) == values[b]
             assert abs(atom_loop_evaluate(objective, amps[b]) - values[b]) <= 1e-14
@@ -342,10 +342,10 @@ class TestStackedEvaluation:
     def test_entropy_check_covers_the_stack(self, rng):
         objective = MaxAvgDiagEntropy()
         _, probs = random_stack(rng, 5, 6, normalized=True)
-        objective.evaluate(probs)
+        ensembles.evaluate(objective, probs)
         slack = probs.copy()
         slack[4] *= 1.0 + 1e-10
-        objective.evaluate(slack)
+        ensembles.evaluate(objective, slack)
         off = probs.copy()
         off[4] *= 1.0 + 1e-8
         nan = probs.copy()
@@ -353,7 +353,7 @@ class TestStackedEvaluation:
         _, below = random_stack(rng, 5, 6)  # ensemble 2 has no atom above the floor
         for bad in (off, nan, below):
             with pytest.raises(NotDistribution):
-                objective.evaluate(bad)
+                ensembles.evaluate(objective, bad)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("objective", OBJECTIVES, ids=repr)
@@ -380,7 +380,7 @@ class TestStackedEvaluation:
         for stack in (probs, probs.reshape(2, 3, d + 1, d), probs[4]):
             terms, weights = objective.terms(stack), stack.sum(axis=-1)
             combined = objective.combine(terms, weights)
-            assert np.array_equal(objective.evaluate(stack), combined)
+            assert np.array_equal(ensembles.evaluate(objective, stack), combined)
             assert np.shape(combined) == np.shape(stack)[:-2]
 
     def test_entropy_combine_checks_every_ensemble(self, rng):
@@ -400,8 +400,26 @@ class TestStackedEvaluation:
         rho = random_density(d, rng)
         ens, value = ensemble_search(rho, objective, d + 1, seed=d, restarts=2, max_evals=300)
         probs = ens.weights[:, None] * np.abs(ens.atoms) ** 2
-        assert abs(objective.evaluate(probs) - value) <= 1e-12
+        assert abs(ensembles.evaluate(objective, probs) - value) <= 1e-12
         assert value == returned_value(objective, ens)  # re-evaluated, not the tracked cost
+
+    def test_two_piece_objective_runs_through_the_search(self, rng):
+        """``sense``, ``terms`` and ``combine`` are the whole contract: the
+        search returns ``evaluate`` of its ensemble under such an objective."""
+
+        class LargestEntry:
+            sense = "max"
+
+            def terms(self, probs):
+                return np.where(probs.sum(axis=-1) > _WEIGHT_FLOOR, np.max(probs, axis=-1), 0.0)
+
+            def combine(self, terms, weights):
+                return np.sum(terms, axis=-1)
+
+        rho = random_density(4, rng)
+        ens, value = ensemble_search(rho, LargestEntry(), 5, restarts=2, max_evals=200)
+        assert value == returned_value(LargestEntry(), ens)
+        assert ens.reconstruction_residual(rho) <= 1e-8
 
 
 class Counted:
@@ -419,9 +437,6 @@ class Counted:
     def combine(self, terms, weights):
         return self.objective.combine(terms, weights)
 
-    def evaluate(self, probs):
-        return self.combine(self.terms(probs), np.sum(probs, axis=-1))
-
 
 @dataclass(frozen=True)
 class Target:
@@ -438,9 +453,6 @@ class Target:
     def combine(self, terms, weights):
         return np.sum(terms, axis=-1)
 
-    def evaluate(self, probs):
-        return self.combine(self.terms(probs), np.sum(probs, axis=-1))
-
 
 def sequential_rotation_poll(objective, amps0, budget, step0=0.3, step_min=1e-7):
     """The rotation poll one candidate per evaluate call, which the lockstep
@@ -451,7 +463,7 @@ def sequential_rotation_poll(objective, amps0, budget, step0=0.3, step_min=1e-7)
     sense = 1.0 if objective.sense == "min" else -1.0
     amps = np.array(amps0, dtype=complex)
     probs = _squared(amps)
-    best = sense * objective.evaluate(probs[None])[0]
+    best = sense * ensembles.evaluate(objective, probs[None])[0]
     evals, step = 1, step0
     moves = [(j, l, turn) for j, l in zip(*np.triu_indices(amps.shape[0], 1))
              for turn in (1.0, 1j)]
@@ -467,7 +479,7 @@ def sequential_rotation_poll(objective, amps0, budget, step0=0.3, step_min=1e-7)
                 new_l = c * amps[l] - np.conj(t) * amps[j]
                 cand = probs.copy()
                 cand[j], cand[l] = _squared(new_j), _squared(new_l)
-                value = sense * objective.evaluate(cand[None])[0]
+                value = sense * ensembles.evaluate(objective, cand[None])[0]
                 evals += 1
                 if value < best - 1e-15:
                     amps[j], amps[l] = new_j, new_l
@@ -496,7 +508,7 @@ def warm_amplitudes(rho, n_atoms):
 
 
 def returned_value(objective, ens):
-    return objective.evaluate(ens.weights[:, None] * _squared(ens.atoms))
+    return ensembles.evaluate(objective, ens.weights[:, None] * _squared(ens.atoms))
 
 
 class TestRotationPoll:
@@ -635,9 +647,6 @@ class TestRotationPoll:
 
             def combine(self, terms, weights):
                 return np.sum(terms, axis=-1)
-
-            def evaluate(self, probs):
-                return self.combine(self.terms(probs), np.sum(probs, axis=-1))
 
         rho = random_density(3, rng)
         first = _ensemble(warm_amplitudes(rho, 4))

@@ -81,6 +81,14 @@ class TestParse:
         assert np.max(np.abs(back - back.conj().T)) == 0.0
         assert abs(np.trace(back).real - 1.0) < 1e-15
 
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_overflowing_trace(self, renormalize):
+        # each entry is finite, their sum is not: no trace to compare with 1
+        # or to divide by, and no numpy overflow warning on the way
+        doc = doc_for(np.diag([1e308, 1e308]).astype(complex), renormalize=renormalize)
+        with pytest.raises(ParseError, match="trace is not finite"):
+            parse_state(doc)
+
     def test_shape_gate(self):
         with pytest.raises(ParseError):
             parse_state({"dim": 2, "entries": [[1.0, 0.0], [0.0, 0.0]]})

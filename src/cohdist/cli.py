@@ -21,8 +21,9 @@ largest double is ``BadM`` from ``dnorm``, an input error.
 ``fidelity_sdp`` fields carry the closed form, which equals the SDP value in
 every dimension (see ``distill.assisted_fidelity_bound``).  Like ``figure``,
 they read n copies through the power of the base state's diagonal (the
-evaluator behind ``distill.assisted_fidelity_from_probs``, which ``rate``
-also bisects m* on) and never form the d^n x d^n matrix.
+classes behind ``distill.assisted_fidelity_from_probs``, off whose
+water-filling segments ``rate`` also reads m*) and never form the
+d^n x d^n matrix.
 
 ``import cohdist`` does not load this module; the first read of
 ``cohdist.cli`` does, and ``python -m cohdist.cli`` runs it once, as
@@ -328,8 +329,9 @@ def _selftest_checks(seed: int):
     def type_classes():
         # at n >= 2 the fidelity, and rate's level m* with it, come from the
         # types of the power; the Kronecker power of the diagonal, built
-        # here with np.kron, is the reference, with m* bisected on it.  A
-        # largest entry q with q^n > 1/2 keeps every m short of fidelity 1
+        # here with np.kron, is the reference: m* passes 1 - eps - 1e-9 on
+        # it and m* + 1 fails.  A largest entry q with q^n > 1/2 keeps
+        # every m short of fidelity 1
         worst = 0.0
         for d, n in ((2, 11), (3, 7)):
             q = float(rng.uniform(0.94, 0.99))
@@ -339,10 +341,10 @@ def _selftest_checks(seed: int):
                 worst = max(worst, abs(distill.assisted_fidelity_from_probs(probs, n, m)
                                        - pure_distillation_fidelity(amps, m)))
             for eps in (0.05, 0.2, 0.5):
-                reference = distill._max_m_by_fidelity(
-                    lambda m: pure_distillation_fidelity(amps, m), amps.size, eps)
-                rate = distill.one_shot_rate(np.diag(probs), eps, copies=n)
-                worst = max(worst, abs(rate.m_requested - reference))
+                level = distill.one_shot_rate(np.diag(probs), eps, copies=n).m_requested
+                fids = [pure_distillation_fidelity(amps, m) for m in (level, level + 1)]
+                if not fids[0] >= 1.0 - eps - 1e-9 > fids[1]:
+                    worst = np.inf
         return worst, 1e-12
 
     def roof_search():

@@ -13,18 +13,19 @@ check of the closed form (``assisted_fidelity_sdp`` returns its value).
 
 The closed forms read a state only through its diagonal, and n copies
 only through the n-fold power of that diagonal.  They take the base state
-and a ``copies`` count and never form the d^n x d^n matrix.  One evaluator
-of the power's fidelity, ``_power_fidelity``, is built once per call and
-serves every m the call asks for.  It takes a stack of diagonals, each
-with its own n: a single state is a stack of one, and a ``figure`` curve
-is one stack of all its (n, p) points.  At n = 1 a row holds the diagonal
-itself, which reproduces the matrix path bit for bit, and a single entry
-p holds p^n at any n.  At every other n >= 2 it
-reads the power by its types: the C(n+d-1, d-1) distinct products
+and a ``copies`` count and never form the d^n x d^n matrix.  One builder,
+``_power_classes``, turns the powers of a stack of diagonals, each with
+its own n, into rows of classes of equal entries: a single state is a
+stack of one, and a ``figure`` curve is one stack of all its (n, p)
+points.  ``dnorm._class_fidelity`` evaluates those rows at any m, all
+rows in one water-filling call, and ``dnorm._class_level`` reads a row's
+level m* off them in one pass; nothing built grows with m.  At n = 1 a
+row holds the diagonal itself, which reproduces the matrix path bit for
+bit, and a single entry p holds p^n at any n.  At every other n >= 2 it
+holds the power's types: the C(n+d-1, d-1) distinct products
 prod_i p_i^k_i with their multinomial multiplicities (sums of logs of
 exact binomials, so no large logs cancel), formed in log space for every
-such row at once and handed to the norm's water-filling evaluator as
-classes of equal entries, all rows in one call.  That costs O(classes)
+such row at once.  That costs O(classes)
 instead of O(d^n), whatever m is, so n in the thousands and m in the
 billions are cheap.  It agrees with the Kronecker power of the diagonal
 (the materialized matrix path) within 1e-12 and gives the same level m*;
@@ -52,7 +53,7 @@ Rates are reported in bits as log2 of an integer, since the achievable
 target dimension is one: the one-shot rate is log2 of the level m*, the
 zero-error rate log2 of floor(1/q^n), q the largest diagonal entry.  A
 guard of 1e-9 inside that floor, and on the fidelity threshold 1 - eps
-that m* is bisected against, keeps rounding noise on exactly-integer
+whose crossing defines m*, keeps rounding noise on exactly-integer
 reciprocals from losing a whole level.
 
 A one-dimensional state has d^n = 1 at every n, so neither bound limits
@@ -66,13 +67,13 @@ is no double.
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import groupby, repeat
 
 import numpy as np
 
 from . import ensembles
-from .dnorm import _class_fidelity, _real_m, _snapped_fidelity, waterfill_level
+from .dnorm import _class_fidelity, _class_level, _real_m, _snapped_fidelity, waterfill_level
 from .errors import BadM, CapExceeded, DimMismatch, NumericalFailure
 from .hermat import eig_psd, require_density, shannon_entropy
 
@@ -93,10 +94,6 @@ __all__ = [
 ]
 
 _FLOOR_GUARD = 1e-9
-
-
-def _floor_guarded(x: float) -> int:
-    return max(1, math.floor(x + _FLOOR_GUARD))
 
 
 @dataclass(frozen=True)
@@ -152,25 +149,17 @@ class AssistanceBound:
     diag_entropy_bits: float
 
 
-def _check_copies(copies) -> int:
-    """The copies count as an int; ``CapExceeded`` past the largest count a
-    double holds (about 1.8e308), since p^n and per-copy rates take n as a
-    double."""
+def _check_copies(copies, d: int = 1) -> int:
+    """The copies count n as an int; ``CapExceeded`` past the largest count
+    a double holds (about 1.8e308), since p^n and per-copy rates take n as
+    a double, and past d^n = 2^53 for n copies of a d-dimensional state."""
     if copies > sys.float_info.max:
         raise CapExceeded(f"copies exceed the largest double, {sys.float_info.max:.6g}")
     if copies < 1 or int(copies) != copies:
         raise ValueError(f"copies must be a positive integer, got {copies}")
+    if d ** min(int(copies), 54) > 2 ** 53:  # any d >= 2 passes 2^53 by n = 54
+        raise CapExceeded(f"{copies} copies of dimension {d} exceed dimension 2^53")
     return int(copies)
-
-
-def _copies_dim(d: int, copies) -> tuple[int, int]:
-    """The checked copies count n and the dimension d^n of n copies of a
-    d-dimensional state; ``CapExceeded`` past d^n = 2^53 or past the
-    largest count a double holds."""
-    n = _check_copies(copies)
-    if d ** min(n, 54) > 2 ** 53:  # any d >= 2 passes 2^53 by n = 54
-        raise CapExceeded(f"{n} copies of dimension {d} exceed dimension 2^53")
-    return n, d ** n
 
 
 @lru_cache(maxsize=16)
@@ -280,16 +269,19 @@ def assisted_fidelity_bound(rho, m: int, copies: int = 1) -> float:
     1/theta the largest real m with (1/m) mnorm(a, m)^2 >= 1 - eps.
     """
     rho = require_density(rho, check_psd=False)
-    n, _ = _copies_dim(rho.shape[0], copies)
-    return float(_power_fidelity(np.diag(rho).real, n)(m))
+    n = _check_copies(copies, rho.shape[0])
+    return float(_class_fidelity(*_power_classes(np.diag(rho).real, n), m))
 
 
-def _power_fidelity(probs, copies):
-    """The assisted fidelity of the n-fold power of each diagonal in
-    ``probs`` (..., d), as a function of m that returns one value per
-    diagonal, built once: the powers' classes are formed here, not at each
-    m.  ``copies`` holds n: an int for a single diagonal, else one n per
-    diagonal of the stack, in row order.
+def _power_classes(probs, copies):
+    """The class planes (magnitudes, squared masses, log counts; see
+    ``dnorm._class_fidelity``) of the n-fold power of each diagonal in
+    ``probs`` (..., d), one row of classes per diagonal, in descending order
+    of magnitude.  ``_class_fidelity`` reads the powers' fidelities off them
+    at any m, and ``dnorm._class_level`` a row's level m*, so they are
+    built once per call and nothing built grows with m.  ``copies`` holds
+    n: an int for a single diagonal, else one n per diagonal of the stack,
+    in row order.
 
     The rows fall into two parts.  Every diagonal with n >= 2 and d >= 2
     is read by its types, all of them in one ``_type_classes`` build, in
@@ -299,9 +291,9 @@ def _power_fidelity(probs, copies):
     are one vector part: each row is raised to its own n by a column of
     exponents, clipped at zero and square-rooted, and each entry is a
     class of one.  At n = 1 that is the matrix path bit for bit.  Rows of
-    fewer classes end in zero classes, which change no value, and every m
-    evaluates all diagonals with one water-filling call; each value is the
-    one its diagonal gets alone.  Nothing built grows with m.
+    fewer classes end in zero classes, which change no value, so one
+    water-filling call evaluates all diagonals at an m, and each value is
+    the one its diagonal gets alone.
     """
     shape, d = probs.shape[:-1], probs.shape[-1]
     if d == 0:
@@ -331,11 +323,11 @@ def _power_fidelity(probs, copies):
         for rows, *part in parts:
             planes[:, rows, :part[0].shape[-1]] = part
     # back to the leading axes of probs: one diagonal is a vector of classes
-    return partial(_class_fidelity, *(x.reshape(shape + x.shape[-1:]) for x in planes))
+    return [x.reshape(shape + x.shape[-1:]) for x in planes]
 
 
 def _curve_fidelity(probs, copies, m: int) -> np.ndarray:
-    """``_power_fidelity`` of a stack at one m, evaluated in consecutive
+    """The fidelities of a stack's powers at one m, evaluated in consecutive
     chunks of rows.  A chunk holds at most 2^17 class entries (its rows
     times the widest row's classes times d), the bound on one type table,
     so a curve's memory is that of its largest point: 65535 qubit copies
@@ -348,7 +340,7 @@ def _curve_fidelity(probs, copies, m: int) -> np.ndarray:
             bounds.append(i)
             widest = width
     bounds.append(len(copies))
-    return np.concatenate([_power_fidelity(probs[lo:hi], copies[lo:hi])(m)
+    return np.concatenate([_class_fidelity(*_power_classes(probs[lo:hi], copies[lo:hi]), m)
                            for lo, hi in zip(bounds, bounds[1:])])
 
 
@@ -357,7 +349,7 @@ def assisted_fidelity_from_probs(probs, n: int, m: int) -> float:
     diagonal ``probs``, computed from the probabilities alone.
 
     Every closed-form fidelity in the package, this one included, comes
-    from the evaluator ``_power_fidelity`` builds, here for one diagonal:
+    from the class planes ``_power_classes`` builds, here for one diagonal:
     the type classes of the power at every n >= 2 with d >= 2, the
     diagonal itself at n = 1.  A ``probs`` that is not one-dimensional
     raises ``DimMismatch``; its entries are not validated.  An ``m`` that
@@ -369,7 +361,7 @@ def assisted_fidelity_from_probs(probs, n: int, m: int) -> float:
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1:
         raise DimMismatch(f"probs must be a vector, got shape {probs.shape}")
-    return float(_power_fidelity(probs, n)(m))
+    return float(_class_fidelity(*_power_classes(probs, n), m))
 
 
 @dataclass(frozen=True)
@@ -460,19 +452,6 @@ def assisted_fidelity_sdp(rho, m) -> float:
     return float(_snapped_fidelity(fidelity_certificate(rho, m).primal, 1))
 
 
-def _max_m_by_fidelity(fidelity, dim: int, eps: float) -> int:
-    # F(1) = 1 always passes and F does not increase with m, so bisect on lo
-    # passing, hi failing (or past the dim levels)
-    lo, hi = 1, dim + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if fidelity(mid) >= 1.0 - eps - _FLOOR_GUARD:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def one_shot_rate(rho, eps: float, declared_base_dim: int | None = None,
                   copies: int = 1) -> RateReport:
     """One-shot assisted distillation report for ``copies`` copies of
@@ -482,9 +461,13 @@ def one_shot_rate(rho, eps: float, declared_base_dim: int | None = None,
     ``assisted_fidelity_bound(rho, m, copies) >= 1 - eps``.  That fidelity
     is non-increasing in real m, so m* is also floor(1/theta) of the
     diagonal-ball SDP (see ``assisted_fidelity_bound``); no SDP is solved.
-    m* is found by bisection over [1, d^n] on one n-copy evaluator, the
-    one ``assisted_fidelity_from_probs`` uses: the type classes of the
-    power at every n >= 2.  The level is exact when ``zero_error_rate``'s
+    m* is read in one pass (``dnorm._class_level``) off the water-filling
+    segments of the classes ``assisted_fidelity_from_probs`` evaluates, the
+    type classes of the power at every n >= 2: the first segment whose end
+    fails 1 - eps - 1e-9 holds the crossing, where the fidelity meets that
+    threshold at the root of a quadratic.  That pass runs in doubles, and
+    from about m* = 2^21 at eps = 0 the level it finds can be a few levels
+    off (ROADMAP item 2).  The level is exact when ``zero_error_rate``'s
     flag holds and an upper bound otherwise; the zero-error fields are that
     function's too, from the same validation.
     Tensor-power structure is never detected, only declared, by ``copies``
@@ -499,13 +482,13 @@ def one_shot_rate(rho, eps: float, declared_base_dim: int | None = None,
     if not (0.0 <= eps < 1.0):
         raise ValueError(f"eps must lie in [0, 1), got {eps}")
     probs = np.diag(rho).real
-    n, dim = _copies_dim(probs.size, copies)
-    fidelity = _power_fidelity(probs, n)
-    m_star = _max_m_by_fidelity(fidelity, dim, eps)
+    n = _check_copies(copies, probs.size)
+    planes = _power_classes(probs, n)
+    m_star = _class_level(*planes, probs.size ** n, 1.0 - eps - _FLOOR_GUARD)
     zero = _zero_error(probs, n, declared_base_dim)
     return RateReport(
         m_requested=m_star,
-        fidelity_bound=float(fidelity(m_star)),
+        fidelity_bound=float(_class_fidelity(*planes, m_star)),
         one_shot_rate_bits=math.log2(m_star),
         zero_error_bits=zero.one_shot_bits,
         exact_flag=zero.exact,
@@ -518,14 +501,14 @@ def _zero_error(probs, n: int, declared_base_dim: int | None) -> ZeroErrorRate:
     # Kronecker power's diagonal, folded left to right, are formed in that
     # order and rounding is monotone, so this is its largest entry bit for
     # bit, with no vector built.  A single entry is raised by pow, as in
-    # _power_fidelity
+    # _power_classes
     q = float(np.max(probs))
     q_n = q ** n if probs.size == 1 else math.prod(repeat(q, n))
     # only a one-entry power gets here: d^n <= 2^53 keeps q^n >= 2^-53
     if q_n == 0.0 or 1.0 / q_n == math.inf:
         raise CapExceeded(f"q^n = {q_n!r} at {n} copies: 1/q^n is past the largest double")
     return ZeroErrorRate(
-        one_shot_bits=math.log2(_floor_guarded(1.0 / q_n)),
+        one_shot_bits=math.log2(max(1, math.floor(1.0 / q_n + _FLOOR_GUARD))),
         asymptotic_bits_per_copy=0.0 - math.log2(q_n),  # +0.0, not -0.0, at q^n = 1
         exact=probs.size <= 3 or (declared_base_dim is not None and declared_base_dim <= 3),
     )
@@ -542,8 +525,7 @@ def zero_error_rate(rho, declared_base_dim: int | None = None,
     raised.  Exact when ``rho`` has dimension <= 3 or is a declared power
     of such a base (``declared_base_dim``); upper bounds otherwise."""
     rho = require_density(rho, check_psd=False)
-    n, _ = _copies_dim(rho.shape[0], copies)
-    return _zero_error(np.diag(rho).real, n, declared_base_dim)
+    return _zero_error(np.diag(rho).real, _check_copies(copies, rho.shape[0]), declared_base_dim)
 
 
 def _roof_search(rho, objective, seed: int, restarts: int, max_evals: int):

@@ -27,7 +27,19 @@ and call the evaluator with one row of counts shared by every row.
 ``_class_fidelity`` hands it rows of classes with counts of their own,
 capped at m: the stack ``distill`` builds of tensor powers' type classes
 and plain vectors, rows of fewer classes ending in zero classes, which
-change no row's value.  Two oracles bracket the norm from opposite sides:
+change no row's value.
+
+The same classes give the level, the largest integer m whose fidelity
+F(m) = norm^2 / m reaches a threshold t, with no search over m.  Split j
+holds for m up to B_j = K_(j+1) + S_(j+1) / a_j^2, so the m axis falls
+into segments on which F(m) = (H_j + sqrt(S_j (m - K_j)))^2 / m (the
+fidelity of Regula, Fang, Wang and Adesso, PRL 121, 010401 (2018)).  F
+does not increase with m, so the crossing lies in the first segment whose
+end fails t, and there F(m) = t is a quadratic in sqrt(m - K_j).
+``_class_level`` tests every segment end of one row in one pass, from
+the prefix sums, and returns the floor of that root.
+
+Two oracles bracket the norm from opposite sides:
 
 * ``mnorm_dual_oracle`` is ``<v, w>`` at the feasible dual point
   ``w = min(1, v / l)``, that is H_j + S_j / l, the evaluator's value: a
@@ -217,3 +229,37 @@ def _class_fidelity(mags, masses, log_counts, m):
     counts = np.rint(np.exp(np.minimum(log_counts, math.log(m))))
     return _snapped_fidelity(_waterfill(counts * mags, masses, counts, m)[0], m)
 
+
+def _class_level(mags, masses, log_counts, dim: int, t: float) -> int:
+    """The largest integer m <= ``dim`` whose ``_class_fidelity`` on one row
+    of classes reaches ``t``, in one pass over the classes.
+
+    Split j holds for every m up to B_j = K_(j+1) + S_(j+1) / a_j^2 (a zero
+    class for every m), and the B_j do not decrease with j, so on segment j
+    of the m axis, from B_(j-1) to B_j, F(m) = (H_j + sqrt(S_j (m - K_j)))^2 / m.
+    F does not increase with m, so the level lies in the first segment
+    whose end fails t or reaches ``dim``.  Neither test divides:
+    a_j^2 B_j = a_j^2 K_(j+1) + S_(j+1), and segment j + 1's form at its
+    start gives a_j^2 B_j F(B_j) = (a_j H_(j+1) + S_(j+1))^2.  The level is
+    ``dim`` if segment j's form passes at ``dim`` (past a failing end that
+    form stays below t).  Otherwise F(m) = t is a quadratic in
+    x = sqrt(m - K_j) with the root
+    x = (H sqrt(S) + sqrt(t (H^2 - (t - S) K))) / (t - S), where t > S since
+    F exceeds S inside segment j, and the level is floor(K + x^2).
+    """
+    counts = np.rint(np.exp(log_counts))
+    # K_j and H_j before class j and S_j from it on, for the classes and the
+    # zero class after them
+    starts, head, tail = np.zeros((3, mags.size + 1))
+    np.cumsum(counts, out=starts[1:])
+    np.cumsum(counts * mags, out=head[1:])
+    np.cumsum(masses[::-1], out=tail[-2::-1])
+    # F(B_j) < t and B_j >= dim, each multiplied through by a_j^2
+    square, k1, h1, s1 = mags * mags, starts[1:], head[1:], tail[1:]
+    stop = ((mags * h1 + s1) ** 2 < t * (square * k1 + s1)) | (square * (dim - k1) <= s1)
+    j = int(np.argmax(stop)) if stop.any() else mags.size
+    k, h, s = float(starts[j]), float(head[j]), float(tail[j])
+    if (h + math.sqrt(s * (dim - k))) ** 2 >= t * dim:
+        return dim
+    x = (h * math.sqrt(s) + math.sqrt(max(t * (h * h - (t - s) * k), 0.0))) / (t - s)
+    return math.floor(k + x * x)

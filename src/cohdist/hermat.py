@@ -50,11 +50,14 @@ def _as_complex_matrix(a) -> np.ndarray:
 
 def _adjoint_and_defect(mat: np.ndarray) -> tuple[np.ndarray, float]:
     """The adjoint of a square complex matrix and its Hermitian defect;
-    ``NumericalFailure`` on a non-finite entry."""
+    ``NumericalFailure`` on a non-finite entry.  The difference is taken
+    of quarters, whose parts and modulus stay finite for any finite
+    entries, and scaled back as a Python float, so a defect past the
+    largest double is inf, with no numpy overflow."""
     if not np.all(np.isfinite(mat)):
         raise NumericalFailure("matrix has non-finite entries")
     adj = mat.conj().T
-    return adj, float(np.max(np.abs(mat - adj))) if mat.size else 0.0
+    return adj, 4.0 * float(np.max(np.abs(0.25 * mat - 0.25 * adj))) if mat.size else 0.0
 
 
 def hermitian_defect(a) -> float:

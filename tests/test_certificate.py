@@ -11,7 +11,12 @@ function makes itself.
 import numpy as np
 import pytest
 
-from cohdist.distill import assisted_fidelity_sdp, fidelity_certificate, one_shot_rate
+from cohdist.distill import (
+    assisted_fidelity_bound,
+    assisted_fidelity_sdp,
+    fidelity_certificate,
+    one_shot_rate,
+)
 from cohdist.dnorm import mnorm, pure_distillation_fidelity
 from cohdist.errors import BadM, NonHermitian, NumericalFailure
 from cohdist.hermat import random_density
@@ -88,6 +93,26 @@ class TestSolver:
             cert = fidelity_certificate(rho, m)
             omega = cert.c.conj().T @ cert.c
             assert abs(fidelity(rho, omega) - cert.primal ** 2) <= 1e-10
+
+    @pytest.mark.parametrize("m", [3, 2.5])
+    def test_rows_outside_a_small_support(self, m, rng):
+        # a support of k = 2 <= m rows sets the water level to 0, and the
+        # row outside it takes the trace left over: omega_jj = (1 - k/m) / (d - k)
+        embedded = np.zeros((3, 3), dtype=complex)
+        embedded[:2, :2] = random_density(2, rng)
+        for rho in (np.diag([0.5, 0.5, 0.0]).astype(complex), embedded):
+            cert = fidelity_certificate(rho, m)
+            assert np.linalg.norm(cert.v, axis=1)[2] == 0.0
+            g = gram(cert)
+            omega = g[3:, 3:]
+            assert np.min(np.linalg.eigvalsh(g)) >= -1e-12
+            assert abs(np.trace(omega).real - 1.0) <= 1e-12
+            assert np.max(np.diag(omega).real) <= 1.0 / m + 1e-12
+            assert abs(omega[2, 2].real - (1.0 - 2 / m) / (3 - 2)) <= 1e-12
+            if m == 3:
+                bound = assisted_fidelity_bound(rho, m)
+                assert abs(cert.primal ** 2 - bound) <= 1e-12
+                assert abs(cert.dual ** 2 - bound) <= 1e-12
 
     def test_infeasible_certificate(self, rng):
         # no d-dimensional state has every diagonal entry below 1/d

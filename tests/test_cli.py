@@ -461,6 +461,28 @@ class TestFigureCommand:
         assert main(["figure", str(spec), "--out", str(out)]) == 0
         assert out.read_text().split("\n")[1].startswith("diag,0.9,2,3,")
 
+    @pytest.mark.parametrize("payload, message", [
+        ([], "curve spec must be an object or non-empty list"),
+        ([{"family": "diag", "p_grid": [0.5], "copies": [1]}, 3],
+         "each curve spec must be an object"),
+        ({"p_grid": [0.5], "copies": [1]}, "malformed curve spec: 'family'"),
+        ({"family": "diag", "copies": [1]}, "malformed curve spec: 'p_grid'"),
+        ({"family": "diag", "p_grid": [0.5]}, "malformed curve spec: 'copies'"),
+        ({"family": "diag", "p_grid": [0.5, 1.5], "copies": [1]},
+         "p_grid values must lie in [0, 1]"),
+        ({"family": "diag", "p_grid": [-0.1], "copies": [1]}, "p_grid values must lie in [0, 1]"),
+        ({"family": "diag", "p_grid": [0.5], "copies": [2, 0]}, "copies must be positive"),
+        ({"family": "diag", "p_grid": [0.5], "copies": [1], "m": 0},
+         "m must be a positive integer"),
+    ], ids=["empty", "not-an-object", "no-family", "no-p_grid", "no-copies", "p-above-one",
+            "p-below-zero", "zero-copies", "zero-m"])
+    def test_rejects_malformed_curves(self, payload, message, tmp_path, capsys):
+        spec, out = tmp_path / "bad.json", tmp_path / "x.csv"
+        spec.write_text(json.dumps(payload))
+        assert main(["figure", str(spec), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"input error: {message}")
+        assert not out.exists()
+
     def test_rejects_bad_family(self, tmp_path, capsys):
         spec = tmp_path / "bad.json"
         spec.write_text(json.dumps({"family": "nope", "p_grid": [0.5], "copies": [1]}))

@@ -1,10 +1,12 @@
 """State-file schema gates and round trips."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from cohdist.errors import ParseError
-from cohdist.hermat import random_density
+from cohdist.hermat import hermitian_defect, random_density
 from cohdist.stateio import dump_state, load_state, parse_state, state_to_dict
 
 
@@ -88,6 +90,18 @@ class TestParse:
         doc = doc_for(np.diag([1e308, 1e308]).astype(complex), renormalize=renormalize)
         with pytest.raises(ParseError, match="trace is not finite"):
             parse_state(doc)
+
+    @pytest.mark.parametrize("rho", [np.array([[0.5, 1e308], [-1e308, 0.5]], dtype=complex),
+                                     np.diag([0.5 + 1e308j, 0.5])],
+                             ids=["off-diagonal", "imaginary-diagonal"])
+    def test_overflowing_hermitian_defect(self, rho):
+        # finite entries whose defect, 2e308, is past the largest double: the
+        # defect is inf and the file a ParseError, with no numpy overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hermitian_defect(rho) == np.inf
+            with pytest.raises(ParseError, match="Hermitian defect inf"):
+                parse_state(doc_for(rho))
 
     def test_shape_gate(self):
         with pytest.raises(ParseError):

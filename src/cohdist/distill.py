@@ -75,7 +75,7 @@ import numpy as np
 from . import ensembles
 from .dnorm import _class_fidelity, _class_level, _real_m, _snapped_fidelity, waterfill_level
 from .errors import BadM, CapExceeded, DimMismatch, NumericalFailure
-from .hermat import eig_psd, require_density, shannon_entropy
+from .hermat import _psd_eig, _unit_trace, require_density, shannon_entropy
 
 __all__ = [
     "AssistanceBound",
@@ -270,7 +270,7 @@ def assisted_fidelity_bound(rho, m: int, copies: int = 1) -> float:
     """
     rho = require_density(rho, check_psd=False)
     n = _check_copies(copies, rho.shape[0])
-    return float(_class_fidelity(*_power_classes(np.diag(rho).real, n), m))
+    return float(_class_fidelity(*_power_classes(rho.diagonal().real, n), m))
 
 
 def _power_classes(probs, copies):
@@ -310,11 +310,13 @@ def _power_classes(probs, copies):
         log_mags, log_counts = _type_classes(probs.take(typed, axis=0), [copies[i] for i in typed])
         parts.append((typed, np.exp(log_mags), np.exp(log_counts + 2.0 * log_mags), log_counts))
     if vector:
-        # each row to its own n, a double: x ** 1.0 == x, and a single
-        # entry's n may pass what _types can index (numpy 1.x makes an int
-        # past 2^64 an object array)
-        powers = probs.take(vector, axis=0) ** np.array([[float(copies[i])] for i in vector])
-        a = np.sort(np.sqrt(np.maximum(powers, 0.0)), axis=-1)[..., ::-1]
+        # at d >= 2 these are the rows at n = 1, read as they are; a single
+        # entry is raised to its own n, a double, since n may pass what
+        # _types can index (numpy 1.x makes an int past 2^64 an object array)
+        a = probs.take(vector, axis=0)
+        if d == 1:
+            a = a ** np.array([[float(copies[i])] for i in vector])
+        a = np.sort(np.sqrt(np.maximum(a, 0.0)), axis=-1)[..., ::-1]
         parts.append((vector, a, a * a, np.zeros(a.shape)))
     if len(parts) == 1:  # its rows are all rows, in order
         planes = parts[0][1:]
@@ -405,37 +407,38 @@ def fidelity_certificate(rho, m) -> FidelityCertificate:
     and every omega_jj is at most 1/m to 1e-12, and the two sides meet
     within 1e-12.  ``BadM`` if m is outside [1, d].
     """
-    rho = require_density(rho, check_psd=False)
+    rho, adj = _unit_trace(rho)
     d = rho.shape[0]
     if _real_m(m) > d * (1.0 + 1e-12):
         raise BadM(f"no {d}-dimensional state has all diagonal entries <= 1/{m}")
-    w, u = eig_psd(rho)
-    v = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
-    a = np.linalg.norm(v, axis=1)
+    w, u = _psd_eig(rho, adj)
+    v = (u * np.sqrt(np.maximum(w, 0.0))) @ u.conj().T
+    a = np.sqrt((v.conj() * v).real.sum(axis=1))  # the rows' 2-norms
     level = waterfill_level(a, m)
     root_m = math.sqrt(m)
     support = a > 0.0
+    k = int(np.count_nonzero(support))
     if level > 0.0:
         t = np.minimum(1.0, a / level) / root_m
         mu = level * root_m / 2.0
     else:
         t = np.where(support, 1.0 / root_m, 0.0)
-        k = int(np.count_nonzero(support))
         if k < d:
             t[~support] = math.sqrt(max(1.0 - k / m, 0.0) / (d - k))
-        mu = min(1e-16, float(np.min(a[support])) * root_m / 2.0)
+        mu = min(1e-16, float(a[support].min()) * root_m / 2.0)
     c = v.conj().T * np.divide(t, a, out=np.zeros(d), where=support)
-    off = np.flatnonzero(~support)
-    c[off, off] = t[off]
+    if k < d:
+        off = np.flatnonzero(~support)
+        c[off, off] = t[off]
     dual_diag = np.maximum(mu, a * root_m / 2.0)
     primal = float(np.einsum("ij,ji->", v, c).real)
-    dual = float(np.sum(a * a / (4.0 * dual_diag)) + mu + np.sum(dual_diag - mu) / m)
-    omega_diag = np.sum(np.abs(c) ** 2, axis=0)
+    dual = float((a * a / (4.0 * dual_diag)).sum() + mu + (dual_diag - mu).sum() / m)
+    omega_diag = (np.abs(c) ** 2).sum(axis=0)
     checks = {
         "reconstruction": float(np.linalg.norm(v @ v.conj().T - rho)
                                 - np.linalg.norm(np.minimum(w, 0.0))),
-        "trace": abs(float(np.sum(omega_diag)) - 1.0),
-        "cap": float(np.max(omega_diag)) - 1.0 / m,
+        "trace": abs(float(omega_diag.sum()) - 1.0),
+        "cap": float(omega_diag.max()) - 1.0 / m,
         "gap": abs(dual - primal),
     }
     failed = {name: val for name, val in checks.items() if not val <= _CERT_TOL}
@@ -481,7 +484,7 @@ def one_shot_rate(rho, eps: float, declared_base_dim: int | None = None,
     rho = require_density(rho)
     if not (0.0 <= eps < 1.0):
         raise ValueError(f"eps must lie in [0, 1), got {eps}")
-    probs = np.diag(rho).real
+    probs = rho.diagonal().real
     n = _check_copies(copies, probs.size)
     planes = _power_classes(probs, n)
     m_star = _class_level(*planes, probs.size ** n, 1.0 - eps - _FLOOR_GUARD)
@@ -525,7 +528,7 @@ def zero_error_rate(rho, declared_base_dim: int | None = None,
     raised.  Exact when ``rho`` has dimension <= 3 or is a declared power
     of such a base (``declared_base_dim``); upper bounds otherwise."""
     rho = require_density(rho, check_psd=False)
-    return _zero_error(np.diag(rho).real, _check_copies(copies, rho.shape[0]), declared_base_dim)
+    return _zero_error(rho.diagonal().real, _check_copies(copies, rho.shape[0]), declared_base_dim)
 
 
 def _roof_search(rho, objective, seed: int, restarts: int, max_evals: int):

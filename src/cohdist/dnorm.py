@@ -91,6 +91,13 @@ def _waterfill(l1, masses, counts, m):
     Zero-mass classes after a row's last class change none of the three:
     the split stops at the first of them, as at the zero class the
     evaluator appends.
+
+    The prefix sums sit in one (2, ..., c + 1) array, and the split is read
+    from it at each row's first passing boundary j.  A single row (``l1``
+    one-dimensional) indexes it at j directly, which costs next to nothing
+    and returns scalars; a stack lays its rows end to end and gathers at
+    the flat indices i (c + 1) + j_i, one fancy index for all rows.  Both
+    read the same sums, so a row's values are the same alone and stacked.
     """
     shape, c = l1.shape[:-1], l1.shape[-1]
     starts = np.zeros(counts.shape[:-1] + (c + 1,))
@@ -103,14 +110,19 @@ def _waterfill(l1, masses, counts, m):
     # the test at class j's start, in its equivalent form at the class's
     # end, a_j^2 (m - K_(j+1)) <= S_(j+1): for the class that reaches m the
     # left side is <= 0, so the split never passes it, whatever the rounding
-    split = np.ones(shape + (c + 1,), dtype=bool)
+    split = np.zeros(shape + (c + 1,), dtype=bool)
     np.less_equal(masses * ((m - starts[..., 1:]) / counts), tail[..., 1:], out=split[..., :c])
+    split[..., c] = True
     j = split.argmax(axis=-1)
-    at = j.ravel() + np.arange(0, j.size * (c + 1), c + 1)
-    tail, head = cols.reshape(2, -1)[:, at]
-    start = starts[j] if starts.ndim == 1 else starts.reshape(-1)[at].reshape(shape)
-    tail, room = tail.reshape(shape), m - start
-    return head.reshape(shape) + np.sqrt(room) * np.sqrt(tail), tail, room
+    if shape:  # row i's split at flat index i (c + 1) + j_i of the rows end to end
+        at = j.ravel() + np.arange(0, j.size * (c + 1), c + 1)
+        tail, head = cols.reshape(2, -1)[:, at].reshape(cols.shape[:-1])
+        start = starts[j] if starts.ndim == 1 else starts.reshape(-1)[at].reshape(shape)
+    else:  # one row: j indexes it directly
+        tail, head = cols[:, j]
+        start = starts[j]
+    room = m - start
+    return head + np.sqrt(room) * np.sqrt(tail), tail, room
 
 
 def _vector_waterfill(v, m):
@@ -118,7 +130,7 @@ def _vector_waterfill(v, m):
     and the evaluator's value, tail mass and room on each row.  Real input
     skips the complex copy: |x + 0i| = |x|."""
     v = np.asarray(v)
-    a = np.abs(v.astype(np.complex128 if np.iscomplexobj(v) else float, copy=False))
+    a = np.abs(v.astype(np.complex128 if v.dtype.kind == "c" else float, copy=False))
     if a.shape[-1] == 0:
         raise BadM("empty vector")
     a.sort(axis=-1)
@@ -186,7 +198,7 @@ def mnorm_primal_oracle(v, m: float) -> float:
     level.  It equals H_K + sqrt(S_K (m - K)) (see ``waterfill_level``)."""
     sorted_desc, level = _dual_level(v, m)
     x = np.minimum(sorted_desc, level)
-    return float(np.sum(sorted_desc - x)) + math.sqrt(m) * math.sqrt(float(x @ x))
+    return float((sorted_desc - x).sum()) + math.sqrt(m) * math.sqrt(float(x @ x))
 
 
 def _integer_m(m) -> int:
@@ -198,8 +210,10 @@ def _integer_m(m) -> int:
 
 
 def _snapped_fidelity(value, m: int):
+    # 1 within 1e-12 and above, else at least 0: the double 1 - 1e-12 rounds
+    # up, so the test is |fid - 1| <= 1e-12 (exact near 1) or fid > 1
     fid = value * value / m
-    return np.where(np.abs(fid - 1.0) <= 1e-12, 1.0, np.minimum(np.maximum(fid, 0.0), 1.0))
+    return np.where(fid >= 1.0 - 1e-12, 1.0, np.maximum(fid, 0.0))
 
 
 def pure_distillation_fidelity(psi, m: int):
@@ -251,9 +265,9 @@ def _class_level(mags, masses, log_counts, dim: int, t: float) -> int:
     # K_j and H_j before class j and S_j from it on, for the classes and the
     # zero class after them
     starts, head, tail = np.zeros((3, mags.size + 1))
-    np.cumsum(counts, out=starts[1:])
-    np.cumsum(counts * mags, out=head[1:])
-    np.cumsum(masses[::-1], out=tail[-2::-1])
+    np.add.accumulate(counts, out=starts[1:])
+    np.add.accumulate(counts * mags, out=head[1:])
+    np.add.accumulate(masses[::-1], out=tail[-2::-1])
     # F(B_j) < t and B_j >= dim, each multiplied through by a_j^2
     square, k1, h1, s1 = mags * mags, starts[1:], head[1:], tail[1:]
     stop = ((mags * h1 + s1) ** 2 < t * (square * k1 + s1)) | (square * (dim - k1) <= s1)

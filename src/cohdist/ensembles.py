@@ -51,7 +51,7 @@ from .errors import (
     NotDistribution,
     NumericalFailure,
 )
-from .hermat import _DISTRIBUTION, eig_hermitian, eig_psd, require_density
+from .hermat import _DISTRIBUTION, _density_eig, eig_hermitian
 
 __all__ = [
     "Ensemble",
@@ -200,8 +200,7 @@ def same_diagonal_decomposition(rho) -> Ensemble:
     NumericalFailure
         if the reconstruction or an atom's diagonal misses the 1e-8 target.
     """
-    rho = require_density(rho, check_psd=False)
-    w, v = eig_psd(rho)
+    rho, w, v = _density_eig(rho)
     dropped = np.diag(rho).real <= 1e-18
     # beside a dropped entry of a PSD state an off-diagonal is at most 1e-9;
     # a larger one is rounding-level negativity that must be taken out too
@@ -327,11 +326,9 @@ class MaxAvgDiagEntropy:
         return terms.sum(axis=-1)
 
 
-def _eigen_basis(rho):
-    """Columns sqrt(lam_j) phi_j of the eigen-ensemble of a Hermitian
-    unit-trace ``rho``; raises ``NotPSD`` from the same eigenvalues
-    (``eig_psd``), so callers validate with ``check_psd=False``."""
-    w, u = eig_psd(rho)
+def _eigen_basis(w, u):
+    """Columns sqrt(lam_j) phi_j of the eigen-ensemble of a state with
+    PSD-gated eigenpairs ``w``, ``u``."""
     keep = w > 1e-12
     return u[:, keep] * np.sqrt(w[keep])
 
@@ -412,9 +409,9 @@ def ensemble_search(
     only squared amplitudes, the objective is blind to the phases of the
     atoms' entries, as the shipped coherence measures are.
     """
-    rho = require_density(rho, check_psd=False)
+    rho, w, u = _density_eig(rho)
     d = rho.shape[0]
-    basis = _eigen_basis(rho)
+    basis = _eigen_basis(w, u)
     rank = basis.shape[1]
     if atoms_cap < rank:
         raise ValueError(f"atoms_cap {atoms_cap} below rank {rank}")
@@ -556,7 +553,7 @@ def purify(rho) -> np.ndarray:
 
     Entry ``j * d + b`` is ``sqrt(w_j) u_bj`` for the eigenpairs of ``rho``.
     """
-    w, u = eig_psd(require_density(rho, check_psd=False))
+    _, w, u = _density_eig(rho)
     vec = (u * np.sqrt(np.clip(w, 0.0, None))).T.ravel()
     return vec / np.linalg.norm(vec)
 

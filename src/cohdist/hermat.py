@@ -11,8 +11,21 @@ raise the typed errors from :mod:`cohdist.errors`.  The validation gates
 live here and nowhere else: a validated matrix is Hermitian to 1e-12
 entrywise with trace 1 to 1e-10, the eigensolver rejects a Hermitian
 defect above 1e-9, a probability vector sums to 1 to 1e-9, and the PSD
-floor is -1e-10: ``eig_psd`` is the one check of it, and eigenvalues in
-``[-1e-10, 0)`` count as zero.
+floor is -1e-10: one gate, in ``_psd_eig``, checks it, and rejects a NaN
+eigenvalue too, and eigenvalues in ``[-1e-10, 0)`` count as zero.
+
+A matrix is scanned once per validation: one pass checks its entries are
+finite and forms the adjoint and the Hermitian defect, and the
+eigensolver takes the Hermitian part 0.5 a + 0.5 a^dag from that same
+adjoint.  Halves cannot overflow on finite entries, where 0.5 (a + a^dag)
+can past about 9e307, and they give the same doubles above the subnormal
+range.  ``require_density`` runs the density gates.  The callers that
+also need the eigenpairs take them from the same scan: the same-diagonal
+decomposition, the ensemble search and ``purify`` through
+``_density_eig``, and the fidelity certificate through its two halves,
+``_unit_trace`` and ``_psd_eig``, with its m-range check between them.
+``stateio.parse_state`` runs its looser file gates on the same pieces.  So
+no caller validates a matrix and then rescans it for the eigensolve.
 """
 
 import numpy as np
@@ -54,10 +67,10 @@ def _adjoint_and_defect(mat: np.ndarray) -> tuple[np.ndarray, float]:
     of quarters, whose parts and modulus stay finite for any finite
     entries, and scaled back as a Python float, so a defect past the
     largest double is inf, with no numpy overflow."""
-    if not np.all(np.isfinite(mat)):
+    if not np.isfinite(mat).all():
         raise NumericalFailure("matrix has non-finite entries")
     adj = mat.conj().T
-    return adj, 4.0 * float(np.max(np.abs(0.25 * mat - 0.25 * adj))) if mat.size else 0.0
+    return adj, 4.0 * float(np.abs(0.25 * mat - 0.25 * adj).max()) if mat.size else 0.0
 
 
 def hermitian_defect(a) -> float:
@@ -69,33 +82,77 @@ def hermitian_defect(a) -> float:
     return _adjoint_and_defect(_as_complex_matrix(a))[1]
 
 
+def _hermitian(a, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` as a square complex128 matrix and its adjoint, from the one
+    scan of its entries: ``NumericalFailure`` on a non-finite entry,
+    ``NonHermitian`` on a defect above ``tol``."""
+    mat = _as_complex_matrix(a)
+    adj, defect = _adjoint_and_defect(mat)
+    if defect > tol:
+        raise NonHermitian(f"Hermitian defect {defect:.3e} exceeds {tol:.0e}")
+    return mat, adj
+
+
+def _eigh(mat: np.ndarray, adj: np.ndarray):
+    """LAPACK's eigenpairs of the Hermitian part 0.5 a + 0.5 a^dag, whose
+    halves, unlike 0.5 (a + a^dag), cannot overflow on finite entries;
+    ``NumericalFailure`` if the solver does not converge."""
+    try:
+        return np.linalg.eigh(0.5 * mat + 0.5 * adj)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"eigendecomposition did not converge: {exc}") from exc
+
+
+def _psd_eig(mat: np.ndarray, adj: np.ndarray):
+    """``_eigh`` behind the PSD gate, the package's one check of the floor:
+    ``NotPSD`` unless the smallest eigenvalue is at least -1e-10, so a NaN
+    eigenvalue fails it too."""
+    w, v = _eigh(mat, adj)
+    if not w[0] >= _PSD_EIG_FLOOR:
+        raise NotPSD(f"minimum eigenvalue {w[0]:.3e} below {_PSD_EIG_FLOOR:.0e}")
+    return w, v
+
+
+def _unit_trace(rho) -> tuple[np.ndarray, np.ndarray]:
+    """``rho`` as a complex128 matrix and its adjoint, through the one scan
+    of its entries (Hermitian to 1e-12 entrywise) and the trace gate."""
+    mat, adj = _hermitian(rho, _HERMITIAN_ENTRY)
+    tr = mat.trace()
+    if abs(tr - 1.0) > _TRACE_ONE:
+        raise NotDistribution(f"trace {tr} is not 1 within {_TRACE_ONE:.0e}")
+    return mat, adj
+
+
+def _density_eig(rho):
+    """``require_density`` with its PSD check, returning ``(rho, w, v)``:
+    the validated matrix and the eigenpairs ``eig_psd`` would give, from
+    the same one scan of the entries."""
+    mat, adj = _unit_trace(rho)
+    return (mat, *_psd_eig(mat, adj))
+
+
 def require_density(rho, *, check_psd: bool = True) -> np.ndarray:
     """Validate a density matrix and return it as complex128.
 
-    Checks finiteness and Hermiticity entrywise (``hermitian_defect``), unit
+    One scan of the entries checks finiteness and Hermiticity to 1e-12
+    entrywise (a non-finite entry raises ``NumericalFailure``), then unit
     trace, and (optionally, since it costs an eigendecomposition) positive
-    semidefiniteness through ``eig_psd``.  A non-finite entry raises
-    ``NumericalFailure``.
+    semidefiniteness: the eigensolve of 0.5 rho + 0.5 rho^dag reuses the
+    scan's adjoint, and its smallest eigenvalue must pass the PSD floor.
+    Callers that need the eigenpairs take them from ``_density_eig``, which
+    runs the same gates once.
     """
-    mat = _as_complex_matrix(rho)
-    defect = hermitian_defect(mat)
-    if defect > _HERMITIAN_ENTRY:
-        raise NonHermitian(f"Hermitian defect {defect:.3e} exceeds {_HERMITIAN_ENTRY:.0e}")
-    tr = np.trace(mat)
-    if abs(tr - 1.0) > _TRACE_ONE:
-        raise NotDistribution(f"trace {tr} is not 1 within {_TRACE_ONE:.0e}")
-    if check_psd:
-        eig_psd(mat)
-    return mat
+    return _density_eig(rho)[0] if check_psd else _unit_trace(rho)[0]
 
 
 def eig_hermitian(mat):
     """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
 
-    The matrix is symmetrized as ``0.5 * (a + a^dag)`` before the solve.
-    Returns ``(w, v)`` with eigenvalues ``w`` ascending and unitary ``v``
-    such that ``mat = v @ diag(w) @ v.conj().T``.  No ordering guarantee
-    among numerically equal eigenvalues.
+    The matrix is symmetrized as ``0.5 * a + 0.5 * a^dag`` before the
+    solve, which stays finite for any finite entries.  Returns ``(w, v)``
+    with eigenvalues ``w`` ascending and unitary ``v`` such that
+    ``mat = v @ diag(w) @ v.conj().T``.  No ordering guarantee among
+    numerically equal eigenvalues.
 
     Raises
     ------
@@ -104,25 +161,14 @@ def eig_hermitian(mat):
     NonHermitian
         if the entrywise symmetry defect exceeds 1e-9.
     """
-    a = _as_complex_matrix(mat)
-    adj, defect = _adjoint_and_defect(a)
-    if defect > _HERMITIAN_OP:
-        raise NonHermitian(f"Hermitian defect {defect:.3e} exceeds {_HERMITIAN_OP:.0e}")
-    try:
-        return np.linalg.eigh(0.5 * (a + adj))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigendecomposition did not converge: {exc}") from exc
+    return _eigh(*_hermitian(mat, _HERMITIAN_OP))
 
 
 def eig_psd(mat):
-    """``eig_hermitian`` followed by the PSD gate, the package's one check of
-    the floor: raises ``NotPSD`` if the smallest eigenvalue is below -1e-10.
-    Eigenvalues in ``[-1e-10, 0)`` are returned as computed; callers clamp
-    them to zero."""
-    w, v = eig_hermitian(mat)
-    if w[0] < _PSD_EIG_FLOOR:
-        raise NotPSD(f"minimum eigenvalue {w[0]:.3e} below {_PSD_EIG_FLOOR:.0e}")
-    return w, v
+    """``eig_hermitian`` followed by the PSD gate: raises ``NotPSD`` if the
+    smallest eigenvalue is below -1e-10 or is NaN.  Eigenvalues in
+    ``[-1e-10, 0)`` are returned as computed; callers clamp them to zero."""
+    return _psd_eig(*_hermitian(mat, _HERMITIAN_OP))
 
 
 def shannon_entropy(diagonal):

@@ -21,9 +21,11 @@ converted.  Parsing gates: finite entries and a finite trace, Hermiticity
 renormalization).  Accepted states are then symmetrized and
 trace-normalized exactly, so the stricter internal Hermiticity and trace
 invariants hold downstream.  Normalization cannot repair a negative
-eigenvalue, so the PSD gate on the normalized state is the internal one,
-``hermat.eig_psd`` (floor -1e-10), reported as a ``ParseError`` with the
-same message, and no command rejects as non-PSD a file that loaded.
+eigenvalue, so the PSD gate on the normalized state is the internal one
+(floor -1e-10), reported as a ``ParseError`` with the same message, and no
+command rejects as non-PSD a file that loaded.  The entries are scanned
+once: the adjoint the Hermiticity gate forms is the one the state is
+symmetrized with, as 0.5 rho + 0.5 rho^dag, whose halves cannot overflow.
 """
 
 import json
@@ -32,7 +34,7 @@ import numbers
 import numpy as np
 
 from .errors import NotPSD, ParseError
-from .hermat import eig_psd, hermitian_defect
+from .hermat import _adjoint_and_defect, _psd_eig
 
 __all__ = ["dump_state", "load_state", "parse_state", "state_to_dict"]
 
@@ -103,16 +105,18 @@ def parse_state(obj) -> tuple[np.ndarray, dict | None]:
             raise ParseError("cannot renormalize a traceless matrix")
         rho = rho / tr
 
-    defect = hermitian_defect(rho)
+    adj, defect = _adjoint_and_defect(rho)
     if defect > 1e-9:
         raise ParseError(f"Hermitian defect {defect:.3e} exceeds 1e-9")
     tr = np.trace(rho).real
     if abs(tr - 1.0) > 1e-8:
         raise ParseError(f"trace {tr} differs from 1 by more than 1e-8")
-    rho = 0.5 * (rho + rho.conj().T)
+    # halves, which stay finite for finite entries; the result is exactly
+    # Hermitian, so it is its own adjoint in the PSD gate
+    rho = 0.5 * rho + 0.5 * adj
     rho = rho / np.trace(rho).real
     try:
-        eig_psd(rho)
+        _psd_eig(rho, rho)
     except NotPSD as exc:
         raise ParseError(str(exc)) from exc
 

@@ -511,6 +511,15 @@ class TestExitCodes:
         bad.write_text(json.dumps({"dim": 2, "entries": [[[2.0, 0], [0, 0]], [[0, 0], [-1.0, 0]]]}))
         assert main(["fidelity", str(bad)]) == 2
 
+    def test_entries_past_half_the_largest_double(self, tmp_path, capsys):
+        # a non-PSD file whose entries overflow a plain symmetrization is an
+        # input error, not a numerical one (RuntimeWarnings fail the suite)
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"dim": 3, "entries": [
+            [[1e308, 0], [0, 0], [0, 0]], [[0, 0], [-1e308, 0], [0, 0]], [[0, 0], [0, 0], [1.0, 0]]]}))
+        assert main(["fidelity", str(big)]) == 2
+        assert capsys.readouterr().err == "input error: minimum eigenvalue -1.000e+308 below -1e-10\n"
+
     def test_non_finite_entries(self, tmp_path, capsys):
         bad = tmp_path / "nan.json"
         bad.write_text('{"dim": 2, "entries": [[[0.5, 0], [NaN, 0]], [[NaN, 0], [0.5, 0]]]}')

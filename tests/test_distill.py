@@ -139,12 +139,12 @@ class TestFidelitySdp:
     def test_failure_names_exit_reason(self, rng, monkeypatch):
         # a pair that misses a check raises NumericalFailure naming the check
         rho = random_density(3, rng)
-        level, eig = distill.waterfill_level, distill.eig_psd
+        level, eig = distill.waterfill_level, distill._psd_eig
         monkeypatch.setattr(distill, "waterfill_level", lambda a, m: 1.01 * level(a, m))
         with pytest.raises(NumericalFailure, match=r"trace .*, gap "):
             assisted_fidelity_sdp(rho, 2)
         monkeypatch.setattr(distill, "waterfill_level", level)
-        monkeypatch.setattr(distill, "eig_psd", lambda a: (1.001 * eig(a)[0], eig(a)[1]))
+        monkeypatch.setattr(distill, "_psd_eig", lambda *a: (1.001 * eig(*a)[0], eig(*a)[1]))
         with pytest.raises(NumericalFailure, match=r"reconstruction "):
             assisted_fidelity_sdp(rho, 2)
 

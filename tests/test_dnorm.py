@@ -171,6 +171,16 @@ class TestRowBatchedScan:
             assert np.array_equal(pure_distillation_fidelity(v, m),
                                   pure_distillation_fidelity(v.astype(complex), m))
 
+    def test_one_row_reads_its_split_as_a_stack_does(self, rng):
+        # a row alone indexes its split directly, a stack through one flat
+        # index per row: value, tail mass and room agree bit for bit
+        v = self.stack(rng, (6, 5))
+        for m in (1, 2, 3.5, 5, 7):
+            stacked = _vector_waterfill(v, m)
+            for row in range(6):
+                for alone, rows in zip(_vector_waterfill(v[row], m), stacked):
+                    assert np.array_equal(alone, rows[row])
+
     def test_pure_fidelity_rows(self, rng):
         v = self.stack(rng, (2, 6, 5))
         v[1, 2] = np.sqrt(0.2)  # maximally coherent: snaps to 1 at m = 5

@@ -33,7 +33,7 @@ from cohdist.errors import (
     NotDistribution,
     NumericalFailure,
 )
-from cohdist.hermat import random_density, shannon_entropy
+from cohdist.hermat import eig_psd, random_density, shannon_entropy
 
 
 def diag_residual(ens, rho):
@@ -294,7 +294,7 @@ def random_stack(rng, d, batch, *, normalized=False):
     whole stack passes the entropy objective's check.  Either way each
     objective scores ensemble 2 as 0.
     """
-    basis = _eigen_basis(random_density(d, rng))
+    basis = _eigen_basis(*eig_psd(random_density(d, rng)))
     thetas = rng.standard_normal((batch, 2 * (d + 1) * basis.shape[1]))
     amps = _amplitudes(thetas, d + 1, basis)
     weights = _squared(amps).sum(axis=-1)
@@ -316,7 +316,7 @@ def random_stack(rng, d, batch, *, normalized=False):
 class TestStackedEvaluation:
     @pytest.mark.parametrize("d", [4, 6])
     def test_builder_rows_match_single(self, rng, d):
-        basis = _eigen_basis(random_density(d, rng))
+        basis = _eigen_basis(*eig_psd(random_density(d, rng)))
         thetas = rng.standard_normal((6, 2 * (d + 1) * basis.shape[1]))
         amps = _amplitudes(thetas, d + 1, basis)
         for b in range(thetas.shape[0]):
@@ -494,7 +494,7 @@ def sequential_rotation_poll(objective, amps0, budget, step0=0.3, step_min=1e-7)
 
 def random_amplitudes(rng, rho, n_atoms, n_starts):
     """(n_starts, n_atoms, d) exact decompositions of ``rho``."""
-    basis = _eigen_basis(rho)
+    basis = _eigen_basis(*eig_psd(rho))
     return _amplitudes(rng.standard_normal((n_starts, 2 * n_atoms * basis.shape[1])),
                        n_atoms, basis)
 

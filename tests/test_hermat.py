@@ -1,10 +1,22 @@
 """Matrix-kernel operations against independent oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from cohdist.errors import DimMismatch, NotDistribution, NotPSD, NumericalFailure
-from cohdist.hermat import random_density, require_density, shannon_entropy
+from cohdist import distill, ensembles
+from cohdist.errors import (
+    BadM,
+    DimMismatch,
+    NonHermitian,
+    NotDistribution,
+    NotPSD,
+    NumericalFailure,
+    ParseError,
+)
+from cohdist.hermat import eig_psd, random_density, require_density, shannon_entropy
+from cohdist.stateio import parse_state, state_to_dict
 
 from reference import fidelity, tensor_power
 
@@ -121,6 +133,27 @@ class TestValidators:
         with pytest.raises(NotPSD):
             require_density(np.diag([1.5, -0.5]).astype(complex))
 
+    def test_entries_past_half_the_largest_double(self):
+        # finite Hermitian entries whose sum a_ij + conj(a_ji) overflows: the
+        # Hermitian part is taken of halves, so the smallest eigenvalue is
+        # -1e308 and the PSD gate rejects it, with no numpy warning
+        rho = np.diag([1e308, -1e308, 1.0]).astype(complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (require_density, eig_psd, lambda r: distill.one_shot_rate(r, 0.0)):
+                with pytest.raises(NotPSD, match="-1.000e[+]308"):
+                    call(rho)
+
+    def test_psd_gate_rejects_nan_eigenvalues(self, rng, monkeypatch):
+        # a NaN smallest eigenvalue fails the gate instead of passing
+        # ``w[0] < floor``
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.full(len(a), np.nan), eigh(a)[1]))
+        rho = random_density(3, rng)
+        for call in (require_density, eig_psd, lambda r: distill.assisted_fidelity_sdp(r, 2)):
+            with pytest.raises(NotPSD, match="nan"):
+                call(rho)
+
 
 class TestTolerancePlumbing:
     def test_tightened_hermitian_gate(self, rng):
@@ -129,3 +162,81 @@ class TestTolerancePlumbing:
         a = random_density(3, rng).copy()
         a[0, 1] += 1e-12  # inside the default 1e-9 gate
         eig_hermitian(a)
+
+
+def _min_eigenvalue(d, lam, rng):
+    """A unit-trace Hermitian d x d matrix whose smallest eigenvalue is lam."""
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    w = np.linspace(1.0, 2.0, d)
+    w[0], w[1:] = lam, w[1:] * (1.0 - lam) / w[1:].sum()
+    rho = (q * w) @ q.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+def _bad_input(kind, rng):
+    rho = random_density(3, rng)
+    if kind == "non-square":
+        return rho[:, :2]
+    if kind in ("nan", "inf"):
+        rho[0, 1] = np.nan if kind == "nan" else np.inf
+    elif kind == "defect-5e-11":   # inside the file gate, outside 1e-12
+        rho[0, 1] += 5e-11
+    elif kind == "defect-1e-8":    # outside both
+        rho[0, 1] += 1e-8
+    elif kind == "trace+1e-9":     # inside the file gate, outside 1e-10
+        rho[0, 0] += 1e-9
+    elif kind == "min-eig-1e-9":
+        rho = _min_eigenvalue(3, -1e-9, rng)
+    return rho
+
+
+def _parse(rho):
+    doc = state_to_dict(rho)
+    doc["entries"] = [[[float(z.real), float(z.imag)] for z in row] for row in rho]
+    return parse_state(doc)
+
+
+_CALLERS = {
+    "assisted_fidelity_bound": lambda rho: distill.assisted_fidelity_bound(rho, 2),
+    "assisted_fidelity_sdp": lambda rho: distill.assisted_fidelity_sdp(rho, 2),
+    "one_shot_rate": lambda rho: distill.one_shot_rate(rho, 0.05),
+    "same_diagonal_decomposition": ensembles.same_diagonal_decomposition,
+    "ensemble_search": lambda rho: ensembles.ensemble_search(
+        rho, ensembles.MaxAvgPureFidelity(2), 4, restarts=1, max_evals=64),
+    "parse_state": _parse,
+}
+# the class each caller raised before the gates shared one scan; None: accepted
+_LIBRARY = {"non-square": DimMismatch, "nan": NumericalFailure, "inf": NumericalFailure,
+            "defect-5e-11": NonHermitian, "defect-1e-8": NonHermitian,
+            "trace+1e-9": NotDistribution, "min-eig-1e-9": NotPSD}
+_FILE = {"non-square": ParseError, "nan": ParseError, "inf": ParseError,
+         "defect-5e-11": None, "defect-1e-8": ParseError, "trace+1e-9": None,
+         "min-eig-1e-9": ParseError}
+
+
+class TestOneValidationScan:
+    """Every caller of the merged scan keeps each gate and its error class."""
+
+    @pytest.mark.parametrize("kind", list(_LIBRARY))
+    @pytest.mark.parametrize("caller", list(_CALLERS))
+    def test_error_class(self, caller, kind):
+        rng = np.random.default_rng(5)
+        want = _FILE[kind] if caller == "parse_state" else _LIBRARY[kind]
+        if caller == "assisted_fidelity_bound" and kind == "min-eig-1e-9":
+            want = None  # the bound reads the diagonal and checks no PSD
+        rho = _bad_input(kind, rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if want is None:
+                _CALLERS[caller](rho)
+            else:
+                with pytest.raises(want):
+                    _CALLERS[caller](rho)
+
+    def test_m_range_before_psd_in_the_certificate(self, rng):
+        # a non-PSD state at an m past d is a BadM, as before the merge, and
+        # a malformed state at such an m is the state's error
+        with pytest.raises(BadM):
+            distill.fidelity_certificate(_min_eigenvalue(3, -1e-9, rng), 4)
+        with pytest.raises(NonHermitian):
+            distill.fidelity_certificate(_bad_input("defect-1e-8", rng), 4)

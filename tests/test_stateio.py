@@ -103,6 +103,16 @@ class TestParse:
             with pytest.raises(ParseError, match="Hermitian defect inf"):
                 parse_state(doc_for(rho))
 
+    def test_entries_past_half_the_largest_double(self):
+        # diagonal (1e308, -1e308, 1): trace 1 and Hermitian, so it reaches
+        # the symmetrization, whose halves stay finite; the PSD gate rejects
+        # it as a ParseError, with no numpy warning
+        rho = np.diag([1e308, -1e308, 1.0]).astype(complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="minimum eigenvalue -1.000e[+]308"):
+                parse_state(doc_for(rho))
+
     def test_shape_gate(self):
         with pytest.raises(ParseError):
             parse_state({"dim": 2, "entries": [[1.0, 0.0], [0.0, 0.0]]})

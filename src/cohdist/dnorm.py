@@ -116,8 +116,8 @@ def _waterfill(l1, masses, counts, m):
     j = split.argmax(axis=-1)
     if shape:  # row i's split at flat index i (c + 1) + j_i of the rows end to end
         at = j.ravel() + np.arange(0, j.size * (c + 1), c + 1)
-        tail, head = cols.reshape(2, -1)[:, at].reshape(cols.shape[:-1])
-        start = starts[j] if starts.ndim == 1 else starts.reshape(-1)[at].reshape(shape)
+        tail, head = cols.reshape(2, -1).take(at, axis=1).reshape(cols.shape[:-1])
+        start = starts.take(j) if starts.ndim == 1 else starts.reshape(-1).take(at).reshape(shape)
     else:  # one row: j indexes it directly
         tail, head = cols[:, j]
         start = starts[j]

@@ -15,30 +15,35 @@ admit such an axis.
 
 ``ensemble_search`` explores general decompositions.  A decomposition
 into k atoms is a k x d amplitude matrix A, rows sqrt(w_i) psi_i, with
-A^dag A = rho^T, and any two are related by a k x k unitary acting on the
-left (Hughston, Jozsa and Wootters).  Each start moves along that orbit:
-a poll move rotates two rows of A by +-step, with a real or an imaginary
-generator, so the reconstruction stays exact up to rounding (checked on
-the returned ensemble) and a candidate differs from its start in two rows
-only; one evaluation scores one rotated pair.  Random starts are random
-isometries applied to the eigen-ensemble, one QR each.  The search works
-on stacks: all restarts run in lockstep and each round adds up to sixteen
-candidates per live start.  Each start's control state (evaluations used,
-poll position, step level, costs) is a few Python scalars, while the
-candidates of a round, of every start at once, are gathered, rotated,
-scored and compared in one stacked numpy pass.  An objective is a sum or
-a maximum of per-atom terms, each read from one atom's row alone and
-masked to 0 below the weight floor instead of dropped, so one call scores
-the two rotated rows of every candidate of a round, and each candidate
-reuses its start's terms for the other rows.  Diagonal phases are free in
-this resource theory, so every shipped objective reads an ensemble only
-through its squared amplitudes w_i |psi_ij|^2: the search scores these
-real arrays and forms the complex ``Ensemble`` for the returned
-decomposition alone.
+A^dag A = rho^T, and any two are related by a k x k unitary acting on
+the left (Hughston, Jozsa and Wootters).  Each start moves along that
+orbit: a poll move rotates two rows of A by +-step, with a real or an
+imaginary generator, so the reconstruction stays exact up to rounding
+(checked on the returned ensemble) and a candidate differs from its
+start in two rows only; one evaluation scores one rotated pair.  Random
+starts are random isometries applied to the eigen-ensemble, one QR each.
+The search works on stacks: all restarts run in lockstep and each round
+adds up to sixteen candidates per live start.  Each start's control
+state (evaluations used, poll position, step level, costs) is a few
+Python scalars, while the candidates of a round, of every start at once,
+are gathered, rotated and scored in one stacked numpy pass.  The poll's
+rotated rows and rotation factors are read-only tables, built once per
+atom count and step range and indexed by one flat (step level, poll
+position) index, so a round reads them, its candidates' row pairs and
+their starts' terms and weights with one ``take`` each.  An objective is
+a sum or a maximum of per-atom terms, each read from one atom's row
+alone and masked to 0 below the weight floor instead of dropped, so one
+call scores the two rotated rows of every candidate of a round, and each
+candidate reuses its start's terms for the other rows.  Diagonal phases
+are free in this resource theory, so every shipped objective reads an
+ensemble only through its squared amplitudes w_i |psi_ij|^2: the search
+scores these real arrays and forms the complex ``Ensemble`` for the
+returned decomposition alone.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -270,10 +275,10 @@ class MaxAvgPureFidelity:
     def terms(self, probs):
         probs = np.asarray(probs, dtype=float)
         scores = pure_distillation_fidelity(np.sqrt(probs), self.m)
-        return np.where(probs.sum(axis=-1) > _WEIGHT_FLOOR, scores, 0.0)
+        return np.where(np.add.reduce(probs, axis=-1) > _WEIGHT_FLOOR, scores, 0.0)
 
     def combine(self, terms, weights):
-        return np.sum(terms, axis=-1)
+        return np.add.reduce(terms, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -286,17 +291,17 @@ class MinMaxInfNormSq:
 
     def terms(self, probs):
         probs = np.asarray(probs, dtype=float)
-        weights = probs.sum(axis=-1)
-        return np.divide(np.max(probs, axis=-1), weights, out=np.zeros_like(weights),
+        weights = np.add.reduce(probs, axis=-1)
+        return np.divide(np.maximum.reduce(probs, axis=-1), weights, out=np.zeros(weights.shape),
                          where=weights > _WEIGHT_FLOOR)
 
     def combine(self, terms, weights):
-        return np.max(terms, axis=-1)
+        return np.maximum.reduce(terms, axis=-1)
 
 
 def _xlog2x(p):
     pos = p > 0.0
-    out = np.log2(p, out=np.zeros_like(p), where=pos)
+    out = np.log2(p, out=np.zeros(p.shape), where=pos)
     return np.multiply(out, p, out=out, where=pos)
 
 
@@ -314,16 +319,16 @@ class MaxAvgDiagEntropy:
 
     def terms(self, probs):
         probs = np.asarray(probs, dtype=float)
-        weights = probs.sum(axis=-1)
+        weights = np.add.reduce(probs, axis=-1)
         terms = _xlog2x(weights)
-        terms -= _xlog2x(probs).sum(axis=-1)
+        terms -= np.add.reduce(_xlog2x(probs), axis=-1)
         terms[~(weights > _WEIGHT_FLOOR)] = 0.0  # NaN weights too
         return terms
 
     def combine(self, terms, weights):
-        if not (abs(weights.sum(axis=-1) - 1.0) <= _DISTRIBUTION).all():
+        if not (abs(np.add.reduce(weights, axis=-1) - 1.0) <= _DISTRIBUTION).all():
             raise NotDistribution(f"ensemble weights do not sum to 1 within {_DISTRIBUTION:.0e}")
-        return terms.sum(axis=-1)
+        return np.add.reduce(terms, axis=-1)
 
 
 def _eigen_basis(w, u):
@@ -442,6 +447,37 @@ def ensemble_search(
     return ens, float(evaluate(objective, ens.weights[:, None] * _squared(ens.atoms)))
 
 
+@lru_cache(maxsize=16)
+def _poll_tables(n_atoms, step0, step_min):
+    """The rotation poll on k = ``n_atoms`` rows, built once per (k,
+    ``step0``, ``step_min``): the number n_pos = 4 C(k, 2) of poll
+    positions, the number of step levels, and per flat index
+    q = level * n_pos + p two read-only tables, the rotated rows (j, l) of
+    position p, shape (q, 2), and the factors (cos, t_j, t_l) of its
+    rotation at that level's step, shape (q, 3).
+
+    The steps are step0 / 2^level above step_min.  cos(step) is cast to
+    complex as numpy would cast it, and t_j, t_l are the factors of
+    sin(step) that multiply a_l in row j and a_j in row l: +-e^{i phi} and
+    -+e^{-i phi} for phi = 0, pi/2 and the signs +, -, four positions per
+    pair j < l in row-major order.
+    """
+    pos_rows = np.repeat(np.transpose(np.triu_indices(n_atoms, 1)), 4, axis=0)
+    n_pos = pos_rows.shape[0]
+    pos_turn = np.tile([[1.0, -1.0], [-1.0, 1.0], [1j, 1j], [-1j, -1j]], (n_pos // 4, 1))
+    steps, step = [], float(step0)
+    while step > step_min:
+        steps.append(step)
+        step *= 0.5
+    factors = np.empty((len(steps), n_pos, 3), dtype=np.complex128)
+    factors[..., 0] = np.array([math.cos(t) for t in steps])[:, None]
+    factors[..., 1:] = np.array([math.sin(t) for t in steps])[:, None, None] * pos_turn
+    rows = np.tile(pos_rows, (len(steps), 1))
+    factors = factors.reshape(-1, 3)
+    rows.flags.writeable = factors.flags.writeable = False
+    return n_pos, len(steps), rows, factors
+
+
 def _rotation_search(objective, amps0, budget, step0=0.3, step_min=1e-7):
     """First-improvement poll over pair rotations with step halving, run on
     an (S, k, d) stack of amplitude matrices in lockstep; returns the (S, k, d)
@@ -456,88 +492,83 @@ def _rotation_search(objective, amps0, budget, step0=0.3, step_min=1e-7):
     Each start's control state is Python scalars, one list entry per start:
     evaluations used, poll position, step level, current cost and the cost
     when its sweep began.  Everything of candidate scale is stacked numpy.
-    The first ``objective.terms`` call scores every row of every start, and
-    each start keeps its (k,) terms and weights.  Then each round, every
-    live start (evaluations below ``budget``, step above ``step_min``) adds
-    its next ``_POLL_CHUNK`` positions, clipped at the sweep's end and at
-    its remaining budget; the round's owner, position and level arrays are
-    built from the lists.  One pass gathers and rotates the (B, 2, d) row
-    pairs of all B candidates and squares them, one ``terms`` call scores
-    them, and a candidate's terms and weights are its start's with those
-    two columns replaced.  One ``objective.combine`` gives every candidate's
-    value, the same reduction over the same k values as on the full stack,
-    so bit for bit the same, and one comparison marks the improvements.  A
-    start's move is the first mark in its slice of the round; it updates
-    the two amplitude rows and the start's terms and weights.  Each start
-    is charged only the candidates up to and including the one it accepts,
-    so its moves, halvings and budget match a one-at-a-time poll of that
-    start alone, and the calls number no more than its longest start would
-    make.  The Python loop runs over the starts, for this control alone.
+    The poll's rows and rotation factors come from ``_poll_tables``, built
+    once per (k, ``step0``, ``step_min``) and indexed by the flat (level,
+    position) index q.  The first ``objective.terms`` call scores every row
+    of every start, and each start keeps its (k,) terms and weights in one
+    (S, 2, k) array.  Then each round, every live start (evaluations below
+    ``budget``, step above ``step_min``) adds its next ``_POLL_CHUNK``
+    positions, clipped at the sweep's end and at its remaining budget: a
+    run of consecutive q, so a slice of the flat (start, q) index.  One
+    ``concatenate`` of those slices and one ``divmod`` give the round's
+    owners and q.  One ``take`` each reads the candidates' rotated rows,
+    their rotation factors, their (B, 2, d) row pairs and their starts'
+    terms and weights.  The pairs are rotated and squared, one ``terms``
+    call scores them, and their terms and weights replace those two
+    columns of the candidates' copies.  One ``objective.combine`` over the
+    two halves gives every candidate's value, the same reduction over the
+    same k values as on the full stack, so bit for bit the same.  A start's
+    move is the first candidate of its slice that beats its cost by 1e-15,
+    compared as Python floats; it updates the two amplitude rows and the
+    start's terms and weights.  Each start is charged only the candidates
+    up to and including the one it accepts, so its moves, halvings and
+    budget match a one-at-a-time poll of that start alone, and the calls
+    number no more than its longest start would make.  The Python loop
+    runs over the starts, for this control alone.
     """
     sense = 1.0 if objective.sense == "min" else -1.0
     amps = np.array(amps0, dtype=np.complex128)
+    n_starts, k, d = amps.shape
+    n_pos, n_levels, pos_rows, factors = _poll_tables(k, step0, step_min)
     probs = _squared(amps)
     # each start's per-atom terms and weights, kept up to date on its moves
-    terms, weights = objective.terms(probs), probs.sum(axis=-1)
-    cost = (sense * objective.combine(terms, weights)).tolist()
-    # per poll position, four per pair: the rotated rows (j, l) and the
-    # factors of sin(step) that multiply a_l in row j and a_j in row l,
-    # +-e^{i phi} and -+e^{-i phi} for phi = 0, pi/2 and the signs +, -
-    pos_rows = np.repeat(np.transpose(np.triu_indices(amps.shape[1], 1)), 4, axis=0)
-    n_pos = pos_rows.shape[0]
-    pos_turn = np.tile([[1.0, -1.0], [-1.0, 1.0], [1j, 1j], [-1j, -1j]], (n_pos // 4, 1))
-    # the steps step0 / 2^level above step_min; per level, cos(step), cast to
-    # complex as numpy would cast it, and per level and poll position the
-    # two factors times sin(step)
-    steps, step = [], float(step0)
-    while step > step_min:
-        steps.append(step)
-        step *= 0.5
-    cos = np.array([math.cos(t) for t in steps], dtype=np.complex128)
-    turns = np.array([math.sin(t) for t in steps])[:, None, None] * pos_turn
-    n_starts = len(cost)
+    tw = np.stack((objective.terms(probs), np.add.reduce(probs, axis=-1)), axis=1)
+    cost = (sense * objective.combine(tw[:, 0], tw[:, 1])).tolist()
     evals, pos, level, swept = [1] * n_starts, [0] * n_starts, [0] * n_starts, list(cost)
-    slots = np.arange(n_starts * _POLL_CHUNK)[:, None]  # a round's candidates
+    flat_amps = amps.reshape(-1, d)
+    n_q = n_levels * n_pos
+    flat_q = np.arange(n_starts * n_q)  # start s at poll index q is s * n_q + q
+    # where candidate b's terms begin in a round's (B, 2, k) terms and weights
+    slots = np.arange(0, n_starts * _POLL_CHUNK * 2 * k, 2 * k)[:, None]
     while True:
         # per live start (pos < n_pos fails only when there is no pair):
-        # its place in the round and its count, then per candidate its
-        # start, poll position, step level and the cost it must beat
-        spans, owner, p, lev, bar = [], [], [], [], []
+        # its place in the round, its count and its slice of the flat index
+        spans, pieces, size = [], [], 0
         for s in range(n_starts):
-            if evals[s] < budget and level[s] < len(steps) and pos[s] < n_pos:
+            if evals[s] < budget and level[s] < n_levels and pos[s] < n_pos:
                 count = min(_POLL_CHUNK, n_pos - pos[s], budget - evals[s])
-                spans.append((s, len(p), count))
-                owner += [s] * count
-                p += range(pos[s], pos[s] + count)
-                lev += [level[s]] * count
-                bar += [cost[s] - 1e-15] * count
+                spans.append((s, size, count))
+                size += count
+                q0 = s * n_q + level[s] * n_pos + pos[s]
+                pieces.append(flat_q[q0:q0 + count])
         if not spans:
             return amps, np.array(cost)
-        owner, p, lev = np.array(owner), np.array(p), np.array(lev)
-        rows = pos_rows[p]
-        ajl = amps[owner[:, None], rows]  # (B, 2, d): a_j, a_l
+        owner, q = np.divmod(np.concatenate(pieces), n_q)
+        rows, f = pos_rows.take(q, axis=0), factors.take(q, axis=0)
+        at = rows + k * owner[:, None]  # the rotated rows of the flat amplitudes
+        ajl = flat_amps.take(at, axis=0)  # (B, 2, d): a_j, a_l
         # each factor has one exactly zero part, so every product rounds once
-        new = cos[lev, None, None] * ajl + turns[lev, p][..., None] * ajl[:, ::-1]
+        new = f[:, :1, None] * ajl + f[:, 1:, None] * ajl[:, ::-1]
         sq = _squared(new)
         # a candidate's terms and weights are its start's with two columns replaced
-        cand = slots[: owner.size]
-        cand_terms, cand_weights = terms[owner], weights[owner]
-        cand_terms[cand, rows] = objective.terms(sq)
-        cand_weights[cand, rows] = sq.sum(axis=-1)
-        costs = sense * objective.combine(cand_terms, cand_weights)
-        better = (costs < bar).tolist()
+        cand = tw.take(owner, axis=0)
+        cols, flat = slots[: owner.size] + rows, cand.reshape(-1)
+        flat[cols] = objective.terms(sq)
+        flat[cols + k] = np.add.reduce(sq, axis=-1)
+        costs = (sense * objective.combine(cand[:, 0], cand[:, 1])).tolist()
         for s, i0, count in spans:
-            try:
-                i = better.index(True, i0, i0 + count)  # the start's first improvement
-            except ValueError:
+            bar = cost[s] - 1e-15
+            for i in range(i0, i0 + count):
+                if costs[i] < bar:  # the start's first improvement
+                    evals[s] += i - i0 + 1
+                    pos[s] = (pos[s] + i - i0) // 2 * 2 + 2  # the next pair or phase
+                    flat_amps[at[i]] = new[i]
+                    tw[s] = cand[i]
+                    cost[s] = costs[i]
+                    break
+            else:
                 evals[s] += count
                 pos[s] += count
-            else:
-                evals[s] += i - i0 + 1
-                pos[s] = (pos[s] + i - i0) // 2 * 2 + 2  # the next pair or phase
-                amps[s, rows[i]] = new[i]
-                terms[s], weights[s] = cand_terms[i], cand_weights[i]
-                cost[s] = float(costs[i])
             if pos[s] >= n_pos or evals[s] >= budget:
                 if not cost[s] < swept[s]:  # no move lowered the cost
                     level[s] += 1

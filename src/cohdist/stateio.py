@@ -16,9 +16,10 @@ numbers are a ``ParseError``, never truncated.  A ``declared_base`` needs
 checked in time bounded by log dim, whatever ``copies``.  Each entry part
 is a JSON integer or float and ``renormalize`` a JSON boolean; anything
 else, booleans and numeric strings included, is a ``ParseError``, never
-converted.  Parsing gates: finite entries and a finite trace, Hermiticity
-1e-9 entrywise, trace within 1e-8 of one (after the optional
-renormalization).  Accepted states are then symmetrized and
+converted.  Parsing gates: finite entries and a finite trace, finite
+entries after the optional renormalization (a trace near its 1e-12 floor
+can scale finite entries past the largest double), Hermiticity 1e-9
+entrywise, trace within 1e-8 of one (after the renormalization).  Accepted states are then symmetrized and
 trace-normalized exactly, so the stricter internal Hermiticity and trace
 invariants hold downstream.  Normalization cannot repair a negative
 eigenvalue, so the PSD gate on the normalized state is the internal one
@@ -103,7 +104,11 @@ def parse_state(obj) -> tuple[np.ndarray, dict | None]:
     if renormalize:
         if abs(tr) < 1e-12:
             raise ParseError("cannot renormalize a traceless matrix")
-        rho = rho / tr
+        with np.errstate(over="ignore"):  # a small trace scales finite entries past it
+            rho = rho / tr
+        if not np.isfinite(rho).all():
+            raise ParseError(f"renormalized entries are not finite: the trace {tr:.3e} "
+                             "scales them past the largest double")
 
     adj, defect = _adjoint_and_defect(rho)
     if defect > 1e-9:

@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -519,6 +520,18 @@ class TestExitCodes:
             [[1e308, 0], [0, 0], [0, 0]], [[0, 0], [-1e308, 0], [0, 0]], [[0, 0], [0, 0], [1.0, 0]]]}))
         assert main(["fidelity", str(big)]) == 2
         assert capsys.readouterr().err == "input error: minimum eigenvalue -1.000e+308 below -1e-10\n"
+
+    def test_renormalization_past_the_largest_double(self, tmp_path, capsys):
+        # finite entries divided by a trace of 1e-11 overflow: an unusable
+        # input file (exit 2), not a numerical failure (exit 4), and no
+        # RuntimeWarning (warnings fail the suite)
+        big = tmp_path / "renorm.json"
+        big.write_text(json.dumps({"dim": 3, "renormalize": True, "entries": [
+            [[1e300, 0], [0, 0], [0, 0]], [[0, 0], [-1e300, 0], [0, 0]], [[0, 0], [0, 0], [1e-11, 0]]]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fidelity", str(big)]) == 2
+        assert capsys.readouterr().err.startswith("input error: renormalized entries are not finite")
 
     def test_non_finite_entries(self, tmp_path, capsys):
         bad = tmp_path / "nan.json"

@@ -19,6 +19,7 @@ from cohdist.ensembles import (
     _amplitudes,
     _eigen_basis,
     _ensemble,
+    _poll_tables,
     _rotation_search,
     _squared,
     ensemble_search,
@@ -511,6 +512,39 @@ def returned_value(objective, ens):
     return ensembles.evaluate(objective, ens.weights[:, None] * _squared(ens.atoms))
 
 
+class TestPollTables:
+    def test_read_only_and_built_once_per_atom_count(self, rng):
+        _poll_tables.cache_clear()
+        rho = random_density(4, rng)
+        for n_starts in (2, 3):
+            _rotation_search(MinMaxInfNormSq(), random_amplitudes(rng, rho, 5, n_starts), 100)
+        info = _poll_tables.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        tables = _poll_tables(5, 0.3, 1e-7)
+        assert _poll_tables(5, 0.3, 1e-7) is tables
+        for table in tables[2:]:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0
+
+    def test_flat_index_is_level_then_position(self):
+        """Entry q = level * n_pos + p holds position p's rows (pairs in
+        row-major order, four positions each) and its factors at the step
+        step0 / 2^level: cos, then the sin multiples of a_l and a_j."""
+        n_pos, n_levels, rows, factors = _poll_tables(3, 0.3, 1e-7)
+        assert (n_pos, n_levels) == (12, 22)  # 0.3 / 2^21 > 1e-7 >= 0.3 / 2^22
+        assert rows.shape == (n_levels * n_pos, 2) and factors.shape == (n_levels * n_pos, 3)
+        pairs = [(0, 1), (0, 2), (1, 2)]
+        turns = [(1.0, -1.0), (-1.0, 1.0), (1j, 1j), (-1j, -1j)]
+        for level in (0, 5, 21):
+            step = 0.3 * 0.5 ** level
+            for p in range(n_pos):
+                q = level * n_pos + p
+                assert tuple(rows[q]) == pairs[p // 4]
+                assert factors[q, 0] == math.cos(step)
+                assert tuple(factors[q, 1:]) == tuple(math.sin(step) * t for t in turns[p % 4])
+
+
 class TestRotationPoll:
     @pytest.mark.parametrize("objective", OBJECTIVES, ids=repr)
     @pytest.mark.parametrize("d", [4, 5, 6])
@@ -540,6 +574,32 @@ class TestRotationPoll:
         assert len(counted.rows) > 1 and max(counted.rows[1:]) <= 2
         ref_amps, ref_costs = _rotation_search(objective, starts, 400)
         assert np.array_equal(amps, ref_amps) and np.array_equal(costs, ref_costs)
+
+    @pytest.mark.parametrize("objective", OBJECTIVES, ids=repr)
+    def test_two_atoms_sweep_within_one_chunk(self, rng, objective):
+        """k = 2: one pair, so a sweep is 4 positions, shorter than a chunk,
+        and every round of a live start ends its sweep."""
+        rho = random_density(3, rng, rank=2)
+        starts = random_amplitudes(rng, rho, 2, 3)
+        assert 4 < _POLL_CHUNK
+        for budget in (5, 77, 400):
+            amps, costs = _rotation_search(objective, starts, budget)
+            for s in range(3):
+                ref_amps, ref_cost = sequential_rotation_poll(objective, starts[s], budget)
+                assert np.array_equal(amps[s], ref_amps)
+                assert costs[s] == ref_cost
+
+    @pytest.mark.parametrize("step0, step_min", [(1.1, 1e-7), (0.05, 1e-7), (0.7, 3e-3)])
+    def test_other_step_ranges(self, rng, step0, step_min):
+        rho = random_density(4, rng)
+        starts = random_amplitudes(rng, rho, 5, 3)
+        for objective in OBJECTIVES:
+            amps, costs = _rotation_search(objective, starts, 300, step0=step0, step_min=step_min)
+            for s in range(3):
+                ref_amps, ref_cost = sequential_rotation_poll(objective, starts[s], 300,
+                                                              step0=step0, step_min=step_min)
+                assert np.array_equal(amps[s], ref_amps)
+                assert costs[s] == ref_cost
 
     def test_step_halving_to_the_floor(self, rng):
         rho = random_density(2, rng)

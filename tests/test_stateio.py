@@ -113,6 +113,16 @@ class TestParse:
             with pytest.raises(ParseError, match="minimum eigenvalue -1.000e[+]308"):
                 parse_state(doc_for(rho))
 
+    def test_renormalization_past_the_largest_double(self):
+        # diagonal (1e300, -1e300, 1e-11): the trace 1e-11 passes the 1e-12
+        # floor, and dividing by it overflows the first two entries; the file
+        # is a ParseError, with no numpy warning
+        rho = np.diag([1e300, -1e300, 1e-11]).astype(complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="renormalized entries are not finite"):
+                parse_state(doc_for(rho, renormalize=True))
+
     def test_shape_gate(self):
         with pytest.raises(ParseError):
             parse_state({"dim": 2, "entries": [[1.0, 0.0], [0.0, 0.0]]})

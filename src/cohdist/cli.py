@@ -3,12 +3,23 @@
 Subcommands: ``fidelity``, ``rate``, ``decompose``, ``figure``,
 ``selftest``.  States are read from JSON files (see :mod:`cohdist.stateio`);
 ``figure`` turns a curve-specification file into a CSV of assisted-fidelity
-curves over (family, p, n) grids.  Each curve is one stack of its points'
-diagonals, evaluated with one water-filling call per chunk of at most 2^17
-class entries (points times the largest point's classes times d), so 64
-points to 1023 qubit copies are one call and 65535 copies one point a
-call; each value is the one ``distill.assisted_fidelity_from_probs``
-gives the point alone.
+curves over (family, p, n) grids.  A spec is one stack of all its curves'
+points' diagonals, each row at its own n and its curve's m, evaluated
+with one water-filling call per chunk of at most 2^17 class entries
+(points times the largest point's classes times d), so 64 points to 1023
+qubit copies are one call and 65535 copies one point a call; each value
+is the one ``distill.assisted_fidelity_from_probs`` gives the point
+alone.
+
+Each command does each step once.  Its argv is parsed once: a leading
+command name goes straight to that command's own parser (``_parse``),
+whose usage lines and errors already read ``cohdist <command>``.  The
+state is checked once, at load (``stateio.parse_state``), whose gates
+make the matrix pass every gate of ``hermat.require_density``;
+``fidelity``, ``rate`` and ``decompose`` then call the private cores of
+``distill.assisted_fidelity_bound``, ``distill.one_shot_rate`` and
+``ensembles.same_diagonal_decomposition`` on it, which check the copies,
+eps and m but do not rescan the matrix or solve for the PSD gate again.
 
 Exit codes: 0 success, 2 input error, 3 capacity, 4 numerical failure.
 Human tables print 6 significant digits; CSV and JSON carry full doubles.
@@ -27,17 +38,18 @@ d^n x d^n matrix.
 
 ``import cohdist`` does not load this module; the first read of
 ``cohdist.cli`` does, and ``python -m cohdist.cli`` runs it once, as
-``__main__``.  The argument parser is built once per process, on the first
-``main`` call (importing the module builds nothing), and every later call
-parses with it.  Parsing does not mutate an argparse parser and every
-default is an immutable scalar, so ``main`` may run from several threads
-at once.
+``__main__``.  The argument parser and its command table are built once
+per process, on the first ``main`` call (importing the module builds
+nothing), and every later call parses with them.  Parsing does not mutate
+an argparse parser and every default is an immutable scalar, so ``main``
+may run from several threads at once.
 """
 
 import argparse
 import json
 import sys
 from functools import cache, reduce
+from gettext import gettext
 
 import numpy as np
 
@@ -55,7 +67,7 @@ from .errors import (
     NumericalFailure,
     ParseError,
 )
-from .hermat import random_density, shannon_entropy
+from .hermat import _eigh, random_density, shannon_entropy
 from .stateio import _integer, _read_json, _real, dump_state, load_state
 
 __all__ = ["main"]
@@ -90,7 +102,7 @@ def _load_base(args):
 def cmd_fidelity(args) -> int:
     rho, base_dim = _load_base(args)
     exact = base_dim <= 3
-    bound = distill.assisted_fidelity_bound(rho, args.m, copies=args.copies)
+    bound = distill._fidelity_bound(rho, args.m, args.copies)
     expanded_dim = rho.shape[0] ** args.copies  # at most 2^53, or distill raised
 
     payload = {
@@ -116,7 +128,7 @@ def cmd_fidelity(args) -> int:
 
 def cmd_rate(args) -> int:
     rho, base_dim = _load_base(args)
-    report = distill.one_shot_rate(rho, args.eps, base_dim, args.copies)
+    report = distill._one_shot_rate(rho, args.eps, base_dim, args.copies)
     expanded_dim = rho.shape[0] ** args.copies  # at most 2^53, or distill raised
     asymptotic = report.asymptotic_zero_error_bits_per_copy
     per_base = asymptotic / args.copies
@@ -151,8 +163,10 @@ def cmd_rate(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    rho, declared = load_state(args.state)
-    ens = ensembles.same_diagonal_decomposition(rho)
+    rho, _ = load_state(args.state)
+    # the eigenpairs of the loaded matrix's Hermitian part, as the entry
+    # point's own gate solves them, with no second scan or gate
+    ens = ensembles._same_diagonal(rho, *_eigh(rho, rho.conj().T))
     recon = ens.reconstruction_residual(rho)
     diag_res = float(np.max(np.abs(np.abs(ens.atoms) ** 2 - np.diag(rho).real)))
 
@@ -209,25 +223,24 @@ def _parse_curve_specs(obj) -> list[dict]:
 
 def cmd_figure(args) -> int:
     """Write each curve's F(n, p) over its copies x p_grid points, sorted by
-    family, n and p.  A curve's points are one stack of qubit diagonals
-    (p, 1 - p), or (1/2, 1/2) for ``depolarized``, evaluated by
+    family, n and p.  Every point of the spec, curve after curve, is one
+    stack of qubit diagonals (p, 1 - p), or (1/2, 1/2) for
+    ``depolarized``, each with its own n and its curve's m, evaluated by
     ``distill._curve_fidelity``: one type-class build and one
     water-filling call per chunk of at most 2^17 class entries.  A curve
     with no points adds no rows and evaluates nothing."""
     specs = _parse_curve_specs(_read_json(args.spec))
 
-    rows = []
-    for spec in specs:
-        family, m = spec["family"], spec["m"]
-        points = [(n, p) for n in spec["copies"] for p in spec["p_grid"]]
-        if not points:
-            continue
+    points = [(spec["family"], p, n, spec["m"])
+              for spec in specs for n in spec["copies"] for p in spec["p_grid"]]
+    fids = []
+    if points:
         probs = np.array([[0.5, 0.5] if family == "depolarized" else [p, 1.0 - p]
-                          for _, p in points])
-        fids = distill._curve_fidelity(probs, [n for n, _ in points], m)
-        rows += [(family, p, n, m, f) for (n, p), f in zip(points, fids.tolist())]
+                          for family, p, _, _ in points])
+        fids = distill._curve_fidelity(probs, [n for _, _, n, _ in points],
+                                       [m for *_, m in points]).tolist()
+    rows = [(family, p, n, m, f) for (family, p, n, m), f in zip(points, fids)]
     rows.sort(key=lambda r: (r[0], r[2], r[1]))
-
     out_lines = ["family,p,n,m,F_assisted"]
     out_lines += [f"{fam},{float(p)!r},{n},{m},{float(f)!r}" for fam, p, n, m, f in rows]
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -393,7 +406,9 @@ def cmd_selftest(args) -> int:
 
 
 @cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its command table, each command's own
+    parser by name."""
     parser = argparse.ArgumentParser(
         prog="cohdist",
         description="assisted coherence distillation: fidelities, rates, "
@@ -433,11 +448,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_selftest)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv) -> argparse.Namespace:
+    """``argv`` parsed once.  A leading command name is parsed by that
+    command's own parser, whose usage and errors already read ``cohdist
+    <command>``, as the top-level parser's pass would hand it on; anything
+    it leaves over is the top-level parser's error, as there.  Every other
+    argv (no command, an unknown one, a top-level option first) goes
+    through the top-level parser."""
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(gettext("unrecognized arguments: %s") % " ".join(extra))
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         return args.func(args)
     except (ParseError, BadM, NotDistribution, DimMismatch, NonHermitian, NotPSD) as exc:

@@ -16,10 +16,11 @@ only through the n-fold power of that diagonal.  They take the base state
 and a ``copies`` count and never form the d^n x d^n matrix.  One builder,
 ``_power_classes``, turns the powers of a stack of diagonals, each with
 its own n, into rows of classes of equal entries: a single state is a
-stack of one, and a ``figure`` curve is one stack of all its (n, p)
-points.  ``dnorm._class_fidelity`` evaluates those rows at any m, all
-rows in one water-filling call, and ``dnorm._class_level`` reads a row's
-level m* off them in one pass; nothing built grows with m.  At n = 1 a
+stack of one, and a ``figure`` spec is one stack of all its curves'
+(n, p) points.  ``dnorm._class_fidelity`` evaluates those rows at any m,
+one shared or one per row, all rows in one water-filling call, and
+``dnorm._class_level`` reads a row's level m* off them in one pass;
+nothing built grows with m.  At n = 1 a
 row holds the diagonal itself, which reproduces the matrix path bit for
 bit, and a single entry p holds p^n at any n.  At every other n >= 2 it
 holds the power's types: the C(n+d-1, d-1) distinct products
@@ -45,8 +46,8 @@ either one it raises ``CapExceeded``:
   and a peak resident memory of 39 MB for a whole ``figure`` process
   (Python 3.11, numpy 2.4), for the O(n^2) big-integer work of their
   exact binomials; memory and that work would otherwise grow without
-  limit.  ``figure`` evaluates a curve in chunks of at most 2^17 class
-  entries (``_curve_fidelity``), so a curve never holds more than its
+  limit.  ``figure`` evaluates a spec in chunks of at most 2^17 class
+  entries (``_curve_fidelity``), so a spec never holds more than its
   largest point's table: 32 points at 65535 qubit copies peak at 38 MB.
 
 Rates are reported in bits as log2 of an integer, since the achievable
@@ -268,9 +269,15 @@ def assisted_fidelity_bound(rho, m: int, copies: int = 1) -> float:
     min {max_j omega_jj : F(rho, omega) >= 1 - eps}: its value theta has
     1/theta the largest real m with (1/m) mnorm(a, m)^2 >= 1 - eps.
     """
-    rho = require_density(rho, check_psd=False)
-    n = _check_copies(copies, rho.shape[0])
-    return float(_class_fidelity(*_power_classes(rho.diagonal().real, n), m))
+    return _fidelity_bound(require_density(rho, check_psd=False), m, copies)
+
+
+def _fidelity_bound(rho, m: int, copies: int = 1) -> float:
+    """``assisted_fidelity_bound`` on a matrix that has passed the density
+    gates (``require_density``, or a state file's load): the copies bounds
+    and ``BadM`` are checked here, the matrix is not rescanned."""
+    probs = rho.diagonal().real
+    return float(_class_fidelity(*_power_classes(probs, _check_copies(copies, probs.size)), m))
 
 
 def _power_classes(probs, copies):
@@ -328,12 +335,17 @@ def _power_classes(probs, copies):
     return [x.reshape(shape + x.shape[-1:]) for x in planes]
 
 
-def _curve_fidelity(probs, copies, m: int) -> np.ndarray:
-    """The fidelities of a stack's powers at one m, evaluated in consecutive
-    chunks of rows.  A chunk holds at most 2^17 class entries (its rows
-    times the widest row's classes times d), the bound on one type table,
-    so a curve's memory is that of its largest point: 65535 qubit copies
-    take one row at a time."""
+def _curve_fidelity(probs, copies, m: list) -> np.ndarray:
+    """The fidelities of a stack's powers, row i at its own count copies[i]
+    and level m[i], evaluated in consecutive chunks of rows.  A chunk holds
+    at most 2^17 class entries (its rows times the widest row's classes
+    times d), the bound on one type table, so a stack's memory is that of
+    its largest point: 65535 qubit copies take one row at a time, in a
+    chunk of their own.  ``figure`` hands it every point of a spec, its
+    curves one after the other; a chunk raises ``CapExceeded`` for one of
+    its counts before it evaluates, and ``BadM`` for the first bad level
+    among its rows, so the first failing point raises, as it would in a
+    stack of its curve alone."""
     d, bounds, widest = probs.shape[-1], [0], 0
     for i, n in enumerate(copies):
         width = _class_count(n, d) * d
@@ -342,8 +354,9 @@ def _curve_fidelity(probs, copies, m: int) -> np.ndarray:
             bounds.append(i)
             widest = width
     bounds.append(len(copies))
-    return np.concatenate([_class_fidelity(*_power_classes(probs[lo:hi], copies[lo:hi]), m)
-                           for lo, hi in zip(bounds, bounds[1:])])
+    return np.concatenate([
+        _class_fidelity(*_power_classes(probs[lo:hi], copies[lo:hi]), m[lo:hi])
+        for lo, hi in zip(bounds, bounds[1:])])
 
 
 def assisted_fidelity_from_probs(probs, n: int, m: int) -> float:
@@ -481,7 +494,14 @@ def one_shot_rate(rho, eps: float, declared_base_dim: int | None = None,
     PSD-checked: a tensor power's smallest eigenvalue is a product of the
     base's, so that check is at least as strict as one on the power.
     """
-    rho = require_density(rho)
+    return _one_shot_rate(require_density(rho), eps, declared_base_dim, copies)
+
+
+def _one_shot_rate(rho, eps: float, declared_base_dim: int | None = None,
+                   copies: int = 1) -> RateReport:
+    """``one_shot_rate`` on a matrix that has passed the density gates, PSD
+    included (``require_density``, or a state file's load): the eps range
+    and the copies bounds are checked here, the matrix is not rescanned."""
     if not (0.0 <= eps < 1.0):
         raise ValueError(f"eps must lie in [0, 1), got {eps}")
     probs = rho.diagonal().real

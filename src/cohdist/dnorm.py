@@ -27,7 +27,9 @@ and call the evaluator with one row of counts shared by every row.
 ``_class_fidelity`` hands it rows of classes with counts of their own,
 capped at m: the stack ``distill`` builds of tensor powers' type classes
 and plain vectors, rows of fewer classes ending in zero classes, which
-change no row's value.
+change no row's value.  m is one level for every row or one per row (a
+``figure`` spec's curves each have their own), broadcast along the
+classes through the same operations.
 
 The same classes give the level, the largest integer m whose fidelity
 F(m) = norm^2 / m reaches a threshold t, with no search over m.  Split j
@@ -85,23 +87,26 @@ def _waterfill(l1, masses, counts, m):
     Each row lists its classes in descending order of magnitude a, by l1
     mass c a in ``l1`` and squared mass c a^2 in ``masses``; ``counts``
     holds the multiplicities c, either shared by every row (one axis) or
-    one row of them per row (the shape of ``l1``).  Returns, per row, the
-    norm H + sqrt(m - K) sqrt(S) at the first class boundary K with
-    a^2 (m - K) <= S, the squared mass S past it and the room m - K > 0.
-    Zero-mass classes after a row's last class change none of the three:
-    the split stops at the first of them, as at the zero class the
-    evaluator appends.
+    one row of them per row (the shape of ``l1``).  ``m`` is one level for
+    every row, or one per row with a trailing axis of one (shape (..., 1)).
+    Returns, per row, the norm H + sqrt(m - K) sqrt(S) at the first class
+    boundary K with a^2 (m - K) <= S, the squared mass S past it and the
+    room m - K > 0.  Zero-mass classes after a row's last class change none
+    of the three: the split stops at the first of them, as at the zero
+    class the evaluator appends.
 
-    The prefix sums sit in one (2, ..., c + 1) array, and the split is read
-    from it at each row's first passing boundary j.  A single row (``l1``
-    one-dimensional) indexes it at j directly, which costs next to nothing
-    and returns scalars; a stack lays its rows end to end and gathers at
-    the flat indices i (c + 1) + j_i, one fancy index for all rows.  Both
-    read the same sums, so a row's values are the same alone and stacked.
+    The prefix sums and the rooms m - K sit in arrays of c + 1 columns, and
+    the split is read from them at each row's first passing boundary j.  A
+    single row (``l1`` one-dimensional) indexes them at j directly, which
+    costs next to nothing and returns scalars; a stack lays its rows end to
+    end and gathers at the flat indices i (c + 1) + j_i, one fancy index
+    for all rows.  Both read the same sums, so a row's values are the same
+    alone and stacked, and the same whether its m is shared or its own.
     """
     shape, c = l1.shape[:-1], l1.shape[-1]
     starts = np.zeros(counts.shape[:-1] + (c + 1,))
     np.add.accumulate(counts, axis=-1, out=starts[..., 1:])
+    rooms = m - starts
     # squared mass from each boundary on and l1 sum before it, for the c
     # classes and the zero class after them
     tail, head = cols = np.zeros((2,) + shape + (c + 1,))
@@ -111,17 +116,16 @@ def _waterfill(l1, masses, counts, m):
     # end, a_j^2 (m - K_(j+1)) <= S_(j+1): for the class that reaches m the
     # left side is <= 0, so the split never passes it, whatever the rounding
     split = np.zeros(shape + (c + 1,), dtype=bool)
-    np.less_equal(masses * ((m - starts[..., 1:]) / counts), tail[..., 1:], out=split[..., :c])
+    np.less_equal(masses * (rooms[..., 1:] / counts), tail[..., 1:], out=split[..., :c])
     split[..., c] = True
     j = split.argmax(axis=-1)
     if shape:  # row i's split at flat index i (c + 1) + j_i of the rows end to end
         at = j.ravel() + np.arange(0, j.size * (c + 1), c + 1)
         tail, head = cols.reshape(2, -1).take(at, axis=1).reshape(cols.shape[:-1])
-        start = starts.take(j) if starts.ndim == 1 else starts.reshape(-1).take(at).reshape(shape)
+        room = rooms.take(j) if rooms.ndim == 1 else rooms.reshape(-1).take(at).reshape(shape)
     else:  # one row: j indexes it directly
         tail, head = cols[:, j]
-        start = starts[j]
-    room = m - start
+        room = rooms[j]
     return head + np.sqrt(room) * np.sqrt(tail), tail, room
 
 
@@ -232,16 +236,29 @@ def _class_fidelity(mags, masses, log_counts, m):
     """Fidelity of each row of a stack of classes, descending per row:
     class j of a row holds exp(log_counts[j]) entries of magnitude
     mags[j], with squared mass masses[j] (their count times the square).
+    ``m`` is one level for every row, or a list of one level per row of
+    the stack (``mags`` of shape (R, c)); each is checked by itself.
 
     Counts are capped at m before they are recovered from their logs by
     rounding: the split comes before m entries, so larger counts only
     place boundaries that are never reached.  O(classes) per row, whatever
     m is.  Rows may end in zero classes (zero magnitude, zero mass, any
-    count) to share one width.
+    count) to share one width.  A list of levels is read as a column of
+    shape (R, 1), with its logs beside it, and a single level as a scalar;
+    either broadcasts along the classes through the same operations, and
+    every log is ``math.log`` of one level, so a row's value does not
+    depend on how its level was given.
     """
-    m = _integer_m(m)
-    counts = np.rint(np.exp(np.minimum(log_counts, math.log(m))))
-    return _snapped_fidelity(_waterfill(counts * mags, masses, counts, m)[0], m)
+    if isinstance(m, list):  # one level per row, and a column of them along the classes
+        levels = [_integer_m(x) for x in m]
+        log_m = np.array([math.log(x) for x in levels])[:, None]
+        m = np.array(levels, dtype=float)
+        column = m[:, None]
+    else:
+        m = column = _integer_m(m)
+        log_m = math.log(m)
+    counts = np.rint(np.exp(np.minimum(log_counts, log_m)))
+    return _snapped_fidelity(_waterfill(counts * mags, masses, counts, column)[0], m)
 
 
 def _class_level(mags, masses, log_counts, dim: int, t: float) -> int:

@@ -198,6 +198,11 @@ def same_diagonal_decomposition(rho) -> Ensemble:
     below 1e-9 count as zero, which can cost up to about 1e-9 of
     reconstruction.
 
+    The state is validated and its eigenpairs solved once, behind the PSD
+    gate (``_density_eig``); the construction itself is ``_same_diagonal``,
+    which the ``decompose`` command calls on a loaded state, whose load
+    ran the same gates.
+
     Raises
     ------
     DimTooLarge
@@ -205,7 +210,14 @@ def same_diagonal_decomposition(rho) -> Ensemble:
     NumericalFailure
         if the reconstruction or an atom's diagonal misses the 1e-8 target.
     """
-    rho, w, v = _density_eig(rho)
+    return _same_diagonal(*_density_eig(rho))
+
+
+def _same_diagonal(rho, w, v) -> Ensemble:
+    """``same_diagonal_decomposition`` of a matrix that has passed the
+    density gates, PSD included (``_density_eig``, or a state file's load),
+    from the eigenpairs (w, v) of its Hermitian part: the dimension and the
+    residual targets are checked here, the matrix is not rescanned."""
     dropped = np.diag(rho).real <= 1e-18
     # beside a dropped entry of a PSD state an off-diagonal is at most 1e-9;
     # a larger one is rounding-level negativity that must be taken out too
@@ -426,7 +438,7 @@ def ensemble_search(
     starts = []
     if d <= 3:
         try:
-            warm = same_diagonal_decomposition(rho)
+            warm = _same_diagonal(rho, w, u)
         except NumericalFailure:
             pass
         else:

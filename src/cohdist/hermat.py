@@ -15,7 +15,7 @@ floor is -1e-10: one gate, in ``_psd_eig``, checks it, and rejects a NaN
 eigenvalue too, and eigenvalues in ``[-1e-10, 0)`` count as zero.
 
 A matrix is scanned once per validation: one pass checks its entries are
-finite and forms the adjoint and the Hermitian defect, and the
+finite, then the adjoint and the Hermitian defect are formed, and the
 eigensolver takes the Hermitian part 0.5 a + 0.5 a^dag from that same
 adjoint.  Halves cannot overflow on finite entries, where 0.5 (a + a^dag)
 can past about 9e307, and they give the same doubles above the subnormal
@@ -24,8 +24,10 @@ also need the eigenpairs take them from the same scan: the same-diagonal
 decomposition, the ensemble search and ``purify`` through
 ``_density_eig``, and the fidelity certificate through its two halves,
 ``_unit_trace`` and ``_psd_eig``, with its m-range check between them.
-``stateio.parse_state`` runs its looser file gates on the same pieces.  So
-no caller validates a matrix and then rescans it for the eigensolve.
+``stateio.parse_state`` runs its looser file gates on the same pieces,
+after its own finiteness scan, and hands ``_psd_eig`` the exactly
+Hermitian matrix it builds.  So no caller validates a matrix and then
+rescans it for the eigensolve.
 """
 
 import numpy as np
@@ -40,8 +42,6 @@ from .errors import (
 
 __all__ = [
     "eig_hermitian",
-    "eig_psd",
-    "hermitian_defect",
     "random_density",
     "require_density",
     "shannon_entropy",
@@ -62,24 +62,13 @@ def _as_complex_matrix(a) -> np.ndarray:
 
 
 def _adjoint_and_defect(mat: np.ndarray) -> tuple[np.ndarray, float]:
-    """The adjoint of a square complex matrix and its Hermitian defect;
-    ``NumericalFailure`` on a non-finite entry.  The difference is taken
-    of quarters, whose parts and modulus stay finite for any finite
-    entries, and scaled back as a Python float, so a defect past the
-    largest double is inf, with no numpy overflow."""
-    if not np.isfinite(mat).all():
-        raise NumericalFailure("matrix has non-finite entries")
+    """The adjoint of a square complex matrix of finite entries and its
+    Hermitian defect.  The difference is taken of quarters, whose parts and
+    modulus stay finite for any finite entries, and scaled back as a Python
+    float, so a defect past the largest double is inf, with no numpy
+    overflow."""
     adj = mat.conj().T
     return adj, 4.0 * float(np.abs(0.25 * mat - 0.25 * adj).max()) if mat.size else 0.0
-
-
-def hermitian_defect(a) -> float:
-    """Largest entrywise deviation |a_ij - conj(a_ji)|.
-
-    A non-finite entry raises ``NumericalFailure``, since a NaN defect
-    would pass every ``defect > tol`` gate.
-    """
-    return _adjoint_and_defect(_as_complex_matrix(a))[1]
 
 
 def _hermitian(a, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -87,23 +76,27 @@ def _hermitian(a, tol: float) -> tuple[np.ndarray, np.ndarray]:
     scan of its entries: ``NumericalFailure`` on a non-finite entry,
     ``NonHermitian`` on a defect above ``tol``."""
     mat = _as_complex_matrix(a)
+    if not np.isfinite(mat).all():
+        raise NumericalFailure("matrix has non-finite entries")
     adj, defect = _adjoint_and_defect(mat)
     if defect > tol:
         raise NonHermitian(f"Hermitian defect {defect:.3e} exceeds {tol:.0e}")
     return mat, adj
 
 
-def _eigh(mat: np.ndarray, adj: np.ndarray):
+def _eigh(mat: np.ndarray, adj: np.ndarray | None = None):
     """LAPACK's eigenpairs of the Hermitian part 0.5 a + 0.5 a^dag, whose
-    halves, unlike 0.5 (a + a^dag), cannot overflow on finite entries;
-    ``NumericalFailure`` if the solver does not converge."""
+    halves, unlike 0.5 (a + a^dag), cannot overflow on finite entries, or
+    of ``mat`` itself when no adjoint is given: a matrix that is already
+    exactly Hermitian.  ``NumericalFailure`` if the solver does not
+    converge."""
     try:
-        return np.linalg.eigh(0.5 * mat + 0.5 * adj)
+        return np.linalg.eigh(mat if adj is None else 0.5 * mat + 0.5 * adj)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition did not converge: {exc}") from exc
 
 
-def _psd_eig(mat: np.ndarray, adj: np.ndarray):
+def _psd_eig(mat: np.ndarray, adj: np.ndarray | None = None):
     """``_eigh`` behind the PSD gate, the package's one check of the floor:
     ``NotPSD`` unless the smallest eigenvalue is at least -1e-10, so a NaN
     eigenvalue fails it too."""
@@ -125,8 +118,8 @@ def _unit_trace(rho) -> tuple[np.ndarray, np.ndarray]:
 
 def _density_eig(rho):
     """``require_density`` with its PSD check, returning ``(rho, w, v)``:
-    the validated matrix and the eigenpairs ``eig_psd`` would give, from
-    the same one scan of the entries."""
+    the validated matrix and the eigenpairs of its Hermitian part that
+    passed the PSD gate, from the same one scan of the entries."""
     mat, adj = _unit_trace(rho)
     return (mat, *_psd_eig(mat, adj))
 
@@ -162,13 +155,6 @@ def eig_hermitian(mat):
         if the entrywise symmetry defect exceeds 1e-9.
     """
     return _eigh(*_hermitian(mat, _HERMITIAN_OP))
-
-
-def eig_psd(mat):
-    """``eig_hermitian`` followed by the PSD gate: raises ``NotPSD`` if the
-    smallest eigenvalue is below -1e-10 or is NaN.  Eigenvalues in
-    ``[-1e-10, 0)`` are returned as computed; callers clamp them to zero."""
-    return _psd_eig(*_hermitian(mat, _HERMITIAN_OP))
 
 
 def shannon_entropy(diagonal):

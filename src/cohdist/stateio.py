@@ -16,7 +16,8 @@ numbers are a ``ParseError``, never truncated.  A ``declared_base`` needs
 checked in time bounded by log dim, whatever ``copies``.  Each entry part
 is a JSON integer or float and ``renormalize`` a JSON boolean; anything
 else, booleans and numeric strings included, is a ``ParseError``, never
-converted.  Parsing gates: finite entries and a finite trace, finite
+converted, and so is an integer past the largest double, as the float
+literal 1e999 is.  Parsing gates: finite entries and a finite trace, finite
 entries after the optional renormalization (a trace near its 1e-12 floor
 can scale finite entries past the largest double), Hermiticity 1e-9
 entrywise, trace within 1e-8 of one (after the renormalization).  Accepted states are then symmetrized and
@@ -24,9 +25,15 @@ trace-normalized exactly, so the stricter internal Hermiticity and trace
 invariants hold downstream.  Normalization cannot repair a negative
 eigenvalue, so the PSD gate on the normalized state is the internal one
 (floor -1e-10), reported as a ``ParseError`` with the same message, and no
-command rejects as non-PSD a file that loaded.  The entries are scanned
-once: the adjoint the Hermiticity gate forms is the one the state is
-symmetrized with, as 0.5 rho + 0.5 rho^dag, whose halves cannot overflow.
+command rejects as non-PSD a file that loaded.  The load is one pass:
+one finiteness scan of the entries (and one of the renormalized entries,
+when they are renormalized), one symmetrization, with the adjoint the
+Hermiticity gate forms, as 0.5 rho + 0.5 rho^dag, whose halves cannot
+overflow, and one division by the trace.  The result is exactly
+Hermitian, so the PSD gate solves it as it is.  It is therefore checked
+once: it passes every gate of ``hermat.require_density`` (Hermitian to
+1e-12, trace 1 to 1e-10, the same PSD floor), and the commands evaluate
+it without validating it again.
 """
 
 import json
@@ -53,10 +60,18 @@ def _integer(value, field: str) -> int:
 
 def _real(value, field: str) -> float:
     """A real field of a decoded document: an integer or a float;
-    ``ParseError`` for anything else, booleans and strings included."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    ``ParseError`` for anything else, booleans and strings included, and
+    for an integer past the largest double, which no float holds."""
+    # the exact types a JSON decoder gives first, without the abstract check
+    if type(value) not in (float, int) and (isinstance(value, bool)
+                                            or not isinstance(value, numbers.Real)):
         raise ParseError(f"{field} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        # not printed: str() of an int of more than 4300 digits raises
+        raise ParseError(f"{field} must be finite, got an integer past the "
+                         "largest double") from exc
 
 
 def _is_power(base: int, exponent: int, target: int) -> bool:
@@ -90,7 +105,7 @@ def parse_state(obj) -> tuple[np.ndarray, dict | None]:
         raise ParseError(f"entries are not numeric: {exc}") from exc
     if arr.shape != (dim, dim, 2):
         raise ParseError(f"entries must be {dim}x{dim} [re, im] pairs, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ParseError("entries must be finite numbers")
     rho = arr[..., 0] + 1j * arr[..., 1]
 
@@ -109,19 +124,20 @@ def parse_state(obj) -> tuple[np.ndarray, dict | None]:
         if not np.isfinite(rho).all():
             raise ParseError(f"renormalized entries are not finite: the trace {tr:.3e} "
                              "scales them past the largest double")
+        tr = np.trace(rho).real
 
+    # the one finiteness scan was of the entries, or of the renormalized ones
     adj, defect = _adjoint_and_defect(rho)
     if defect > 1e-9:
         raise ParseError(f"Hermitian defect {defect:.3e} exceeds 1e-9")
-    tr = np.trace(rho).real
     if abs(tr - 1.0) > 1e-8:
         raise ParseError(f"trace {tr} differs from 1 by more than 1e-8")
     # halves, which stay finite for finite entries; the result is exactly
-    # Hermitian, so it is its own adjoint in the PSD gate
+    # Hermitian, so the PSD gate solves it as it is
     rho = 0.5 * rho + 0.5 * adj
     rho = rho / np.trace(rho).real
     try:
-        _psd_eig(rho, rho)
+        _psd_eig(rho)
     except NotPSD as exc:
         raise ParseError(str(exc)) from exc
 

@@ -1,14 +1,42 @@
 """Materialized references the closed forms are tested against: the
 Uhlmann fidelity of two density matrices and the n-fold Kronecker power of
 a matrix.  Neither is part of the package, which reads n copies from the
-base diagonal and never needs a fidelity of two general states."""
+base diagonal and never needs a fidelity of two general states.  Also
+the two stand-alone matrix checks only tests call, ``hermitian_defect``
+and ``eig_psd``, built from the package's own gates."""
 
 from functools import reduce
 
 import numpy as np
 
 from cohdist.errors import DimMismatch, NumericalFailure
-from cohdist.hermat import eig_hermitian, eig_psd
+from cohdist.hermat import (
+    _HERMITIAN_OP,
+    _adjoint_and_defect,
+    _as_complex_matrix,
+    _hermitian,
+    _psd_eig,
+    eig_hermitian,
+)
+
+
+def hermitian_defect(a) -> float:
+    """Largest entrywise deviation |a_ij - conj(a_ji)|.
+
+    A non-finite entry raises ``NumericalFailure``, since a NaN defect
+    would pass every ``defect > tol`` gate.
+    """
+    mat = _as_complex_matrix(a)
+    if not np.isfinite(mat).all():
+        raise NumericalFailure("matrix has non-finite entries")
+    return _adjoint_and_defect(mat)[1]
+
+
+def eig_psd(mat):
+    """``eig_hermitian`` followed by the PSD gate: raises ``NotPSD`` if the
+    smallest eigenvalue is below -1e-10 or is NaN.  Eigenvalues in
+    ``[-1e-10, 0)`` are returned as computed."""
+    return _psd_eig(*_hermitian(mat, _HERMITIAN_OP))
 
 
 def fidelity(rho, sigma) -> float:

@@ -19,9 +19,25 @@ from cohdist.distill import (
     zero_error_rate,
 )
 from cohdist.hermat import random_density
-from cohdist.stateio import dump_state, load_state
+from cohdist.stateio import dump_state, load_state, state_to_dict
 
 from reference import tensor_power
+
+
+def count_calls(monkeypatch, *names) -> dict:
+    """Count the calls of each named function of the package, through every
+    module that binds the name, for the rest of the test."""
+    import cohdist
+
+    counts = dict.fromkeys(names, 0)
+    for module in (cohdist.hermat, cohdist.stateio, cohdist.distill, cohdist.ensembles, cli):
+        for name in names:
+            if hasattr(module, name):
+                def counted(*a, _f=getattr(module, name), _name=name, **k):
+                    counts[_name] += 1
+                    return _f(*a, **k)
+                monkeypatch.setattr(module, name, counted)
+    return counts
 
 
 @pytest.fixture
@@ -91,16 +107,17 @@ class TestRateCommand:
         assert abs(payload["asymptotic_zero_error_bits_per_copy"] - 0.736966) < 1e-6
 
     def test_one_validation_and_one_power(self, qubit64, capsys, monkeypatch):
+        # the state is checked once, at load: one entry scan and one PSD
+        # gate for the whole command, none of them in distill, and the
+        # power's classes are built once
         import cohdist.distill as distill
 
-        calls, powers = [], []
-        require, power = distill.require_density, distill._type_classes
-        monkeypatch.setattr(distill, "require_density",
-                            lambda *a, **k: calls.append(1) or require(*a, **k))
+        counts = count_calls(monkeypatch, "_adjoint_and_defect", "_psd_eig", "require_density")
+        powers, power = [], distill._type_classes
         monkeypatch.setattr(distill, "_type_classes",
                             lambda probs, n: powers.append(n) or power(probs, n))
         assert main(["rate", str(qubit64), "--eps", "0.05", "--copies", "10"]) == 0
-        assert len(calls) == 1
+        assert counts == {"_adjoint_and_defect": 1, "_psd_eig": 1, "require_density": 0}
         assert powers == [[10]]
 
     def test_three_copies(self, qubit64, capsys):
@@ -389,6 +406,29 @@ class TestFigureCommand:
             probs = [0.5, 0.5] if family == "depolarized" else [p, 1.0 - p]
             assert float(fid) == assisted_fidelity_from_probs(probs, n, m), (family, p, n, m)
 
+    def test_a_spec_is_one_stack(self, tmp_path, capsys, monkeypatch):
+        # every point of every curve goes into one class build per chunk of
+        # at most 2^17 class entries: one for a small spec whatever its
+        # curves' m, and two for four points of 20000 qubit copies (40002
+        # entries each)
+        import cohdist.distill as distill
+
+        calls, build = [], distill._power_classes
+        monkeypatch.setattr(distill, "_power_classes",
+                            lambda probs, copies: calls.append(len(copies)) or build(probs, copies))
+        spec, out = tmp_path / "spec.json", tmp_path / "out.csv"
+        spec.write_text(json.dumps([
+            {"family": "diag", "p_grid": [0.6, 0.9], "copies": [1, 2, 3], "m": 2},
+            {"family": "offdiag", "p_grid": [0.2], "copies": [4, 1], "m": 3},
+            {"family": "depolarized", "p_grid": [0.5], "copies": [2], "m": 2}]))
+        assert main(["figure", str(spec), "--out", str(out)]) == 0
+        assert calls == [9]
+        calls.clear()
+        spec.write_text(json.dumps({"family": "diag", "p_grid": [0.6, 0.7],
+                                    "copies": [20000, 20000]}))
+        assert main(["figure", str(spec), "--out", str(out)]) == 0
+        assert calls == [3, 1]
+
     @pytest.mark.parametrize("field", ["p_grid", "copies"])
     def test_empty_grid_writes_header_only(self, field, tmp_path, capsys, monkeypatch):
         # a curve with no points adds no rows and calls no evaluator
@@ -532,6 +572,24 @@ class TestExitCodes:
             warnings.simplefilter("error")
             assert main(["fidelity", str(big)]) == 2
         assert capsys.readouterr().err.startswith("input error: renormalized entries are not finite")
+
+    @pytest.mark.parametrize("cmd", ["fidelity", "rate", "decompose", "figure"])
+    def test_integer_past_the_largest_double(self, cmd, tmp_path, capsys):
+        # a JSON integer no double holds, as an entry part or a p_grid value,
+        # is an unusable input (exit 2) like the float literal 1e999, not an
+        # OverflowError traceback
+        path = tmp_path / "huge.json"
+        if cmd == "figure":
+            path.write_text('{"family": "diag", "p_grid": [1%s], "copies": [1]}' % ("0" * 400))
+            argv = ["figure", str(path), "--out", str(tmp_path / "huge.csv")]
+        else:
+            path.write_text('{"dim": 1, "entries": [[[1%s, 0]]]}' % ("0" * 400))
+            argv = [cmd, str(path)]
+        assert main(argv) == 2
+        field = "p_grid" if cmd == "figure" else "entries"
+        assert capsys.readouterr().err == (
+            f"input error: {field} must be finite, got an integer past the largest double\n")
+        assert not (tmp_path / "huge.csv").exists()
 
     def test_non_finite_entries(self, tmp_path, capsys):
         bad = tmp_path / "nan.json"
@@ -739,3 +797,148 @@ class TestSharedParser:
                 for rep in range(5):
                     assert ((tmp_path / f"t{k}-{i}-{rep}").read_bytes()
                             == (tmp_path / f"seq-{i}-{rep}").read_bytes())
+
+
+def run_captured(call, capsys):
+    """The result of ``call()``, or ("exit", code) when it exits, with what
+    it printed."""
+    try:
+        result = call()
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+class TestParsedOnce:
+    """A command's argv is parsed once, by the command's own parser, and the
+    result is the one the top-level parser's two passes give."""
+
+    ARGVS = [
+        [], ["-h"], ["--help"], ["bogus"], ["bogus", "s.json"], ["-x"],
+        ["--json", "fidelity", "s.json"], ["fidelity"], ["fidelity", "-h"], ["figure", "--help"],
+        ["selftest", "-h"], ["fidelity", "s.json"], ["fidelity", "s.json", "--cop", "3"],
+        ["fidelity", "s.json", "--co", "3"], ["fidelity", "s.json", "--m", "x"],
+        ["fidelity", "s.json", "--m=3", "--json", "--out", "o"], ["fidelity", "s.json", "--m"],
+        ["fidelity", "s.json", "extra"], ["fidelity", "s.json", "--cap", "1"],
+        ["fidelity", "--", "s.json"], ["fidelity", "s.json", "-h", "--m", "x"], ["fid", "s.json"],
+        ["rate", "s.json", "--eps", "0.1", "--copies", "2"], ["rate", "s.json", "--eps", "x"],
+        ["rate", "s.json", "--dump", "d.json"], ["decompose", "s.json", "--m", "2"],
+        ["figure", "spec.json"], ["figure", "spec.json", "--out", "c.csv", "--json"],
+        ["selftest", "--seed", "3"], ["selftest", "--seed", "x"], ["selftest", "extra", "-q"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=[" ".join(a) or "none" for a in ARGVS])
+    def test_same_as_a_fresh_top_level_parse(self, argv, capsys):
+        direct = run_captured(lambda: cli._parse(argv), capsys)
+        cli._build_parser.cache_clear()
+        fresh = run_captured(lambda: cli._build_parser()[0].parse_args(argv), capsys)
+        assert direct == fresh
+        code = direct[0][1] if isinstance(direct[0], tuple) else 0
+        usage = (direct[1] + direct[2]).split("\n")[0]
+        assert code == 0 or usage.startswith("usage: cohdist ")
+
+    @pytest.mark.parametrize("cmd", ["fidelity", "rate", "decompose", "figure", "selftest"])
+    def test_one_parse_per_command(self, cmd, qubit64, curves_spec, tmp_path, capsys,
+                                   monkeypatch):
+        import argparse
+
+        calls, parse = [], argparse.ArgumentParser.parse_known_args
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                            lambda *a, **k: calls.append(1) or parse(*a, **k))
+        monkeypatch.setattr(cli, "_selftest_checks", lambda seed: [])
+        source = {"figure": [str(curves_spec)], "selftest": []}.get(cmd, [str(qubit64)])
+        out = [] if cmd == "selftest" else ["--out", str(tmp_path / "out")]
+        assert main([cmd, *source, *out]) == 0
+        assert calls == [1]
+
+
+class TestCheckedOnce:
+    """The state is checked once, at load, and what the load returns passes
+    every gate of the public entry points, whose values each command prints
+    bit for bit."""
+
+    @pytest.mark.parametrize("cmd", ["fidelity", "rate", "decompose"])
+    def test_one_scan_and_one_psd_gate(self, cmd, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "s.json"
+        dump_state(random_density(3, np.random.default_rng(5)), path)
+        counts = count_calls(monkeypatch, "_adjoint_and_defect", "_psd_eig", "require_density",
+                             "eig_hermitian")
+        assert main([cmd, str(path), "--json"]) == 0
+        # decompose's correlation matrices keep their own scan, in eig_hermitian
+        state_scans = counts["_adjoint_and_defect"] - counts["eig_hermitian"]
+        assert (state_scans, counts["_psd_eig"], counts["require_density"]) == (1, 1, 0)
+        assert cmd == "decompose" or counts["eig_hermitian"] == 0
+
+    @staticmethod
+    def edge_docs(rng, scale=1.0):
+        """(kind, document) for seeded states at d = 1-4 of random rank, as
+        they are and at each load gate's edge: a Hermitian defect just under
+        1e-9, a trace just under 1e-8 from 1, a smallest eigenvalue just
+        above -1e-10, and a trace of 3.7 with ``renormalize`` true.  At
+        ``scale`` 1.2 each edge lies just past its gate instead."""
+        docs = []
+        for d in (1, 2, 3, 4):
+            for rank in sorted({1, int(rng.integers(1, d + 1)), d}):
+                rho = random_density(d, rng, rank=rank)
+                edges = [("plain", rho), ("trace", rho + scale * 0.9e-8 * np.eye(d) / d)]
+                if d > 1:
+                    # an anti-Hermitian defect, which the symmetrization takes out
+                    hermitian = rho.copy()
+                    hermitian[0, -1] += scale * 0.45e-9
+                    hermitian[-1, 0] -= scale * 0.45e-9
+                    edges.append(("hermitian", hermitian))
+                if rank < d:  # a null vector's eigenvalue moved to -0.9e-10
+                    w, v = np.linalg.eigh(rho)
+                    edges.append(("psd", rho - (scale * 0.9e-10 + w[0])
+                                  * np.outer(v[:, 0], v[:, 0].conj())))
+                docs += [(kind, state_to_dict(mat)) for kind, mat in edges]
+                docs.append(("renormalize", {**state_to_dict(3.7 * rho), "renormalize": True}))
+        return docs
+
+    def test_edges_lie_at_the_gates(self):
+        from cohdist.errors import ParseError
+        from cohdist.stateio import parse_state
+
+        for kind, doc in self.edge_docs(np.random.default_rng(31), scale=1.2):
+            if kind in ("plain", "renormalize"):
+                continue
+            with pytest.raises(ParseError):
+                parse_state(doc)
+
+    def test_commands_print_the_entry_points_values(self, tmp_path, capsys):
+        from cohdist import ensembles
+        from cohdist.hermat import require_density
+        from cohdist.stateio import parse_state
+
+        path, out = tmp_path / "s.json", tmp_path / "out.json"
+        for _, doc in self.edge_docs(np.random.default_rng(31)):
+            path.write_text(json.dumps(doc))
+            rho, _ = parse_state(doc)
+            np.testing.assert_array_equal(require_density(rho), rho)
+            d = rho.shape[0]
+            for m, copies in ((2, 1), (d + 1, 1), (2, 3)):
+                assert main(["fidelity", str(path), "--m", str(m), "--copies", str(copies),
+                             "--json", "--out", str(out)]) == 0
+                got = json.loads(out.read_text())["fidelity_bound"]
+                assert got == assisted_fidelity_bound(rho, m, copies=copies)
+            for eps, copies in ((0.0, 1), (0.07, 1), (0.2, 2)):
+                assert main(["rate", str(path), "--eps", repr(eps), "--copies", str(copies),
+                             "--json", "--out", str(out)]) == 0
+                got = json.loads(out.read_text())
+                want = one_shot_rate(rho, eps, d, copies)
+                assert (got["m_star"], got["fidelity_bound"], got["one_shot_rate_bits"],
+                        got["zero_error_bits"], got["asymptotic_zero_error_bits_per_copy"],
+                        got["exact"]) == (
+                    want.m_requested, want.fidelity_bound, want.one_shot_rate_bits,
+                    want.zero_error_bits, want.asymptotic_zero_error_bits_per_copy,
+                    want.exact_flag)
+            if d <= 3:
+                assert main(["decompose", str(path), "--json", "--out", str(out)]) == 0
+                got = json.loads(out.read_text())
+                ens = ensembles.same_diagonal_decomposition(rho)
+                assert got["weights"] == ens.weights.tolist()
+                assert got["atoms"] == [[[z.real, z.imag] for z in atom]
+                                        for atom in ens.atoms.tolist()]
+                assert got["reconstruction_residual"] == ens.reconstruction_residual(rho)
+

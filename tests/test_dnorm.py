@@ -253,6 +253,15 @@ class TestAgainstSplitReference:
             alone = [float(_class_fidelity(mags[row, :k], masses[row, :k], log_counts[row, :k], m))
                      for row, k in enumerate(np.count_nonzero(mags, axis=1))]
             assert got.tolist() == alone, m
+        # one level per row: each row's value is the one it gets alone at its
+        # own level, and a bad level raises BadM, whichever row holds it
+        levels = [1, 2, 3, 7, 40, 10 ** 300]
+        got = _class_fidelity(mags, masses, log_counts, levels)
+        alone = [float(_class_fidelity(mags[row, :k], masses[row, :k], log_counts[row, :k], m))
+                 for row, (k, m) in enumerate(zip(np.count_nonzero(mags, axis=1), levels))]
+        assert got.tolist() == alone
+        with pytest.raises(BadM):
+            _class_fidelity(mags, masses, log_counts, levels[:-1] + [10 ** 400])
 
 
 class TestOracles:

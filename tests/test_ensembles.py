@@ -34,7 +34,9 @@ from cohdist.errors import (
     NotDistribution,
     NumericalFailure,
 )
-from cohdist.hermat import eig_psd, random_density, shannon_entropy
+from cohdist.hermat import random_density, shannon_entropy
+
+from reference import eig_psd
 
 
 def diag_residual(ens, rho):

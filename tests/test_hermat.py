@@ -15,10 +15,10 @@ from cohdist.errors import (
     NumericalFailure,
     ParseError,
 )
-from cohdist.hermat import eig_psd, random_density, require_density, shannon_entropy
+from cohdist.hermat import random_density, require_density, shannon_entropy
 from cohdist.stateio import parse_state, state_to_dict
 
-from reference import fidelity, tensor_power
+from reference import eig_psd, fidelity, tensor_power
 
 
 class TestFidelity:

@@ -1,13 +1,16 @@
 """State-file schema gates and round trips."""
 
+import json
 import warnings
 
 import numpy as np
 import pytest
 
 from cohdist.errors import ParseError
-from cohdist.hermat import hermitian_defect, random_density
+from cohdist.hermat import random_density
 from cohdist.stateio import dump_state, load_state, parse_state, state_to_dict
+
+from reference import hermitian_defect
 
 
 def doc_for(rho, **extra):
@@ -184,6 +187,15 @@ class TestStrictValues:
             doc["entries"][i][j][part] = value
         with pytest.raises(ParseError, match="entries must be a number"):
             parse_state(doc)
+
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_integer_past_the_largest_double(self, part):
+        # an integer no float holds is a ParseError, like the literal 1e999,
+        # never an OverflowError
+        doc = doc_for(np.diag([1.0, 0.0]).astype(complex))
+        doc["entries"][1][1][part] = 10 ** 400
+        with pytest.raises(ParseError, match="entries must be finite, got an integer past"):
+            parse_state(json.loads(json.dumps(doc)))
 
     def test_integer_entries_load(self):
         back, _ = parse_state({"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]})
